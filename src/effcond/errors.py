@@ -29,10 +29,6 @@ class DependencyError(DomainError):
         self.missing = missing
 
 
-class KernelOrderError(EffcondError):
-    """A kernel of higher order than the cached table was requested."""
-
-
 class GenerationError(EffcondError, RuntimeError):
     """Random placement exhausted its attempt budget."""
 

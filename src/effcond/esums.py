@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import DiskConfiguration
-from .lattice import eisenstein, lattice_sum
+from .lattice import eisenstein_stack, lattice_sum
 from .serialize import dump_csv
 
 
@@ -61,24 +61,26 @@ def as_multi_index(index) -> MultiIndex:
 def kernel_matrix(config: DiskConfiguration, n: int) -> np.ndarray:
     """(N, N) matrix E_n(a_j - a_k) with the regularized diagonal S_n.
 
-    Built once per (configuration, order) and cached on the configuration;
-    rows may be consumed concurrently once built.
+    Every order from 2 to n not yet cached on the configuration is built in
+    one pass over the upper-triangle separations; the lower triangle follows
+    from E_n(-z) = (-1)^n E_n(z).  Each order is cached as a read-only array
+    and kept once built; rows may be consumed concurrently.
     """
     if n < 2:
         raise DomainError(f"kernel order must be >= 2, got {n}")
-    cached = config._kernels.get(n)
-    if cached is not None:
-        return cached
-    sep = config.pair_separations()
-    n_disks = config.n_disks
-    mat = np.empty((n_disks, n_disks), dtype=complex)
-    off = ~np.eye(n_disks, dtype=bool)
-    if n_disks > 1:
-        mat[off] = eisenstein(config.cell, n, sep[off])
-    mat[np.diag_indices(n_disks)] = lattice_sum(config.cell, n)
-    mat.setflags(write=False)
-    config._kernels[n] = mat
-    return mat
+    if n not in config._kernels:
+        n_lo = len(config._kernels) + 2  # cached orders form the prefix 2..n_lo-1
+        n_disks = config.n_disks
+        upper = np.triu_indices(n_disks, 1)
+        stack = eisenstein_stack(config.cell, n_lo, n, config.pair_separations()[upper])
+        for order, vals in zip(range(n_lo, n + 1), stack):
+            mat = np.empty((n_disks, n_disks), dtype=complex)
+            mat[upper] = vals
+            mat[upper[::-1]] = vals if order % 2 == 0 else -vals
+            mat[np.diag_indices(n_disks)] = lattice_sum(config.cell, order)
+            mat.setflags(write=False)
+            config._kernels[order] = mat
+    return config._kernels[n]
 
 
 def esum(config: DiskConfiguration, index) -> complex:

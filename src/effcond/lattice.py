@@ -6,15 +6,19 @@ Im(omega2) > 0 and unit area, omega1 * Im(omega2) = 1.  The kernels
     E_n(z) = sum over lattice translates P of (z + P)^(-n)
 
 are summed in the Eisenstein order: the sum along the omega1 direction
-first, the transverse sum second and symmetrically.  The inner sum is taken
-in closed trigonometric form,
+first, the transverse sum second and symmetrically.  Each row sum over
+w + m, w = (z + m2*omega2)/omega1, is taken in closed form: as
+pi^n * Q_n(cot(pi*w)), Q_n a fixed polynomial, for |Im w| < 0.35, else as
+(-2*pi*i)^n/(n-1)! * sum_k k^(n-1) u^k, u = exp(2*pi*i*w), Im w > 0.  Rows
+decay exponentially (the ratio is the square of the lattice nome).  This
+prescription fixes the values of the conditionally convergent cases
+n = 1, 2 and gives E_1 the constant jump -2*pi*i/omega1 across omega2, zero
+across omega1.
 
-    sum_m (w + m)^(-n) = pi^n * Q_n(cot(pi*w)),
-
-with Q_n a fixed polynomial, so each transverse row decays exponentially
-(the decay ratio is the square of the lattice nome).  This prescription
-fixes the values of the conditionally convergent cases n = 1, 2 and gives
-E_1 the constant jump -2*pi*i/omega1 across omega2, zero across omega1.
+A range of orders is one stack: cot(pi*w), or u and its powers, are computed
+once per row point for all orders.  Each row's term count is fixed by the
+order and the |u| bound a reduced point implies for the row, never by the
+batch.  Kernel matrices mirror the upper triangle: E_n(-z) = (-1)^n E_n(z).
 
 Lattice sums S_n = E_n-minus-pole at 0: S_2, S_4, S_6 come from the same
 row summation; higher even orders use the classical quadratic recurrence
@@ -64,42 +68,14 @@ def _cot_poly(n: int) -> np.ndarray:
     return np.array([float(c) for c in coeffs])
 
 
+@lru_cache(maxsize=None)
 def _exp_terms(n: int, u_max: float) -> int:
-    """Series length with tail k^(n-1) u^k below 1e-18 of the first term."""
+    """Series length; its last term k^(n-1) u^k is below 1e-18 of the first."""
     log_u = math.log(max(u_max, 1e-300))
-    k = max(8, n)
+    k = 8
     while k < 400 and (n - 1) * math.log(k) + (k - 1) * log_u > math.log(1e-18):
         k += 4
     return k
-
-
-def _row_values(n: int, w: np.ndarray) -> np.ndarray:
-    """One-dimensional lattice sums sum_m (w + m)^(-n), elementwise in w."""
-    out = np.empty(w.shape, dtype=complex)
-    im = w.imag
-    central = np.abs(im) < _IM_SWITCH
-    if np.any(central):
-        c = 1.0 / np.tan(np.pi * w[central])
-        q = _cot_poly(n)
-        acc = np.full(c.shape, q[-1], dtype=complex)
-        for coef in q[-2::-1]:
-            acc = acc * c + coef
-        out[central] = (np.pi ** n) * acc
-    far = ~central
-    if np.any(far):
-        wf = np.where(im[far] > 0, w[far], -w[far])
-        u = np.exp(_TWO_PI_I * wf)
-        upow = u.copy()
-        acc = np.zeros(wf.shape, dtype=complex)
-        for k in range(1, _exp_terms(n, float(np.abs(u).max())) + 1):
-            acc += (k ** (n - 1)) * upow
-            upow *= u
-        val = ((-_TWO_PI_I) ** n / math.factorial(n - 1)) * acc
-        if n == 1:
-            val -= 1j * np.pi
-        sign = 1.0 if n % 2 == 0 else -1.0
-        out[far] = np.where(im[far] > 0, val, sign * val)
-    return out
 
 
 @dataclass(frozen=True)
@@ -187,22 +163,76 @@ def _make_cell_cached(omega1: float, omega2: complex) -> Cell:
     return cell
 
 
-def _eisenstein_reduced(cell: Cell, n: int, zr: np.ndarray) -> np.ndarray:
-    """E_n on already-reduced points; rows summed centre-out in pairs.
+def _eisenstein_stack(cell: Cell, n_lo: int, n_hi: int, zr, first_row: int = 0):
+    """E_n(zr), n = n_lo..n_hi stacked on axis 0; lattice coords in [-1/2, 1/2].
 
-    The symmetric +-m pairing makes the conditionally convergent n = 1 case
-    cancel its constant row limits exactly.
+    Rows are summed centre-out in +-m pairs (the constant row limits of n = 1
+    cancel); first_row=1 leaves out the row through zr (lattice sums).  Each
+    step is elementwise in the points and each order's terms depend on the
+    order alone, so no value depends on the batch or on the order range.
     """
-    m_rows = cell.row_count()
-    w0 = zr / cell.omega1
-    tau = cell.tau
-    offsets = np.zeros(1 + 2 * m_rows, dtype=complex)
-    m = np.arange(1, m_rows + 1)
-    offsets[1::2] = m * tau
-    offsets[2::2] = -m * tau
-    rows = _row_values(n, w0[..., None] + offsets)
-    total = rows[..., 0] + (rows[..., 1::2] + rows[..., 2::2]).sum(axis=-1)
-    return total / cell.omega1 ** n
+    orders = range(n_lo, n_hi + 1)
+    ms = np.array([s * m for m in range(first_row, cell.row_count() + 1)
+                   for s in ((1, -1) if m else (1,))])
+    # far points of row m have |Im w| >= max(_IM_SWITCH, (|m| - 1/2) Im tau)
+    bounds = np.exp(-2.0 * math.pi
+                    * np.maximum(_IM_SWITCH, (np.abs(ms) - 0.5) * cell.tau.imag))
+    counts = np.array([[_exp_terms(n, float(b)) for b in bounds] for n in orders])
+    ks = np.arange(1, counts.max() + 1)
+    weights = np.array([[float(k ** (n - 1)) for k in range(1, len(ks) + 1)]
+                        for n in orders])
+    table = weights[:, None, :] * (ks <= counts[..., None])
+    # counts grow with the order and shrink outward, so the power k is
+    # needed by a suffix of the orders and a prefix of the rows
+    first_order = (counts[:, 0, None] < ks).sum(axis=0)
+    n_rows = (counts[-1][:, None] >= ks).sum(axis=0)
+
+    flat = np.ravel(zr)
+    out = np.empty((len(orders), flat.size), dtype=complex)
+    step = max(1, (1 << 18) // counts.size)  # 4 MB accumulator blocks
+    for lo in range(0, flat.size, step):
+        w = flat[lo : lo + step] / cell.omega1 + (ms * cell.tau)[:, None]
+        central = np.abs(w.imag) < _IM_SWITCH
+        upper = w.imag > 0
+        u = np.where(central, 0.0, np.exp(_TWO_PI_I * np.where(upper, w, -w)))
+        acc = np.zeros((len(orders),) + w.shape, dtype=complex)
+        upow = u.copy()
+        for k, (o, r) in enumerate(zip(first_order, n_rows)):
+            acc[o:, :r] += table[o:, :r, k, None] * upow[:r]
+            upow[:r] *= u[:r]
+        cot = 1.0 / np.tan(np.pi * w[central])
+        for o, n in enumerate(orders):
+            rows = acc[o] * ((-_TWO_PI_I) ** n / math.factorial(n - 1))
+            if n == 1:
+                rows -= 1j * np.pi
+            if n % 2 == 1:
+                rows = np.where(upper, rows, -rows)
+            rows[central] = (np.pi ** n) * np.polyval(_cot_poly(n)[::-1], cot)
+            total = rows[0] if first_row == 0 else 0.0
+            for i in range(1 - first_row, len(ms), 2):
+                total = total + (rows[i] + rows[i + 1])
+            out[o, lo : lo + step] = total / cell.omega1 ** n
+    return out.reshape((len(orders),) + np.shape(zr))
+
+
+def eisenstein_stack(cell: Cell, n_lo: int, n_hi: int, z) -> np.ndarray:
+    """E_n(z) for n = n_lo..n_hi stacked on axis 0, for an array z.
+
+    Points within NEAR_SINGULARITY_RADIUS of a lattice point are refused.
+    """
+    if n_lo < 1:
+        raise DomainError(f"kernel order must be >= 1, got {n_lo}")
+    zr, _, k2 = cell.reduce(z)
+    dist = cell.lattice_distance(zr)
+    if np.any(dist < NEAR_SINGULARITY_RADIUS):
+        bad = np.asarray(z, dtype=complex)[dist < NEAR_SINGULARITY_RADIUS][0]
+        raise NearSingularityError(
+            f"z = {bad} within {NEAR_SINGULARITY_RADIUS:g} of a lattice point"
+        )
+    out = _eisenstein_stack(cell, n_lo, n_hi, zr)
+    if n_lo == 1:
+        out[0] -= k2 * (_TWO_PI_I / cell.omega1)
+    return out
 
 
 def eisenstein(cell: Cell, n: int, z):
@@ -212,21 +242,8 @@ def eisenstein(cell: Cell, n: int, z):
     doubly periodic.  Points within NEAR_SINGULARITY_RADIUS of a lattice
     point are refused; use eisenstein_regularized near z = 0.
     """
-    if n < 1:
-        raise DomainError(f"kernel order must be >= 1, got {n}")
-    scalar = np.isscalar(z) or np.asarray(z).ndim == 0
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    zr, _, k2 = cell.reduce(z)
-    dist = cell.lattice_distance(zr)
-    if np.any(dist < NEAR_SINGULARITY_RADIUS):
-        bad = z[dist < NEAR_SINGULARITY_RADIUS][0]
-        raise NearSingularityError(
-            f"z = {bad} within {NEAR_SINGULARITY_RADIUS:g} of a lattice point"
-        )
-    val = _eisenstein_reduced(cell, n, zr)
-    if n == 1:
-        val = val - k2 * (_TWO_PI_I / cell.omega1)
-    return complex(val[0]) if scalar else val
+    val = eisenstein_stack(cell, n, n, z)[0]
+    return complex(val) if val.ndim == 0 else val
 
 
 def lattice_sum(cell: Cell, n: int) -> complex:
@@ -248,13 +265,8 @@ def lattice_sum(cell: Cell, n: int) -> complex:
 
 def _lattice_sum_rows(cell: Cell, n: int) -> complex:
     """S_n from the row summation; the m2 = 0 row minus its pole is 2*zeta(n)."""
-    m_rows = cell.row_count()
-    tau = cell.tau
-    total = 2.0 * float(_riemann_zeta(n)) + 0.0j
-    for m in range(1, m_rows + 1):
-        pair = _row_values(n, np.array([m * tau, -m * tau]))
-        total += pair[0] + pair[1]
-    return complex(total / cell.omega1 ** n)
+    rows = _eisenstein_stack(cell, n, n, np.zeros(1), first_row=1)[0, 0]
+    return complex(2.0 * float(_riemann_zeta(n)) / cell.omega1 ** n + rows)
 
 
 def _lattice_sum_recurrence(cell: Cell, n: int) -> complex:
@@ -300,26 +312,27 @@ def eisenstein_regularized(cell: Cell, n: int, z):
     m = np.arange(-1, 2)
     shifts = (m[:, None] * cell.omega1 + m[None, :] * cell.omega2).ravel()
     idx = np.abs(zr[..., None] - shifts).argmin(axis=-1)
-    zr = zr - shifts[idx]
+    zn = zr - shifts[idx]
 
-    out = np.empty(zr.shape, dtype=complex)
+    out = np.empty(zn.shape, dtype=complex)
     # inside the series region the Taylor expansion in lattice sums is both
     # fast and free of the pole-subtraction cancellation of the direct path
     switch = 0.35 * cell.min_period
-    near = np.abs(zr) <= switch
+    near = np.abs(zn) <= switch
     if np.any(near):
-        zn = zr[near]
-        acc = np.zeros(zn.shape, dtype=complex)
-        power = np.ones(zn.shape, dtype=complex)
+        zs = zn[near]
+        acc = np.zeros(zs.shape, dtype=complex)
+        power = np.ones(zs.shape, dtype=complex)
         for j in range(0, 141):
             coef = regularized_taylor_coeff(cell, n, j)
             term = coef * power
             acc += term
-            power *= zn
+            power *= zs
             if j > 4 and np.all(np.abs(term) <= 1e-18 * (1.0 + np.abs(acc))):
                 break
         out[near] = acc
     far = ~near
     if np.any(far):
-        out[far] = _eisenstein_reduced(cell, n, zr[far]) - zr[far] ** (-n)
+        # E_n is doubly periodic for n >= 2; the stack takes reduced points
+        out[far] = _eisenstein_stack(cell, n, n, zr[far])[0] - zn[far] ** (-n)
     return complex(out[0]) if scalar else out

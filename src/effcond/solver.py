@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, KernelOrderError
+from .errors import ConvergenceError, DomainError
 from .esums import kernel_matrix
 from .geometry import DiskConfiguration
 from .lattice import Cell
@@ -75,9 +75,8 @@ class SolverParams:
     degree: int | None = None
     mode: str = "tolerance"
     tolerance: float = 1e-12
-    max_iterations: int = 400
+    max_iterations: int = 1000  # ~0.3% of RSA trials at nu = 0.45, rho = 1 need > 400
     order: int | None = None
-    max_kernel_order: int | None = None
     dump_path: str | None = None  # per-iteration field dump (debugging)
 
     def __post_init__(self):
@@ -125,19 +124,12 @@ class SolveResult:
 class _Workspace:
     """Expansion operator for one (configuration, degree) pair."""
 
-    def __init__(self, config: DiskConfiguration, degree: int, max_kernel_order=None):
+    def __init__(self, config: DiskConfiguration, degree: int):
         n_disks = config.n_disks
         lp1 = degree + 1
         needed = 2 * degree + 3  # l + j + 2 plus one order for the tail row
-        if max_kernel_order is not None and needed > max_kernel_order:
-            raise KernelOrderError(
-                f"operator needs kernels up to order {needed} but the cache "
-                f"is capped at {max_kernel_order}; raise the cap or lower "
-                f"the Taylor degree"
-            )
-        kernels = np.empty((2 * degree + 2, n_disks, n_disks), dtype=complex)
-        for n in range(2, needed + 1):
-            kernels[n - 2] = kernel_matrix(config, n)
+        kernel_matrix(config, needed)  # builds the whole stack in one pass
+        kernels = np.array([kernel_matrix(config, n) for n in range(2, needed + 1)])
         rpow = config.radius ** (2 * np.arange(lp1) + 2)
         op = np.empty((n_disks, lp1, n_disks, lp1), dtype=complex)
         tail = np.empty((n_disks, n_disks, lp1), dtype=complex)
@@ -149,7 +141,7 @@ class _Workspace:
                     op[:, j, :, l] = block
                 else:
                     tail[:, :, l] = block
-        self.config = config
+        self.radius = config.radius
         self.degree = degree
         self.op4 = op
         self.op = op.reshape(n_disks * lp1, n_disks * lp1)
@@ -167,15 +159,14 @@ class _Workspace:
     def tail_norm(self, coeffs: np.ndarray) -> float:
         """Dropped degree-(L+1) mass of one W application, disk-scaled."""
         dropped = np.abs(self.tail @ np.conj(coeffs.reshape(-1))).max()
-        return float(dropped) * self.config.radius ** (self.degree + 1)
+        return float(dropped) * self.radius ** (self.degree + 1)
 
 
-def _workspace(config: DiskConfiguration, degree: int, max_kernel_order=None) -> _Workspace:
-    key = (degree, max_kernel_order)
-    ws = config._solver_cache.get(key)
+def _workspace(config: DiskConfiguration, degree: int) -> _Workspace:
+    ws = config._solver_cache.get(degree)
     if ws is None:
-        ws = _Workspace(config, degree, max_kernel_order)
-        config._solver_cache[key] = ws
+        ws = _Workspace(config, degree)
+        config._solver_cache[degree] = ws
     return ws
 
 
@@ -215,7 +206,7 @@ def solve_contrast(
         raise DomainError(f"contrast rho = {rho:g} outside [-1, 1]")
     params = params or SolverParams()
     degree = params.resolved_degree()
-    ws = _workspace(config, degree, params.max_kernel_order)
+    ws = _workspace(config, degree)
     # unit external flux: the additive normalization constant of the field
     # problem is exactly one
     ones = constant_field(config, degree).coeffs

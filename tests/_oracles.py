@@ -3,9 +3,13 @@
 Everything here is a plain truncated double sum over lattice translates in
 the prescribed iterated order (inner index along omega1, outer transverse,
 both symmetric), optionally Richardson-extrapolated in the truncation
-limits.  Nothing is shared with the production evaluation path.
+limits, or a high-precision row sum in closed form through mpmath.
+Nothing is shared with the production evaluation path.
 """
 
+import math
+
+import mpmath
 import numpy as np
 
 
@@ -24,6 +28,30 @@ def eisenstein_brute(cell, n, z, m1_range=50000, m2_range=25):
     a = eisenstein_truncated(cell, n, z, m1_range, m2_range)
     b = eisenstein_truncated(cell, n, z, 2 * m1_range, m2_range)
     return 2.0 * b - a
+
+
+def eisenstein_mpmath(cell, n, z, dps=40):
+    """E_n(z), n >= 2, to about dps digits with mpmath.
+
+    Rows are summed in the Eisenstein order (transverse index m2 = 0, then
+    +-m2 pairs); each row sum_m1 (w + m1)^(-n), w = (z + m2*omega2)/omega1,
+    is zeta(n, w) + (-1)^n zeta(n, 1 - w) with the Hurwitz zeta function.
+    Rows are kept until exp(-2*pi*m2*Im tau) is below 10^-dps.
+    """
+    with mpmath.workdps(dps):
+        omega1, omega2 = mpmath.mpf(cell.omega1), mpmath.mpc(cell.omega2)
+        z = mpmath.mpc(z)
+        im_tau = float((omega2 / omega1).imag)
+        rows = math.ceil(dps * math.log(10) / (2 * math.pi * im_tau)) + 3
+
+        def row(m2):
+            w = (z + m2 * omega2) / omega1
+            return mpmath.zeta(n, w) + (-1) ** n * mpmath.zeta(n, 1 - w)
+
+        total = row(0)
+        for m2 in range(1, rows + 1):
+            total += row(m2) + row(-m2)
+        return complex(total / omega1 ** n)
 
 
 def lattice_sum_brute_s2(cell, m1_range=200000, m2_range=30):

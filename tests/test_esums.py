@@ -8,6 +8,9 @@ from effcond import (
     DomainError,
     EnsembleDescriptor,
     MultiIndex,
+    apply_W,
+    constant_field,
+    eisenstein,
     esum,
     esum_nn,
     esum_reference,
@@ -17,6 +20,8 @@ from effcond import (
     rsa_generate,
 )
 from effcond.esums import as_multi_index, esums_csv
+
+from _oracles import eisenstein_mpmath
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +133,89 @@ class TestKernelMatrix:
         mat = kernel_matrix(rsa16, 3).copy()
         np.fill_diagonal(mat, 0.0)
         assert np.allclose(mat, -mat.T, atol=1e-13)
+
+
+class TestKernelOracle:
+    """kernel_matrix entries against the 40-digit mpmath row sum.
+
+    The error is scaled by the nearest pole term, |E - ref| * |z|^n with |z|
+    the distance to the nearest lattice point.  Each bound is 4x the worst
+    error of the previous per-order row evaluation at the same points (two
+    entries each of two separations per kind, on both cells):
+        n            2        3        12       31
+        contact   4.0e-16  8.2e-16  3.3e-15  8.5e-15
+        corner    2.9e-16  9.8e-16  2.5e-15  1.2e-12
+    At cell corners the rows cancel: E_31 there is far below its rows.
+    """
+
+    RADIUS = 0.05
+    BOUNDS = {
+        "contact": {2: 1.6e-15, 3: 3.3e-15, 12: 1.3e-14, 31: 3.4e-14},
+        "corner": {2: 1.2e-15, 3: 3.9e-15, 12: 1.0e-14, 31: 4.6e-12},
+    }
+
+    def separations(self, cell):
+        gap = 2 * self.RADIUS * (1 + 1e-6)
+        return {
+            "contact": [gap * np.exp(1j * t) for t in (0.3, 2.0)],
+            "corner": [
+                0.499 * cell.omega1 + 0.498 * cell.omega2,
+                0.497 * cell.omega1 - 0.499 * cell.omega2,
+            ],
+        }
+
+    @pytest.mark.parametrize("n", [2, 3, 12, 31])
+    def test_entries_match_mpmath(self, n, square_cell, sheared_cell):
+        for cell in (square_cell, sheared_cell):
+            for kind, seps in self.separations(cell).items():
+                for s in seps:
+                    config = DiskConfiguration(
+                        cell=cell, centers=np.array([0j, s]), radius=self.RADIUS
+                    )
+                    mat = kernel_matrix(config, n)
+                    sep = config.pair_separations()
+                    for j, k in ((0, 1), (1, 0)):
+                        ref = eisenstein_mpmath(cell, n, sep[j, k])
+                        scale = cell.lattice_distance(sep[j, k]) ** n
+                        assert abs(mat[j, k] - ref) * scale <= self.BOUNDS[kind][n]
+
+
+class TestKernelStack:
+    """Kernels are bitwise independent of how the stack was built."""
+
+    ORDERS = (2, 3, 6, 7, 12, 31)
+
+    @staticmethod
+    def fresh():
+        return rsa_generate(EnsembleDescriptor(n=64, nu=0.45, trials=1, seed=4))
+
+    def test_build_order_bitwise(self):
+        solver = self.fresh()
+        apply_W(solver, constant_field(solver, 14))  # stack to 2*14 + 3 = 31
+        extended = self.fresh()
+        kernel_matrix(extended, 6)
+        kernel_matrix(extended, 12)
+        for n in self.ORDERS:
+            alone = kernel_matrix(self.fresh(), n)
+            assert np.array_equal(alone, kernel_matrix(solver, n))
+            if n <= 12:
+                assert np.array_equal(alone, kernel_matrix(extended, n))
+
+    def test_upper_triangle_is_eisenstein(self):
+        config = self.fresh()
+        sep = config.pair_separations()[np.triu_indices(config.n_disks, 1)]
+        for n in self.ORDERS:
+            upper = kernel_matrix(config, n)[np.triu_indices(config.n_disks, 1)]
+            assert np.array_equal(upper, eisenstein(config.cell, n, sep))
+
+    def test_batch_matches_scalar_calls(self):
+        config = self.fresh()
+        sep = config.pair_separations()[np.triu_indices(config.n_disks, 1)]
+        assert sep.size == 2016
+        for n in (2, 31):
+            batch = eisenstein(config.cell, n, sep)
+            scalar = np.array([eisenstein(config.cell, n, complex(z)) for z in sep])
+            assert np.array_equal(batch, scalar)
 
 
 class TestRequiredIndices:

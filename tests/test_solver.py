@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from effcond import (
     DiskConfiguration,
     DomainError,
     EnsembleDescriptor,
-    KernelOrderError,
     SolverParams,
     apply_W,
     cluster_coeffs,
@@ -23,8 +24,14 @@ from effcond import (
     rsa_generate,
     shape_factor,
     solve_contrast,
+    trial_seed,
 )
-from effcond.solver import TaylorField, cluster_parts, contrast_cluster_grades
+from effcond.solver import (
+    TaylorField,
+    _workspace,
+    cluster_parts,
+    contrast_cluster_grades,
+)
 
 
 @pytest.fixture(scope="module")
@@ -170,9 +177,26 @@ class TestSolveContrast:
             solve_contrast(rsa6, 1.0, SolverParams(max_iterations=2))
         assert len(err.value.residual_history) == 2
 
-    def test_kernel_order_cap(self, rsa6):
-        with pytest.raises(KernelOrderError):
-            solve_contrast(rsa6, 0.5, SolverParams(degree=10, max_kernel_order=16))
+    def test_slow_contraction_converges_within_default_budget(self):
+        # a dense RSA trial (nu = 0.45, N = 64) whose fixed-point iteration
+        # contracts by ~0.943 per step at rho = 1 and needs 444 iterations
+        desc = EnsembleDescriptor(n=64, nu=0.45, trials=2, seed=1080031)
+        config = rsa_generate(desc, seed=trial_seed(desc.seed, 1))
+        res = solve_contrast(config, 1.0)
+        assert res.converged and res.iterations > 400
+
+    def test_workspace_freed_without_cycle_collection(self):
+        # the configuration owns its workspace; the workspace must not refer
+        # back, or each solve's operator lives until a cyclic collection
+        config = rsa_generate(EnsembleDescriptor(n=8, nu=0.3, trials=1, seed=5))
+        gc.disable()
+        try:
+            res = solve_contrast(config, 0.5)
+            ws = weakref.ref(_workspace(config, res.field.degree))
+            del config, res
+            assert ws() is None
+        finally:
+            gc.enable()
 
     def test_geometric_residual_decay_at_full_contrast(self):
         # enforced minimum gap of 0.2r via the inflated exclusion factor
