@@ -29,7 +29,6 @@ from .esums import (
     MultiIndex,
     esum,
     esum_nn,
-    esum_reference,
     kernel_matrix,
     required_indices,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "eisenstein_regularized",
     "esum",
     "esum_nn",
-    "esum_reference",
     "kernel_matrix",
     "lambda_cluster",
     "lambda_contrast",

@@ -97,22 +97,6 @@ def esum(config: DiskConfiguration, index) -> complex:
     return complex(total / n_disks ** idx.weight)
 
 
-def esum_reference(config: DiskConfiguration, index) -> complex:
-    """Direct (q+1)-fold nested evaluation; O(N^(q+1)), testing only."""
-    idx = as_multi_index(index)
-    n_disks = config.n_disks
-    mats = [kernel_matrix(config, m) for m in idx.entries]
-    total = 0.0 + 0.0j
-    indices = np.ndindex(*([n_disks] * (idx.order + 1)))
-    for ks in indices:
-        term = 1.0 + 0.0j
-        for j, mat in enumerate(mats, start=1):
-            val = mat[ks[j - 1], ks[j]]
-            term *= np.conj(val) if j % 2 == 0 else val
-        total += term
-    return complex(total / n_disks ** idx.weight)
-
-
 def esum_nn(config: DiskConfiguration, n: int) -> complex:
     """e_nn via the absolute-square identity (-1)^n/N^(n+1) sum_m |sum_k E_n|^2."""
     if n < 2:

@@ -1,22 +1,22 @@
 """Direct solution of the disk-composite functional equations.
 
 The complex flux inside each disk is carried as a truncated Taylor
-polynomial around the disk center.  One application of the interaction
-operator W maps the monomial c*(z - a_m)^l to
-conj(c) * r^(2l+2) * E_{l+2}(z - a_m) summed over lattice translates (the
-self translate regularized), re-expanded around each target center a_k with
-coefficient of (z - a_k)^j equal to
+polynomial around the disk center.  The interaction operator W maps the
+monomial c*(z - a_m)^l to conj(c) * r^(2l+2) * E_{l+2}(z - a_m), re-expanded
+around each center a_k with coefficient of (z - a_k)^j equal to
 
     (-1)^j * C(l+j+1, j) * E_{l+j+2}(a_k - a_m),
 
-again with coincident arguments regularized to lattice sums.  W is
-antilinear; with a real contrast rho the fixed-point iteration
-psi <- rho*W(psi) + 1 from psi = 1 produces exactly the partial sums of the
-contrast power series.  The effective conductivity follows from the mean of
-the center values, lambda11 - i*lambda12 = 1 + 2*rho*nu*mean_k psi_k(a_k).
-
-A solve is sequential across iterations; distinct solves share nothing and
-may run concurrently.
+coincident arguments regularized to lattice sums.  W is applied matrix-free:
+one GEMM of the stacked kernels E_2..E_{2L+3} against conj(psi), then a
+weighted gather of the entries with s = j + l.  W(psi) = A*conj(psi) is
+antilinear, so for real rho the fixed point psi = 1 + rho*W(psi) solves the
+complex-linear system (I - rho^2 A conj(A)) psi = 1 + rho*W(1); tolerance
+mode solves it by GMRES (Saad & Schultz 1986).  Order mode sums the
+successive approximations psi <- 1 + rho*W(psi) from psi = 1, which are
+exactly the partial sums of the contrast power series.  The effective
+conductivity is lambda11 - i*lambda12 = 1 + 2*rho*nu*mean_k psi_k(a_k).
+Distinct solves share nothing and may run concurrently.
 """
 
 from __future__ import annotations
@@ -64,20 +64,20 @@ def constant_field(config: DiskConfiguration, degree: int) -> TaylorField:
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Iteration controls.
+    """Solve controls.
 
-    mode "tolerance" stops on the coefficient change in the disk-scaled max
-    norm; mode "order" truncates exactly at the given power of the contrast
-    parameter.  When degree is None it defaults to 2*order + 2 in order
-    mode and to DEFAULT_DEGREE otherwise.
+    mode "tolerance" runs GMRES, at most max_iterations Krylov iterations,
+    until the fixed-point residual in the disk-scaled max norm is at most
+    the tolerance; mode "order" truncates exactly at the given power of the
+    contrast parameter.  When degree is None it defaults to 2*order + 2 in
+    order mode and to DEFAULT_DEGREE otherwise.
     """
 
     degree: int | None = None
     mode: str = "tolerance"
     tolerance: float = 1e-12
-    max_iterations: int = 1000  # ~0.3% of RSA trials at nu = 0.45, rho = 1 need > 400
+    max_iterations: int = 200  # Krylov; RSA at nu = 0.5, rho = +-1 needs <= 29
     order: int | None = None
-    dump_path: str | None = None  # per-iteration field dump (debugging)
 
     def __post_init__(self):
         if self.mode not in ("tolerance", "order"):
@@ -122,44 +122,46 @@ class SolveResult:
 
 
 class _Workspace:
-    """Expansion operator for one (configuration, degree) pair."""
+    """Matrix-free W for one (configuration, degree) pair.
+
+    Holds the kernels E_2..E_{2L+3} stacked as one ((2L+2)N, N) array, the
+    weights c[j, l] = (-1)^j C(l+j+1, j) r^(2l+2) for j <= L+1 and the gather
+    index s = j + l.  Row j = L+1 is the degree dropped by the truncation.
+    """
 
     def __init__(self, config: DiskConfiguration, degree: int):
-        n_disks = config.n_disks
         lp1 = degree + 1
-        needed = 2 * degree + 3  # l + j + 2 plus one order for the tail row
+        needed = 2 * degree + 3  # l + j + 2 with j up to L+1 (the tail row)
         kernel_matrix(config, needed)  # builds the whole stack in one pass
-        kernels = np.array([kernel_matrix(config, n) for n in range(2, needed + 1)])
-        rpow = config.radius ** (2 * np.arange(lp1) + 2)
-        op = np.empty((n_disks, lp1, n_disks, lp1), dtype=complex)
-        tail = np.empty((n_disks, n_disks, lp1), dtype=complex)
-        for j in range(lp1 + 1):
-            sign = -1.0 if j % 2 else 1.0
-            for l in range(lp1):
-                block = sign * math.comb(l + j + 1, j) * rpow[l] * kernels[l + j]
-                if j <= degree:
-                    op[:, j, :, l] = block
-                else:
-                    tail[:, :, l] = block
+        self.stack = np.concatenate(
+            [kernel_matrix(config, n) for n in range(2, needed + 1)]
+        )
+        self.weights = np.array([
+            [(-1) ** j * math.comb(l + j + 1, j) * config.radius ** (2 * l + 2)
+             for l in range(lp1)]
+            for j in range(lp1 + 1)
+        ])
+        self.index = np.add.outer(np.arange(lp1 + 1), np.arange(lp1))
         self.radius = config.radius
         self.degree = degree
-        self.op4 = op
-        self.op = op.reshape(n_disks * lp1, n_disks * lp1)
-        self.tail = tail.reshape(n_disks, n_disks * lp1)
+
+    def image(self, coeffs: np.ndarray) -> np.ndarray:
+        """W(coeffs) with the dropped degree-(L+1) row as an extra column.
+
+        One GEMM gives g[s, k, l] = sum_m E_{s+2}(a_k - a_m) conj(c[m, l]);
+        the degree-j coefficient at disk k is sum_l c[j, l] g[j+l, k, l].
+        """
+        n_disks, lp1 = coeffs.shape
+        g = (self.stack @ np.conj(coeffs)).reshape(-1, n_disks, lp1)
+        rows = g[self.index, :, np.arange(lp1)]  # (L+2, L+1, N)
+        return np.einsum("jl,jlk->kj", self.weights, rows)
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        flat = self.op @ np.conj(coeffs.reshape(-1))
-        return flat.reshape(coeffs.shape)
+        return self.image(coeffs)[:, :-1]
 
-    def apply_degree(self, coeffs: np.ndarray, l: int) -> np.ndarray:
-        """Image of the degree-l slice only (grade bookkeeping helper)."""
-        out = np.einsum("kjm,m->kj", self.op4[:, :, :, l], np.conj(coeffs[:, l]))
-        return out
-
-    def tail_norm(self, coeffs: np.ndarray) -> float:
-        """Dropped degree-(L+1) mass of one W application, disk-scaled."""
-        dropped = np.abs(self.tail @ np.conj(coeffs.reshape(-1))).max()
-        return float(dropped) * self.radius ** (self.degree + 1)
+    def tail_norm(self, image: np.ndarray) -> float:
+        """Dropped degree-(L+1) mass of one W image, disk-scaled."""
+        return float(np.abs(image[:, -1]).max()) * self.radius ** (self.degree + 1)
 
 
 def _workspace(config: DiskConfiguration, degree: int) -> _Workspace:
@@ -183,24 +185,82 @@ def _lambda_pair(config: DiskConfiguration, rho: float, coeffs: np.ndarray):
     return float(value.real), float(-value.imag)
 
 
-def _dump_record(iteration: int, coeffs: np.ndarray) -> dict:
-    return {
-        "iteration": iteration,
-        "coeffs": [
-            [[c.real, c.imag] for c in row] for row in coeffs
-        ],
-    }
+def _scaled_max(delta: np.ndarray, radius: float) -> float:
+    """max_l |delta_l| r^l over all disks: the monomial size on the boundary.
+
+    Near-contact configurations have raw high-degree coefficients far above
+    the fp floor of an absolute norm.
+    """
+    return float((np.abs(delta) * radius ** np.arange(delta.shape[1])).max())
+
+
+def _krylov(ws: _Workspace, rho: float, ones: np.ndarray, params: SolverParams):
+    """GMRES on (I - rho^2 W W) psi = 1 + rho W(1) in x_l = psi_l r^l.
+
+    Unrestarted Arnoldi with modified Gram-Schmidt; the basis and the
+    Givens-reduced Hessenberg grow one step at a time.  Once the Krylov
+    residual estimate reaches the tolerance (at a breakdown h[k+1, k] = 0 it
+    is zero: the candidate is exact), the candidate is accepted only if its
+    true fixed-point residual does.  Returns psi, its W image, that residual
+    and the estimates, one per iteration.
+    """
+    scale = ws.radius ** np.arange(ws.degree + 1)
+
+    def psi_of(x):
+        return x.reshape(ones.shape) / scale
+
+    b = ((ones + rho * ws.apply(ones)) * scale).ravel()
+    basis = [b / np.linalg.norm(b)]
+    hess = np.zeros((0, 0), dtype=complex)  # upper triangular after rotations
+    rotations: list[np.ndarray] = []
+    g = np.array([np.linalg.norm(b)], dtype=complex)  # rotated beta*e1
+    history: list[float] = []
+    while len(history) < params.max_iterations:
+        psi = psi_of(basis[-1])
+        w = ((psi - rho * rho * ws.apply(ws.apply(psi))) * scale).ravel()
+        col = np.empty(len(basis) + 1, dtype=complex)
+        for i, v in enumerate(basis):
+            col[i] = np.vdot(v, w)
+            w -= col[i] * v
+        col[-1] = h_next = np.linalg.norm(w)
+        for i, rot in enumerate(rotations):
+            col[i : i + 2] = rot @ col[i : i + 2]
+        a = col[-2]
+        phase = a / abs(a) if a else 1.0
+        c, s = abs(a), phase * h_next  # zeroes h_next below the diagonal
+        rotations.append(np.array([[c, s], [-np.conj(s), c]]) / math.hypot(c, h_next))
+        col[-2:] = rotations[-1] @ col[-2:]
+        hess = np.pad(hess, ((0, 1), (0, 1)))
+        hess[:, -1] = col[:-1]
+        g = np.append(g, 0.0)
+        g[-2:] = rotations[-1] @ g[-2:]
+        history.append(float(abs(g[-1])))
+        if history[-1] <= params.tolerance:
+            psi = psi_of(np.linalg.solve(hess, g[:-1]) @ np.array(basis))
+            image = ws.image(psi)
+            residual = _scaled_max(psi - ones - rho * image[:, :-1], ws.radius)
+            if residual <= params.tolerance:
+                return psi, image, residual, history
+        if h_next == 0.0:
+            break
+        basis.append(w / h_next)
+    raise ConvergenceError(
+        f"no convergence to {params.tolerance:g} within {len(history)} Krylov "
+        f"iterations (last residual estimate {history[-1] if history else math.inf:g})",
+        residual_history=history,
+    )
 
 
 def solve_contrast(
     config: DiskConfiguration, rho: float, params: SolverParams | None = None
 ) -> SolveResult:
-    """Successive approximations psi <- rho*W(psi) + 1 from psi = 1.
+    """Solve psi = 1 + rho*W(psi) for the truncated flux.
 
-    Tolerance mode iterates until the coefficient change, measured in the
-    disk-scaled max norm, drops below the tolerance, and raises
-    ConvergenceError (with the residual history) when the iteration budget
-    runs out; order mode truncates exactly at rho^order.
+    Tolerance mode runs GMRES on the equivalent complex-linear system until
+    the fixed-point residual max_l |psi - 1 - rho*W(psi)| r^l is at most the
+    tolerance, and raises ConvergenceError (with the residual estimates)
+    when the Krylov budget runs out; order mode sums the successive
+    approximations exactly to rho^order.
     """
     if not -1.0 <= rho <= 1.0:
         raise DomainError(f"contrast rho = {rho:g} outside [-1, 1]")
@@ -210,71 +270,27 @@ def solve_contrast(
     # unit external flux: the additive normalization constant of the field
     # problem is exactly one
     ones = constant_field(config, degree).coeffs
-    history: list[float] = []
-    dump: list[dict] | None = [] if params.dump_path else None
-    # residuals measured in the disk-scaled norm max |c_l| r^l (the monomial
-    # contribution on the disk boundary); near-contact configurations have
-    # raw high-degree coefficients far above the fp floor of an absolute norm
-    scale = config.radius ** np.arange(degree + 1)
-
-    def scaled_max(delta):
-        return float((np.abs(delta) * scale).max())
-
     if params.mode == "order":
-        g = ones.copy()
-        psi = ones.copy()
-        power = 1.0
+        psi, step, history = ones, ones, []
         for _ in range(params.order):
-            g = ws.apply(g)
-            power *= rho
-            step = power * g
+            step = rho * ws.apply(step)  # rho^p W^p(1): W is antilinear, rho real
             psi = psi + step
-            history.append(scaled_max(step))
-            if dump is not None:
-                dump.append(_dump_record(len(history), psi))
-        iterations = params.order
+            history.append(_scaled_max(step, config.radius))
         residual = history[-1] if history else 0.0
-        converged = True
+        image = ws.image(psi)
     else:
-        psi = ones.copy()
-        iterations = 0
-        converged = False
-        residual = math.inf
-        while iterations < params.max_iterations:
-            new = ones + rho * ws.apply(psi)
-            residual = scaled_max(new - psi)
-            history.append(residual)
-            psi = new
-            iterations += 1
-            if dump is not None:
-                dump.append(_dump_record(iterations, psi))
-            if residual <= params.tolerance:
-                converged = True
-                break
-        if not converged:
-            raise ConvergenceError(
-                f"no convergence to {params.tolerance:g} within "
-                f"{params.max_iterations} iterations (last residual "
-                f"{residual:g})",
-                residual_history=history,
-            )
-
-    if dump is not None:
-        from .serialize import dump_json
-
-        with open(params.dump_path, "w") as fh:
-            fh.write(dump_json(dump))
+        psi, image, residual, history = _krylov(ws, rho, ones, params)
 
     lam11, lam12 = _lambda_pair(config, rho, psi)
     return SolveResult(
         field=TaylorField(config=config, coeffs=psi),
         lambda11=lam11,
         lambda12=lam12,
-        iterations=iterations,
+        iterations=len(history),
         residual=residual,
         residual_history=history,
-        converged=converged,
-        truncation_tail=abs(rho) * ws.tail_norm(psi),
+        converged=True,
+        truncation_tail=abs(rho) * ws.tail_norm(image),
     )
 
 
@@ -358,7 +374,9 @@ def contrast_cluster_grades(
                     continue
                 if not np.any(coeffs[:, l]):
                     continue
-                img = ws.apply_degree(coeffs, l)
+                sliced = np.zeros_like(coeffs)
+                sliced[:, l] = coeffs[:, l]
+                img = ws.apply(sliced)
                 if g_new in nxt:
                     nxt[g_new] += img
                 else:

@@ -1,16 +1,21 @@
-"""Slow independent references for the lattice kernels and sums.
+"""Slow independent references for the lattice kernels, sums and operator.
 
-Everything here is a plain truncated double sum over lattice translates in
-the prescribed iterated order (inner index along omega1, outer transverse,
-both symmetric), optionally Richardson-extrapolated in the truncation
-limits, or a high-precision row sum in closed form through mpmath.
-Nothing is shared with the production evaluation path.
+The kernel references are plain truncated double sums over lattice
+translates in the prescribed iterated order (inner index along omega1, outer
+transverse, both symmetric), optionally Richardson-extrapolated in the
+truncation limits, or high-precision row sums in closed form through mpmath;
+nothing there is shared with the production evaluation path.  The
+structural-sum and operator references take the production kernel matrices
+and check what is built on them: the nested sum term by term, and the dense
+interaction matrix block by block.
 """
 
 import math
 
 import mpmath
 import numpy as np
+
+from effcond.esums import as_multi_index, kernel_matrix
 
 
 def eisenstein_truncated(cell, n, z, m1_range, m2_range):
@@ -88,3 +93,37 @@ def lattice_sum_disk_sweep(cell, n, radii=(200.0, 400.0, 800.0)):
     first = [(w1 * vals[i + 1] - vals[i]) / (w1 - 1.0) for i in range(len(vals) - 1)]
     w2 = 2.0 ** n
     return (w2 * first[1] - first[0]) / (w2 - 1.0)
+
+
+def esum_reference(config, index):
+    """Direct (q+1)-fold nested evaluation of e_{m1...mq}; O(N^(q+1))."""
+    idx = as_multi_index(index)
+    n_disks = config.n_disks
+    mats = [kernel_matrix(config, m) for m in idx.entries]
+    total = 0.0 + 0.0j
+    for ks in np.ndindex(*([n_disks] * (idx.order + 1))):
+        term = 1.0 + 0.0j
+        for j, mat in enumerate(mats, start=1):
+            val = mat[ks[j - 1], ks[j]]
+            term *= np.conj(val) if j % 2 == 0 else val
+        total += term
+    return complex(total / n_disks ** idx.weight)
+
+
+def dense_operator(config, degree):
+    """Dense matrix of W, tail row included, built block by block.
+
+    Row k*(L+2) + j, column m*(L+1) + l holds
+    (-1)^j C(l+j+1, j) r^(2l+2) E_{l+j+2}(a_k - a_m) for j <= L+1, so that
+    (op @ conj(c).ravel()).reshape(N, L+2) is W(c) with the dropped
+    degree-(L+1) coefficients as the last column.
+    """
+    n_disks, lp1 = config.n_disks, degree + 1
+    op = np.empty((n_disks, lp1 + 1, n_disks, lp1), dtype=complex)
+    for j in range(lp1 + 1):
+        for l in range(lp1):
+            op[:, j, :, l] = (
+                (-1) ** j * math.comb(l + j + 1, j) * config.radius ** (2 * l + 2)
+                * kernel_matrix(config, l + j + 2)
+            )
+    return op.reshape(n_disks * (lp1 + 1), n_disks * lp1)

@@ -13,7 +13,6 @@ from effcond import (
     eisenstein,
     esum,
     esum_nn,
-    esum_reference,
     kernel_matrix,
     regular_array,
     required_indices,
@@ -21,7 +20,7 @@ from effcond import (
 )
 from effcond.esums import as_multi_index, esums_csv
 
-from _oracles import eisenstein_mpmath
+from _oracles import eisenstein_mpmath, esum_reference
 
 
 @pytest.fixture(scope="module")

@@ -33,6 +33,8 @@ from effcond.solver import (
     contrast_cluster_grades,
 )
 
+from _oracles import dense_operator
+
 
 @pytest.fixture(scope="module")
 def rsa6():
@@ -74,6 +76,65 @@ class TestApplyW:
         other = regular_array(square_cell, "square", 1, 0.2)
         with pytest.raises(DomainError):
             apply_W(rsa6, constant_field(other, 4))
+
+
+class TestMatrixFreeOperator:
+    def test_matches_dense_oracle_with_tail_row(self):
+        config = rsa_generate(EnsembleDescriptor(n=64, nu=0.45, trials=1, seed=3))
+        degree = 14
+        rng = np.random.default_rng(8)
+        shape = (config.n_disks, degree + 1)
+        coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        dense = dense_operator(config, degree)
+        want = (dense @ np.conj(coeffs).ravel()).reshape(config.n_disks, degree + 2)
+        got = _workspace(config, degree).image(coeffs)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        applied = apply_W(config, TaylorField(config=config, coeffs=coeffs)).coeffs
+        assert np.array_equal(applied, got[:, :-1])
+
+
+class TestKrylovSolve:
+    @pytest.mark.parametrize("rho", [1.0, -1.0, 0.5])
+    def test_matches_successive_approximations(self, rsa6, rho):
+        res = solve_contrast(rsa6, rho)
+        series = solve_contrast(
+            rsa6, rho, SolverParams(mode="order", order=200, degree=14)
+        )
+        assert res.iterations < 40
+        assert res.lambda11 == pytest.approx(series.lambda11, abs=1e-10)
+        assert res.lambda12 == pytest.approx(series.lambda12, abs=1e-10)
+
+    def test_residual_is_the_fixed_point_residual(self, rsa6):
+        rho = 0.9
+        res = solve_contrast(rsa6, rho, SolverParams(tolerance=1e-13))
+        psi = res.field
+        ones = constant_field(rsa6, psi.degree).coeffs
+        scale = rsa6.radius ** np.arange(psi.degree + 1)
+        delta = psi.coeffs - ones - rho * apply_W(rsa6, psi).coeffs
+        recomputed = (np.abs(delta) * scale).max()
+        assert res.residual == pytest.approx(recomputed, rel=1e-12)
+        assert res.residual <= 1e-13
+        assert len(res.residual_history) == res.iterations
+
+    def test_zero_contrast_breaks_down_exactly(self, rsa6):
+        res = solve_contrast(rsa6, 0.0)
+        assert res.iterations == 1 and res.residual_history[0] <= 1e-15
+        assert res.residual <= 1e-15
+        ones = constant_field(rsa6, 14).coeffs
+        assert np.abs(res.field.coeffs - ones).max() <= 1e-15
+
+    @pytest.mark.parametrize("degree", [0, 14])
+    def test_single_disk_exhausts_krylov_space(self, square_cell, degree):
+        # the system has N(L+1) unknowns, so GMRES ends within that many steps
+        config = regular_array(square_cell, "square", 1, 0.5)
+        res = solve_contrast(
+            config, 1.0, SolverParams(degree=degree, tolerance=1e-14)
+        )
+        series = solve_contrast(
+            config, 1.0, SolverParams(mode="order", order=300, degree=degree)
+        )
+        assert res.iterations <= degree + 1 and res.residual <= 1e-14
+        assert res.lambda11 == pytest.approx(series.lambda11, abs=1e-13)
 
 
 class TestClusterGradeEquivalence:
@@ -178,12 +239,19 @@ class TestSolveContrast:
         assert len(err.value.residual_history) == 2
 
     def test_slow_contraction_converges_within_default_budget(self):
-        # a dense RSA trial (nu = 0.45, N = 64) whose fixed-point iteration
-        # contracts by ~0.943 per step at rho = 1 and needs 444 iterations
+        # a dense RSA trial (nu = 0.45, N = 64) whose successive
+        # approximations contract by ~0.943 per step at rho = 1 and need 444
+        # steps to reach 1e-12; GMRES needs 29 Krylov iterations
         desc = EnsembleDescriptor(n=64, nu=0.45, trials=2, seed=1080031)
         config = rsa_generate(desc, seed=trial_seed(desc.seed, 1))
         res = solve_contrast(config, 1.0)
-        assert res.converged and res.iterations > 400
+        assert res.converged and res.iterations <= 40
+        # 600 successive approximations leave a remainder of 0.943^600 ~ 5e-16
+        series = solve_contrast(
+            config, 1.0, SolverParams(mode="order", order=600, degree=14)
+        )
+        assert res.lambda11 == pytest.approx(series.lambda11, abs=1e-10)
+        assert res.lambda12 == pytest.approx(series.lambda12, abs=1e-10)
 
     def test_workspace_freed_without_cycle_collection(self):
         # the configuration owns its workspace; the workspace must not refer
@@ -199,16 +267,20 @@ class TestSolveContrast:
             gc.enable()
 
     def test_geometric_residual_decay_at_full_contrast(self):
-        # enforced minimum gap of 0.2r via the inflated exclusion factor
+        # enforced minimum gap of 0.2r via the inflated exclusion factor; the
+        # Schwarz steps rho^p W^p(1) are the order-mode residual history,
+        # cut at the first one below 1e-13
         desc = EnsembleDescriptor(
             n=16, nu=0.25, trials=1, seed=77, exclusion_factor=1.1
         )
         config = rsa_generate(desc)
         for rho in (1.0, -1.0):
             res = solve_contrast(
-                config, rho, SolverParams(tolerance=1e-13, max_iterations=300)
+                config, rho, SolverParams(mode="order", order=300, degree=14)
             )
-            hist = res.residual_history
+            steps = res.residual_history
+            first = next(p for p, step in enumerate(steps) if step <= 1e-13)
+            hist = steps[: first + 1]
             assert len(hist) >= 21
             ratios = [hist[i + 1] / hist[i] for i in range(len(hist) - 21, len(hist) - 1)]
             assert max(ratios) < 0.95
@@ -268,21 +340,6 @@ class TestSolveContrast:
         eff = res.effective()
         assert eff.method == "solver"
         assert eff.lambda11 == res.lambda11
-
-    def test_iteration_dump_flag(self, rsa6, tmp_path):
-        import json
-
-        path = tmp_path / "fields.json"
-        res = solve_contrast(
-            rsa6, 0.6, SolverParams(degree=6, dump_path=str(path))
-        )
-        records = json.loads(path.read_text())
-        assert len(records) == res.iterations
-        assert records[0]["iteration"] == 1
-        coeffs = records[-1]["coeffs"]
-        assert len(coeffs) == rsa6.n_disks
-        final = complex(*coeffs[0][0])
-        assert final == pytest.approx(complex(res.field.coeffs[0, 0]))
 
 
 class TestCoefficientTableAgainstOperator:
