@@ -9,16 +9,28 @@ are summed in the Eisenstein order: the sum along the omega1 direction
 first, the transverse sum second and symmetrically.  Each row sum over
 w + m, w = (z + m2*omega2)/omega1, is taken in closed form: as
 pi^n * Q_n(cot(pi*w)), Q_n a fixed polynomial, for |Im w| < 0.35, else as
-(-2*pi*i)^n/(n-1)! * sum_k k^(n-1) u^k, u = exp(2*pi*i*w), Im w > 0.  Rows
-decay exponentially (the ratio is the square of the lattice nome).  This
+(-2*pi*i)^n/(n-1)! * sum_k k^(n-1) u^k, u = exp(2*pi*i*w), Im w > 0.  This
 prescription fixes the values of the conditionally convergent cases
 n = 1, 2 and gives E_1 the constant jump -2*pi*i/omega1 across omega2, zero
 across omega1.
 
+Only the near rows |m2| <= M0 are summed one by one, M0 being the smallest
+m >= 0 with (m + 1/2) Im(tau) >= 1/2 (0 for Im tau >= 1, as on the square
+cell).  The rows beyond fold into one Lambert series per side (the
+q-expansion of the Eisenstein functions, Weil 1976): with x = z/omega1,
+q = exp(2*pi*i*tau) and V+- = exp(+-2*pi*i*x) q^(M0+1),
+
+    (-2*pi*i)^n/(n-1)! * sum_k k^(n-1)/(1 - q^k) * (V+^k + (-1)^n V-^k),
+
+whose ratio |V+-| is at most exp(-pi) by the choice of M0; the constant row
+limits of n = 1 cancel between the sides.
+
 A range of orders is one stack: cot(pi*w), or u and its powers, are computed
-once per row point for all orders.  Each row's term count is fixed by the
-order and the |u| bound a reduced point implies for the row, never by the
-batch.  Kernel matrices mirror the upper triangle: E_n(-z) = (-1)^n E_n(z).
+once per point for all orders.  Each series' term count is fixed by the
+order and the |u| bound of its rows, never by the batch, and every step is
+elementwise in the points.  Orders whose series would need more than 400
+terms, or weights k^(n-1) beyond a double, are refused (n >= 123).
+Kernel matrices mirror the upper triangle: E_n(-z) = (-1)^n E_n(z).
 
 Lattice sums S_n = E_n-minus-pole at 0: S_2, S_4, S_6 come from the same
 row summation; higher even orders use the classical quadratic recurrence
@@ -50,6 +62,9 @@ _IM_SWITCH = 0.35
 
 _TWO_PI_I = 2j * math.pi
 
+# Longest u-series; orders whose series would need more are refused.
+_MAX_TERMS = 400
+
 
 @lru_cache(maxsize=None)
 def _cot_poly(n: int) -> np.ndarray:
@@ -72,10 +87,10 @@ def _cot_poly(n: int) -> np.ndarray:
 def _exp_terms(n: int, u_max: float) -> int:
     """Series length; its last term k^(n-1) u^k is below 1e-18 of the first."""
     log_u = math.log(max(u_max, 1e-300))
-    k = 8
-    while k < 400 and (n - 1) * math.log(k) + (k - 1) * log_u > math.log(1e-18):
-        k += 4
-    return k
+    for k in range(8, _MAX_TERMS + 1, 4):
+        if (n - 1) * math.log(k) + (k - 1) * log_u <= math.log(1e-18):
+            return k
+    raise DomainError(f"kernel order {n} needs more than {_MAX_TERMS} series terms")
 
 
 @dataclass(frozen=True)
@@ -107,9 +122,14 @@ class Cell:
         d[2, 2] = np.inf
         return float(d.min())
 
-    def row_count(self) -> int:
-        """Transverse rows needed for ~1e-17 absolute row tails."""
-        return int(math.ceil(0.5 + 7.0 / self.tau.imag)) + 1
+    @property
+    def near_rows(self) -> int:
+        """M0, the smallest m >= 0 with (m + 1/2) Im(tau) >= 1/2.
+
+        Rows |m| <= M0 are summed one by one, the rows beyond as one Lambert
+        series per side, whose ratio is then at most exp(-pi).
+        """
+        return max(0, math.ceil(0.5 / self.tau.imag - 0.5))
 
     def reduce(self, z):
         """Representative of z in the fundamental parallelogram.
@@ -163,54 +183,106 @@ def _make_cell_cached(omega1: float, omega2: complex) -> Cell:
     return cell
 
 
+@lru_cache(maxsize=None)
+def _series_table(n_lo: int, n_hi: int, u_max: float) -> np.ndarray:
+    """k^(n-1), n = n_lo..n_hi, up to each order's term count at u_max, else 0."""
+    counts = [_exp_terms(n, u_max) for n in range(n_lo, n_hi + 1)]
+    table = np.zeros((len(counts), max(counts)))
+    for i, count in enumerate(counts):
+        n = int(n_lo) + i  # a numpy integer power would overflow silently
+        try:
+            table[i, :count] = [float(k ** (n - 1)) for k in range(1, count + 1)]
+        except OverflowError:
+            raise DomainError(
+                f"kernel order {n}: series weight {count}^{n - 1} overflows a double"
+            ) from None
+    table.setflags(write=False)
+    return table
+
+
+def _powers(u, count: int):
+    """u, u^2, ..., u^count; each product out of place, since an in-place one
+    rounds differently on a single element and would tie values to the batch."""
+    p = u
+    for _ in range(count):
+        yield p
+        p = p * u
+
+
+def _power_sums(table: np.ndarray, terms, size: int) -> np.ndarray:
+    """sum_k table[:, k] * terms[k] over complex term arrays of `size` points.
+
+    Counts grow with the order, so the orders needing term k are a suffix;
+    each order adds its own terms in the same sequence whatever the range.
+    """
+    first = (table == 0).sum(axis=0)
+    acc = np.zeros((len(table), 2 * size))
+    for k, term in enumerate(terms):
+        # real weights: one exact product per real and imaginary part
+        acc[first[k]:] += table[first[k]:, k, None] * term.view(float)
+    return acc.view(complex)
+
+
 def _eisenstein_stack(cell: Cell, n_lo: int, n_hi: int, zr, first_row: int = 0):
     """E_n(zr), n = n_lo..n_hi stacked on axis 0; lattice coords in [-1/2, 1/2].
 
-    Rows are summed centre-out in +-m pairs (the constant row limits of n = 1
-    cancel); first_row=1 leaves out the row through zr (lattice sums).  Each
-    step is elementwise in the points and each order's terms depend on the
-    order alone, so no value depends on the batch or on the order range.
+    Rows m = 0, +-1, ..., +-M0 are summed one by one, centre-out in +-m pairs,
+    then the Lambert tail of each side; first_row=1 leaves out the row
+    through zr (lattice sums).  Each step is elementwise in the points and
+    each order's terms depend on the order alone, so no value depends on the
+    batch or on the order range.
     """
     orders = range(n_lo, n_hi + 1)
-    ms = np.array([s * m for m in range(first_row, cell.row_count() + 1)
-                   for s in ((1, -1) if m else (1,))])
-    # far points of row m have |Im w| >= max(_IM_SWITCH, (|m| - 1/2) Im tau)
-    bounds = np.exp(-2.0 * math.pi
-                    * np.maximum(_IM_SWITCH, (np.abs(ms) - 0.5) * cell.tau.imag))
-    counts = np.array([[_exp_terms(n, float(b)) for b in bounds] for n in orders])
-    ks = np.arange(1, counts.max() + 1)
-    weights = np.array([[float(k ** (n - 1)) for k in range(1, len(ks) + 1)]
-                        for n in orders])
-    table = weights[:, None, :] * (ks <= counts[..., None])
-    # counts grow with the order and shrink outward, so the power k is
-    # needed by a suffix of the orders and a prefix of the rows
-    first_order = (counts[:, 0, None] < ks).sum(axis=0)
-    n_rows = (counts[-1][:, None] >= ks).sum(axis=0)
+    odd = np.array([n % 2 == 1 for n in orders])
+    tau = cell.tau
+    tail = cell.near_rows + 1
+    near = np.array([s * m for m in range(first_row, tail)
+                     for s in ((1, -1) if m else (1,))], dtype=float)
+    # far points of a near row have |Im w| >= _IM_SWITCH; the tail rows
+    # |m| >= tail have |u| <= exp(-2 pi (tail - 1/2) Im tau) <= exp(-pi)
+    near_table = _series_table(n_lo, n_hi, math.exp(-2.0 * math.pi * _IM_SWITCH))
+    tail_table = _series_table(n_lo, n_hi, math.exp(-2.0 * math.pi * (tail - 0.5) * tau.imag))
+    # sum over m >= tail of q^(k(m - tail)), q = exp(2 pi i tau)
+    lambert = 1.0 / (1.0 - np.exp(_TWO_PI_I * tau * np.arange(1, tail_table.shape[1] + 1)))
+
+    def tail_terms(vp, vm, odd_n):
+        for c, a, b in zip(lambert, _powers(vp, len(lambert)), _powers(vm, len(lambert))):
+            yield (a - b if odd_n else a + b) * c
 
     flat = np.ravel(zr)
     out = np.empty((len(orders), flat.size), dtype=complex)
-    step = max(1, (1 << 18) // counts.size)  # 4 MB accumulator blocks
+    step = max(1, (1 << 16) // (len(orders) * max(1, len(near))))  # 1 MB accumulators
     for lo in range(0, flat.size, step):
-        w = flat[lo : lo + step] / cell.omega1 + (ms * cell.tau)[:, None]
+        x = flat[lo : lo + step] / cell.omega1
+        w = x + (near * tau)[:, None]
         central = np.abs(w.imag) < _IM_SWITCH
         upper = w.imag > 0
-        u = np.where(central, 0.0, np.exp(_TWO_PI_I * np.where(upper, w, -w)))
-        acc = np.zeros((len(orders),) + w.shape, dtype=complex)
-        upow = u.copy()
-        for k, (o, r) in enumerate(zip(first_order, n_rows)):
-            acc[o:, :r] += table[o:, :r, k, None] * upow[:r]
-            upow[:r] *= u[:r]
+        far = ~central
+        u = np.exp(_TWO_PI_I * np.where(upper, w, -w)[far])
+        series = _power_sums(near_table, _powers(u, near_table.shape[1]), u.size)
+        # the +tail and -tail rows and all rows beyond, for n even and n odd
+        vp = np.exp(_TWO_PI_I * (x + tail * tau))
+        vm = np.exp(-_TWO_PI_I * (x - tail * tau))
+        tails = np.empty((len(orders), x.size), dtype=complex)
+        for parity in (False, True):
+            tails[odd == parity] = _power_sums(
+                tail_table[odd == parity], tail_terms(vp, vm, parity), x.size
+            )
         cot = 1.0 / np.tan(np.pi * w[central])
         for o, n in enumerate(orders):
-            rows = acc[o] * ((-_TWO_PI_I) ** n / math.factorial(n - 1))
+            factor = (-_TWO_PI_I) ** n / math.factorial(n - 1)
+            vals = series[o] * factor
             if n == 1:
-                rows -= 1j * np.pi
+                vals = vals - 1j * np.pi
             if n % 2 == 1:
-                rows = np.where(upper, rows, -rows)
+                vals = np.where(upper[far], vals, -vals)
+            rows = np.empty(w.shape, dtype=complex)
+            rows[far] = vals
             rows[central] = (np.pi ** n) * np.polyval(_cot_poly(n)[::-1], cot)
             total = rows[0] if first_row == 0 else 0.0
-            for i in range(1 - first_row, len(ms), 2):
+            for i in range(1 - first_row, len(near), 2):
                 total = total + (rows[i] + rows[i + 1])
+            total = total + tails[o] * factor
             out[o, lo : lo + step] = total / cell.omega1 ** n
     return out.reshape((len(orders),) + np.shape(zr))
 

@@ -17,3 +17,8 @@ def sheared_cell():
 @pytest.fixture(scope="session")
 def hex_cell():
     return make_cell(1.0, np.exp(1j * np.pi / 3))
+
+
+@pytest.fixture(scope="session")
+def thin_cell():
+    return make_cell(1.0, 0.2j)

@@ -149,6 +149,14 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_kernel_order_beyond_series_is_two(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "mc", "--n", "4", "--nu", "0.1", "--trials", "1",
+            "--quantities", "zeta1:150", "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert "kernel order" in err
+
     def test_missing_config_is_two(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "lambda", "--config", str(tmp_path / "missing.json"),
