@@ -48,7 +48,6 @@ from .solver import (
     SolveResult,
     TaylorField,
     apply_W,
-    cluster_terms_exact,
     constant_field,
     shape_factor,
     solve_contrast,
@@ -82,7 +81,6 @@ __all__ = [
     "a13",
     "apply_W",
     "cluster_coeffs",
-    "cluster_terms_exact",
     "compare_methods",
     "constant_field",
     "eisenstein",

@@ -12,18 +12,13 @@ import sys
 from pathlib import Path
 
 from .errors import ConvergenceError, DomainError, GenerationError
-from .esums import esum, esum_nn, esums_csv, required_indices
-from .geometry import (
-    EnsembleDescriptor,
-    load_configuration,
-    rsa_generate,
-    save_configuration,
-    trial_seed,
-)
+from .esums import MAX_SERIES_ORDER, esum, esum_nn, esums_csv, required_indices
+from .geometry import EnsembleDescriptor, load_configuration, save_configuration
 from .pipeline import (
     DEFAULT_CONTRAST_NMAX,
     compare_csv,
     compare_methods,
+    iter_trials,
     run_ensemble,
     write_run,
 )
@@ -65,9 +60,7 @@ def cmd_gen(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     seeds = []
-    for i in range(desc.trials):
-        seed = trial_seed(desc.seed, i)
-        config = rsa_generate(desc, seed=seed)
+    for i, seed, config in iter_trials(desc):
         path = out / f"config_{i:04d}.json"
         save_configuration(config, path)
         paths.append(path.name)
@@ -147,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Effective conductivity of doubly periodic disk composites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    order_help = f"cluster series order J <= {MAX_SERIES_ORDER}"
 
     def add_ensemble_args(p, trials_default):
         p.add_argument("--n", type=int, required=True, help="disks per cell")
@@ -173,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", help="concentration-series coefficients (CSV)")
     p.add_argument("--config", required=True)
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--order", type=int, default=6)
+    p.add_argument("--order", type=int, default=6, help=order_help)
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("lambda", help="effective conductivity of one configuration")
@@ -184,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["cluster", "contrast", "solver", "dilute", "pade"],
         required=True,
     )
-    p.add_argument("--order", type=int, default=6, help="cluster series order")
+    p.add_argument("--order", type=int, default=6, help=order_help)
     p.add_argument("--nmax", type=int, default=DEFAULT_CONTRAST_NMAX,
                    help="contrast tail cutoff")
     p.set_defaults(func=cmd_lambda)
@@ -201,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="effective conductivity by all methods (CSV)")
     add_ensemble_args(p, 10)
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--order", type=int, default=6)
+    p.add_argument("--order", type=int, default=6, help=order_help)
     p.add_argument("--nmax", type=int, default=DEFAULT_CONTRAST_NMAX)
     p.set_defaults(func=cmd_compare)
 

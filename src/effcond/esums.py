@@ -9,11 +9,19 @@ per index after an O(N^2) per-order matrix build.
 
 Structural sums depend on the centers and the cell only; the disk radius
 never enters (it returns downstream through the concentration).
+
+The concentration-series coefficient A_n is generated, not tabulated: each
+of its terms is one degree path of the interaction operator W that starts
+and ends at Taylor degree 0 (series_terms), with the per-step weight
+step_weight that the solver's W also uses.  A_n has 2^(n-2) terms for
+n >= 2; MAX_SERIES_ORDER caps the cost.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,58 +115,63 @@ def esum_nn(config: DiskConfiguration, n: int) -> complex:
     return complex(val / config.n_disks ** (n + 1))
 
 
-#: Multi-indices entering the concentration-series coefficients, per order.
-_ORDER_INDICES = {
-    1: [(2,)],
-    2: [(2, 2)],
-    3: [(3, 3), (2, 2, 2)],
-    4: [(4, 4), (3, 3, 2), (2, 3, 3), (2, 2, 2, 2)],
-    5: [
-        (5, 5),
-        (4, 4, 2),
-        (3, 4, 3),
-        (2, 4, 4),
-        (3, 3, 2, 2),
-        (2, 3, 3, 2),
-        (2, 2, 3, 3),
-        (2, 2, 2, 2, 2),
-    ],
-    6: [
-        (6, 6),
-        (2, 5, 5),
-        (3, 5, 4),
-        (4, 5, 3),
-        (5, 5, 2),
-        (2, 2, 4, 4),
-        (2, 3, 4, 3),
-        (3, 3, 3, 3),
-        (2, 4, 4, 2),
-        (3, 4, 3, 2),
-        (4, 4, 2, 2),
-        (2, 2, 2, 3, 3),
-        (2, 2, 3, 3, 2),
-        (2, 3, 3, 2, 2),
-        (3, 3, 2, 2, 2),
-        (2, 2, 2, 2, 2, 2),
-    ],
-}
+def step_weight(j: int, l: int) -> int:
+    """(-1)^j C(l+j+1, j): W's weight from Taylor degree l to degree j.
 
-MAX_SERIES_ORDER = max(_ORDER_INDICES)
+    The step re-expands r^(2l+2) E_{l+2}(z - a_m) around a_k; its degree-j
+    coefficient carries E_{l+j+2}(a_k - a_m).
+    """
+    return (-1) ** j * math.comb(l + j + 1, j)
 
 
-def required_indices(max_order: int) -> list:
-    """De-duplicated multi-indices needed by the series coefficients A_1..A_J."""
-    if not 1 <= max_order <= MAX_SERIES_ORDER:
+#: Cost cap on the series order J: A_1..A_J need 2^(J-1) structural sums
+#: (2048 at J = 12, about 0.1 s together at N = 64).
+MAX_SERIES_ORDER = 12
+
+
+def check_series_order(order: int):
+    """Raise DomainError unless 1 <= order <= MAX_SERIES_ORDER."""
+    if not 1 <= order <= MAX_SERIES_ORDER:
         raise DomainError(
-            f"series order must be in 1..{MAX_SERIES_ORDER}, got {max_order}"
+            f"series order must be in 1..{MAX_SERIES_ORDER}, got {order}"
         )
-    seen = []
-    for order in range(1, max_order + 1):
-        for entries in _ORDER_INDICES[order]:
-            idx = MultiIndex(entries)
-            if idx not in seen:
-                seen.append(idx)
-    return seen
+
+
+def _degree_paths(budget: int, path: tuple):
+    """Completions of a degree path of W; each step to degree l costs 1 + l."""
+    if budget == 1:
+        yield path + (0,)
+    for l in range(budget - 1):
+        yield from _degree_paths(budget - 1 - l, path + (l,))
+
+
+@lru_cache(maxsize=None)
+def series_terms(n: int) -> tuple:
+    """Terms (prefactor, rho_power, entries) of pi^n A_n, by ascending rho power.
+
+    One term per degree path 0 = l_0, l_1, ..., l_q = 0 of W with
+    q + sum l_i = n: entries m_i = l_{i-1} + l_i + 2, rho power q and
+    prefactor prod_i step_weight(l_i, l_{i-1}).  Since sum m_i = 2n and
+    the path follows from m, no multi-index appears twice in any order.
+    """
+    check_series_order(n)
+    terms = []
+    for path in sorted(_degree_paths(n, (0,)), key=len):
+        steps = list(zip(path, path[1:]))
+        prefactor = math.prod(step_weight(j, l) for l, j in steps)
+        terms.append((prefactor, len(steps), tuple(l + j + 2 for l, j in steps)))
+    return tuple(terms)
+
+
+@lru_cache(maxsize=None)
+def required_indices(max_order: int) -> tuple:
+    """Multi-indices needed by the series coefficients A_1..A_J, each once."""
+    check_series_order(max_order)
+    return tuple(
+        MultiIndex(entries)
+        for n in range(1, max_order + 1)
+        for _, _, entries in series_terms(n)
+    )
 
 
 def esums_csv(config_id: str, values: dict) -> str:

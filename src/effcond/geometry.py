@@ -39,26 +39,12 @@ def periodic_reduce(cell: Cell, z):
 
 def periodic_distance(cell: Cell, z1, z2):
     """min over the 9 nearest lattice translates of |z1 - z2 + m1 w1 + m2 w2|."""
-    d, _, _ = cell.reduce(np.asarray(z1, dtype=complex) - np.asarray(z2, dtype=complex))
-    m = np.arange(-1, 2)
-    shifts = (m[:, None] * cell.omega1 + m[None, :] * cell.omega2).ravel()
-    dist = np.abs(np.asarray(d)[..., None] - (-shifts)).min(axis=-1)
+    dist = np.abs(
+        cell.min_image(np.asarray(z1, dtype=complex) - np.asarray(z2, dtype=complex))
+    )
     if np.isscalar(z1) and np.isscalar(z2):
         return float(dist)
     return dist
-
-
-def min_image(cell: Cell, d):
-    """Minimal-norm lattice translate of a difference vector d."""
-    dr, _, _ = cell.reduce(d)
-    m = np.arange(-1, 2)
-    shifts = (m[:, None] * cell.omega1 + m[None, :] * cell.omega2).ravel()
-    cand = np.asarray(dr)[..., None] + shifts
-    idx = np.abs(cand).argmin(axis=-1)
-    out = np.take_along_axis(cand, idx[..., None], axis=-1)[..., 0]
-    if np.isscalar(d) or np.asarray(d).ndim == 0:
-        return complex(out)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,8 +95,7 @@ class DiskConfiguration:
 
     def pair_separations(self) -> np.ndarray:
         """Minimal-image differences a_j - a_k as an (N, N) complex matrix."""
-        diff = self.centers[:, None] - self.centers[None, :]
-        return min_image(self.cell, diff)
+        return self.cell.min_image(self.centers[:, None] - self.centers[None, :])
 
 
 @dataclass(frozen=True)
@@ -174,9 +159,9 @@ def rsa_generate(desc: EnsembleDescriptor, seed: int | None = None) -> DiskConfi
     drawn = 0
     block = np.empty((0, 2))
     cursor = 0
-    # inlined periodic distance for the hot loop
-    m = np.arange(-1, 2)
-    shifts = (m[:, None] * cell.omega1 + m[None, :] * cell.omega2).ravel()
+    # Cell.min_image inlined for the hot loop: a method call per candidate
+    # costs about 1.2-1.4x per configuration near jamming
+    shifts = cell.stencil
     inv_im = 1.0 / cell.omega2.imag
     re2, w1 = cell.omega2.real, cell.omega1
     while placed < desc.n:
@@ -198,7 +183,7 @@ def rsa_generate(desc: EnsembleDescriptor, seed: int | None = None) -> DiskConfi
             beta = d.imag * inv_im
             alpha = (d.real - beta * re2) / w1
             d = d - np.floor(alpha + 0.5) * w1 - np.floor(beta + 0.5) * cell.omega2
-            if np.abs(d[:, None] - (-shifts)).min() < min_dist:
+            if np.abs(d[:, None] + shifts).min() < min_dist:
                 continue
         accepted[placed] = z
         placed += 1

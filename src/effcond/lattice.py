@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import math
 
 import numpy as np
@@ -145,13 +145,28 @@ class Cell:
         zr = z - k1 * self.omega1 - k2 * self.omega2
         return zr, k1.astype(int), k2.astype(int)
 
-    def lattice_distance(self, z) -> np.ndarray:
-        """Distance from z to the nearest lattice point."""
-        zr, _, _ = self.reduce(z)
+    @cached_property
+    def stencil(self) -> np.ndarray:
+        """The 9 translates m1*omega1 + m2*omega2 with |m1|, |m2| <= 1."""
         m = np.arange(-1, 2)
         shifts = (m[:, None] * self.omega1 + m[None, :] * self.omega2).ravel()
-        d = np.abs(zr[..., None] - shifts)
-        return d.min(axis=-1)
+        shifts.setflags(write=False)
+        return shifts
+
+    def min_image(self, z) -> np.ndarray:
+        """The lattice translate of z nearest to the origin.
+
+        reduce() maps into the centered parallelogram, whose nearest lattice
+        point may still be a corner; one stencil step folds onto it.
+        """
+        zr, _, _ = self.reduce(z)
+        cand = zr[..., None] + self.stencil
+        idx = np.abs(cand).argmin(axis=-1)
+        return np.take_along_axis(cand, idx[..., None], axis=-1)[..., 0]
+
+    def lattice_distance(self, z) -> np.ndarray:
+        """Distance from z to the nearest lattice point."""
+        return np.abs(self.min_image(z))
 
 
 def make_cell(omega1: float, omega2: complex) -> Cell:
@@ -379,12 +394,7 @@ def eisenstein_regularized(cell: Cell, n: int, z):
     scalar = np.isscalar(z) or np.asarray(z).ndim == 0
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     zr, _, _ = cell.reduce(z)
-    # reduce() maps to the centered parallelogram whose nearest lattice point
-    # may still be a corner; fold onto the genuinely nearest one.
-    m = np.arange(-1, 2)
-    shifts = (m[:, None] * cell.omega1 + m[None, :] * cell.omega2).ravel()
-    idx = np.abs(zr[..., None] - shifts).argmin(axis=-1)
-    zn = zr - shifts[idx]
+    zn = cell.min_image(z)  # z relative to its nearest lattice point
 
     out = np.empty(zn.shape, dtype=complex)
     # inside the series region the Taylor expansion in lattice sums is both

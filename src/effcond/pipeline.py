@@ -143,6 +143,20 @@ def _mean_stderr(values: np.ndarray):
     return mean, float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
+def iter_trials(desc: EnsembleDescriptor):
+    """Yield (i, seed, config) for each trial, placing one configuration at a time.
+
+    A failed placement raises GenerationError naming the trial.
+    """
+    for i in range(desc.trials):
+        seed = trial_seed(desc.seed, i)
+        try:
+            config = rsa_generate(desc, seed=seed)
+        except GenerationError as exc:
+            raise GenerationError(f"trial {i} failed: {exc}", placed=exc.placed) from exc
+        yield i, seed, config
+
+
 def run_ensemble(desc: EnsembleDescriptor, quantities) -> EnsembleStats:
     """Generate the ensemble and average the requested quantities.
 
@@ -163,15 +177,10 @@ def run_ensemble(desc: EnsembleDescriptor, quantities) -> EnsembleStats:
         if s.kind == "lambda_series"
     }
 
-    seeds = [trial_seed(desc.seed, i) for i in range(desc.trials)]
+    seeds = []
     rows = []
-    for i, seed in enumerate(seeds):
-        try:
-            config = rsa_generate(desc, seed=seed)
-        except GenerationError as exc:
-            raise GenerationError(
-                f"trial {i} failed: {exc}", placed=exc.placed
-            ) from exc
+    for _, seed, config in iter_trials(desc):
+        seeds.append(seed)
         row = []
         for spec in specs:
             if spec.kind == "esum":
@@ -290,12 +299,7 @@ def compare_methods(
     solver_params = SolverParams()
     indices = required_indices(order) if order >= 1 else []
     sums = {"solver": 0.0 + 0.0j, "cluster": 0.0 + 0.0j, "contrast": 0.0 + 0.0j}
-    seeds = [trial_seed(desc.seed, i) for i in range(desc.trials)]
-    for i, seed in enumerate(seeds):
-        try:
-            config = rsa_generate(desc, seed=seed)
-        except GenerationError as exc:
-            raise GenerationError(f"trial {i} failed: {exc}", placed=exc.placed) from exc
+    for _, _, config in iter_trials(desc):
         res = solve_contrast(config, rho, solver_params)
         sums["solver"] += complex(res.lambda11, -res.lambda12)
         if rho == 0.0:

@@ -1,10 +1,11 @@
 """Closed-form effective-conductivity series.
 
-Implements the concentration (cluster) series with coefficients A_1..A_6
-built from structural sums, the contrast series through third order in the
-contrast parameter, the Torquato-Milton parameter zeta_1, the third-order
-contrast-expansion coefficient, and the dilute / Pade(1,1) estimates with a
-shape factor.
+Implements the concentration (cluster) series with coefficients A_1..A_J
+(J <= 12), each a sum of structural sums over the degree paths of the
+interaction operator W (esums.series_terms); the contrast series through
+third order in the contrast parameter, the Torquato-Milton parameter
+zeta_1, the third-order contrast-expansion coefficient, and the dilute /
+Pade(1,1) estimates with a shape factor.
 """
 
 from __future__ import annotations
@@ -13,48 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DependencyError, DomainError
-from .esums import MAX_SERIES_ORDER, as_multi_index
-
-#: A_n = pi^(-n) * sum of (prefactor * rho^power * e_index) per order n.
-COEFFICIENT_TABLE = {
-    1: [(1, 1, (2,))],
-    2: [(1, 2, (2, 2))],
-    3: [(-2, 2, (3, 3)), (1, 3, (2, 2, 2))],
-    4: [
-        (3, 2, (4, 4)),
-        (-2, 3, (3, 3, 2)),
-        (-2, 3, (2, 3, 3)),
-        (1, 4, (2, 2, 2, 2)),
-    ],
-    5: [
-        (-4, 2, (5, 5)),
-        (3, 3, (4, 4, 2)),
-        (6, 3, (3, 4, 3)),
-        (3, 3, (2, 4, 4)),
-        (-2, 4, (3, 3, 2, 2)),
-        (-2, 4, (2, 3, 3, 2)),
-        (-2, 4, (2, 2, 3, 3)),
-        (1, 5, (2, 2, 2, 2, 2)),
-    ],
-    6: [
-        (5, 2, (6, 6)),
-        (-4, 3, (2, 5, 5)),
-        (-12, 3, (3, 5, 4)),
-        (-12, 3, (4, 5, 3)),
-        (-4, 3, (5, 5, 2)),
-        (3, 4, (2, 2, 4, 4)),
-        (6, 4, (2, 3, 4, 3)),
-        (4, 4, (3, 3, 3, 3)),
-        (3, 4, (2, 4, 4, 2)),
-        (6, 4, (3, 4, 3, 2)),
-        (3, 4, (4, 4, 2, 2)),
-        (-2, 5, (2, 2, 2, 3, 3)),
-        (-2, 5, (2, 2, 3, 3, 2)),
-        (-2, 5, (2, 3, 3, 2, 2)),
-        (-2, 5, (3, 3, 2, 2, 2)),
-        (1, 6, (2, 2, 2, 2, 2, 2)),
-    ],
-}
+from .esums import as_multi_index, check_series_order, series_terms
 
 
 @dataclass(frozen=True)
@@ -107,17 +67,15 @@ def cluster_coeffs(
 ) -> ClusterCoefficients:
     """A_1..A_order from a map of structural sums.
 
-    Raises DependencyError naming the first missing index.
+    A_n = pi^(-n) * sum of prefactor * rho^power * e_entries over
+    series_terms(n).  Raises DependencyError naming the first missing index.
     """
-    if not 1 <= order <= MAX_SERIES_ORDER:
-        raise DomainError(
-            f"series order must be in 1..{MAX_SERIES_ORDER}, got {order}"
-        )
+    check_series_order(order)
     lookup = {as_multi_index(idx).entries: complex(v) for idx, v in esum_values.items()}
     values = []
     for n in range(1, order + 1):
         acc = 0.0 + 0.0j
-        for prefactor, rho_power, entries in COEFFICIENT_TABLE[n]:
+        for prefactor, rho_power, entries in series_terms(n):
             if entries not in lookup:
                 label = "-".join(str(m) for m in entries)
                 raise DependencyError(

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .esums import kernel_matrix
+from .esums import kernel_matrix, step_weight
 from .geometry import DiskConfiguration
 from .lattice import Cell
 from .series import EffectiveResult
@@ -50,10 +50,10 @@ class TaylorField:
         return self.coeffs[:, 0]
 
     def __call__(self, z):
-        """Evaluate the polynomial attached to the disk nearest to z."""
-        z = complex(z)
-        k = int(np.abs(self.config.centers - z).argmin())
-        return complex(np.polyval(self.coeffs[k, ::-1], z - self.config.centers[k]))
+        """Evaluate the polynomial of the disk nearest to z in the periodic metric."""
+        offsets = self.config.cell.min_image(complex(z) - self.config.centers)
+        k = int(np.abs(offsets).argmin())
+        return complex(np.polyval(self.coeffs[k, ::-1], offsets[k]))
 
 
 def constant_field(config: DiskConfiguration, degree: int) -> TaylorField:
@@ -125,7 +125,7 @@ class _Workspace:
     """Matrix-free W for one (configuration, degree) pair.
 
     Holds the kernels E_2..E_{2L+3} stacked as one ((2L+2)N, N) array, the
-    weights c[j, l] = (-1)^j C(l+j+1, j) r^(2l+2) for j <= L+1 and the gather
+    weights c[j, l] = step_weight(j, l) r^(2l+2) for j <= L+1 and the gather
     index s = j + l.  Row j = L+1 is the degree dropped by the truncation.
     """
 
@@ -137,8 +137,7 @@ class _Workspace:
             [kernel_matrix(config, n) for n in range(2, needed + 1)]
         )
         self.weights = np.array([
-            [(-1) ** j * math.comb(l + j + 1, j) * config.radius ** (2 * l + 2)
-             for l in range(lp1)]
+            [step_weight(j, l) * config.radius ** (2 * l + 2) for l in range(lp1)]
             for j in range(lp1 + 1)
         ])
         self.index = np.add.outer(np.arange(lp1 + 1), np.arange(lp1))
@@ -292,99 +291,6 @@ def solve_contrast(
         converged=True,
         truncation_tail=abs(rho) * ws.tail_norm(image),
     )
-
-
-def _field_from_sources(
-    config: DiskConfiguration, weights: np.ndarray, base_order: int, degree: int
-) -> np.ndarray:
-    """Expand sum_k X_k E_n(z - a_k) around every center to the given degree."""
-    coeffs = np.empty((config.n_disks, degree + 1), dtype=complex)
-    for j in range(degree + 1):
-        kern = kernel_matrix(config, base_order + j)
-        coeffs[:, j] = ((-1) ** j) * math.comb(base_order + j - 1, j) * (kern @ weights)
-    return coeffs
-
-
-def cluster_parts(config: DiskConfiguration, degree: int) -> dict:
-    """Low-order interaction blocks keyed by (contrast power, r^2 grade).
-
-    Grade-n blocks carry their r^(2n) weight.  The exact low-order fields
-    are psi0 = 1, psi1 = rho*B[1,1]/r^2, psi2 = rho^2*B[2,2]/r^4 and
-    psi3 = (rho^3*B[3,3] + rho^2*B[2,3])/r^6.
-    """
-    n_disks = config.n_disks
-    r2 = config.radius ** 2
-    m2 = kernel_matrix(config, 2)
-    m3 = kernel_matrix(config, 3)
-    ones = np.ones(n_disks, dtype=complex)
-    parts = {(0, 0): constant_field(config, degree).coeffs}
-    parts[(1, 1)] = r2 * _field_from_sources(config, ones, 2, degree)
-    x2 = np.conj(m2) @ ones  # X_k = sum_k1 conj(E2(a_k - a_k1))
-    parts[(2, 2)] = r2 ** 2 * _field_from_sources(config, x2, 2, degree)
-    # chain: X_k2 = sum_{k,k1} E2(a_k - a_k1) conj(E2(a_k1 - a_k2))
-    col = m2.sum(axis=0)
-    x3 = col @ np.conj(m2)
-    parts[(3, 3)] = r2 ** 3 * _field_from_sources(config, x3, 2, degree)
-    x3b = np.conj(m3) @ ones
-    parts[(2, 3)] = -2.0 * r2 ** 3 * _field_from_sources(config, x3b, 3, degree)
-    return parts
-
-
-def cluster_terms_exact(
-    config: DiskConfiguration, rho: float, upto: int = 3, degree: int | None = None
-) -> list:
-    """Exact low-order fields psi^(0)..psi^(upto) of the r^2 grading.
-
-    Only the printed low orders are available; upto > 3 is a domain error.
-    The fields are the r-free factors (psi = sum_n psi^(n) r^(2n)).
-    """
-    if not 0 <= upto <= 3:
-        raise DomainError(f"exact fields available for orders 0..3, got {upto}")
-    degree = DEFAULT_DEGREE if degree is None else degree
-    parts = cluster_parts(config, degree)
-    r2 = config.radius ** 2
-    fields = [parts[(0, 0)]]
-    if upto >= 1:
-        fields.append(rho * parts[(1, 1)] / r2)
-    if upto >= 2:
-        fields.append(rho ** 2 * parts[(2, 2)] / r2 ** 2)
-    if upto >= 3:
-        fields.append((rho ** 3 * parts[(3, 3)] + rho ** 2 * parts[(2, 3)]) / r2 ** 3)
-    return [TaylorField(config=config, coeffs=c) for c in fields[: upto + 1]]
-
-
-def contrast_cluster_grades(
-    config: DiskConfiguration, p_max: int, grade_max: int, degree: int
-) -> dict:
-    """Solver iterates W^p(1) split by r^2 grade.
-
-    Returns {(p, grade): coeff array} for p <= p_max, grade <= grade_max;
-    each W application to a degree-l slice raises the grade by l + 1.  The
-    grade-resolved blocks match cluster_parts exactly.
-    """
-    ws = _workspace(config, degree)
-    state = {0: constant_field(config, degree).coeffs}
-    out = {(0, 0): state[0]}
-    for p in range(1, p_max + 1):
-        nxt: dict[int, np.ndarray] = {}
-        for grade, coeffs in state.items():
-            for l in range(degree + 1):
-                g_new = grade + l + 1
-                if g_new > grade_max:
-                    continue
-                if not np.any(coeffs[:, l]):
-                    continue
-                sliced = np.zeros_like(coeffs)
-                sliced[:, l] = coeffs[:, l]
-                img = ws.apply(sliced)
-                if g_new in nxt:
-                    nxt[g_new] += img
-                else:
-                    nxt[g_new] = img
-        state = nxt
-        for grade, coeffs in state.items():
-            out[(p, grade)] = coeffs
-    return out
 
 
 def shape_factor(cell: Cell, r: float, rho: float = 1.0) -> float:

@@ -1,4 +1,5 @@
-"""Slow independent references for the lattice kernels, sums and operator.
+"""Slow independent references for the lattice kernels, sums, operator and
+concentration series.
 
 The kernel references are plain truncated double sums over lattice
 translates in the prescribed iterated order (inner index along omega1, outer
@@ -7,7 +8,9 @@ truncation limits, or high-precision row sums in closed form through mpmath;
 nothing there is shared with the production evaluation path.  The
 structural-sum and operator references take the production kernel matrices
 and check what is built on them: the nested sum term by term, and the dense
-interaction matrix block by block.
+interaction matrix block by block.  The series references are the printed
+coefficient table through A_6 and the operator iterates W^p(1) split by r^2
+grade, with the exact low-order fields they must reproduce.
 """
 
 import math
@@ -15,7 +18,10 @@ import math
 import mpmath
 import numpy as np
 
+from effcond.errors import DomainError
 from effcond.esums import as_multi_index, kernel_matrix
+from effcond.geometry import DiskConfiguration
+from effcond.solver import DEFAULT_DEGREE, TaylorField, apply_W, constant_field
 
 
 def eisenstein_truncated(cell, n, z, m1_range, m2_range):
@@ -127,3 +133,134 @@ def dense_operator(config, degree):
                 * kernel_matrix(config, l + j + 2)
             )
     return op.reshape(n_disks * (lp1 + 1), n_disks * lp1)
+
+
+#: The printed closed-form coefficients through n = 6:
+#: A_n = pi^(-n) * sum of (prefactor * rho^power * e_index) per order n.
+COEFFICIENT_TABLE = {
+    1: [(1, 1, (2,))],
+    2: [(1, 2, (2, 2))],
+    3: [(-2, 2, (3, 3)), (1, 3, (2, 2, 2))],
+    4: [
+        (3, 2, (4, 4)),
+        (-2, 3, (3, 3, 2)),
+        (-2, 3, (2, 3, 3)),
+        (1, 4, (2, 2, 2, 2)),
+    ],
+    5: [
+        (-4, 2, (5, 5)),
+        (3, 3, (4, 4, 2)),
+        (6, 3, (3, 4, 3)),
+        (3, 3, (2, 4, 4)),
+        (-2, 4, (3, 3, 2, 2)),
+        (-2, 4, (2, 3, 3, 2)),
+        (-2, 4, (2, 2, 3, 3)),
+        (1, 5, (2, 2, 2, 2, 2)),
+    ],
+    6: [
+        (5, 2, (6, 6)),
+        (-4, 3, (2, 5, 5)),
+        (-12, 3, (3, 5, 4)),
+        (-12, 3, (4, 5, 3)),
+        (-4, 3, (5, 5, 2)),
+        (3, 4, (2, 2, 4, 4)),
+        (6, 4, (2, 3, 4, 3)),
+        (4, 4, (3, 3, 3, 3)),
+        (3, 4, (2, 4, 4, 2)),
+        (6, 4, (3, 4, 3, 2)),
+        (3, 4, (4, 4, 2, 2)),
+        (-2, 5, (2, 2, 2, 3, 3)),
+        (-2, 5, (2, 2, 3, 3, 2)),
+        (-2, 5, (2, 3, 3, 2, 2)),
+        (-2, 5, (3, 3, 2, 2, 2)),
+        (1, 6, (2, 2, 2, 2, 2, 2)),
+    ],
+}
+
+
+def _field_from_sources(
+    config: DiskConfiguration, weights: np.ndarray, base_order: int, degree: int
+) -> np.ndarray:
+    """Expand sum_k X_k E_n(z - a_k) around every center to the given degree."""
+    coeffs = np.empty((config.n_disks, degree + 1), dtype=complex)
+    for j in range(degree + 1):
+        kern = kernel_matrix(config, base_order + j)
+        coeffs[:, j] = ((-1) ** j) * math.comb(base_order + j - 1, j) * (kern @ weights)
+    return coeffs
+
+
+def cluster_parts(config: DiskConfiguration, degree: int) -> dict:
+    """Low-order interaction blocks keyed by (contrast power, r^2 grade).
+
+    Grade-n blocks carry their r^(2n) weight.  The exact low-order fields
+    are psi0 = 1, psi1 = rho*B[1,1]/r^2, psi2 = rho^2*B[2,2]/r^4 and
+    psi3 = (rho^3*B[3,3] + rho^2*B[2,3])/r^6.
+    """
+    n_disks = config.n_disks
+    r2 = config.radius ** 2
+    m2 = kernel_matrix(config, 2)
+    m3 = kernel_matrix(config, 3)
+    ones = np.ones(n_disks, dtype=complex)
+    parts = {(0, 0): constant_field(config, degree).coeffs}
+    parts[(1, 1)] = r2 * _field_from_sources(config, ones, 2, degree)
+    x2 = np.conj(m2) @ ones  # X_k = sum_k1 conj(E2(a_k - a_k1))
+    parts[(2, 2)] = r2 ** 2 * _field_from_sources(config, x2, 2, degree)
+    # chain: X_k2 = sum_{k,k1} E2(a_k - a_k1) conj(E2(a_k1 - a_k2))
+    col = m2.sum(axis=0)
+    x3 = col @ np.conj(m2)
+    parts[(3, 3)] = r2 ** 3 * _field_from_sources(config, x3, 2, degree)
+    x3b = np.conj(m3) @ ones
+    parts[(2, 3)] = -2.0 * r2 ** 3 * _field_from_sources(config, x3b, 3, degree)
+    return parts
+
+
+def cluster_terms_exact(
+    config: DiskConfiguration, rho: float, upto: int = 3, degree: int | None = None
+) -> list:
+    """Exact low-order fields psi^(0)..psi^(upto) of the r^2 grading.
+
+    Only the printed low orders are available; upto > 3 is a domain error.
+    The fields are the r-free factors (psi = sum_n psi^(n) r^(2n)).
+    """
+    if not 0 <= upto <= 3:
+        raise DomainError(f"exact fields available for orders 0..3, got {upto}")
+    degree = DEFAULT_DEGREE if degree is None else degree
+    parts = cluster_parts(config, degree)
+    r2 = config.radius ** 2
+    fields = [parts[(0, 0)]]
+    if upto >= 1:
+        fields.append(rho * parts[(1, 1)] / r2)
+    if upto >= 2:
+        fields.append(rho ** 2 * parts[(2, 2)] / r2 ** 2)
+    if upto >= 3:
+        fields.append((rho ** 3 * parts[(3, 3)] + rho ** 2 * parts[(2, 3)]) / r2 ** 3)
+    return [TaylorField(config=config, coeffs=c) for c in fields[: upto + 1]]
+
+
+def contrast_cluster_grades(
+    config: DiskConfiguration, p_max: int, grade_max: int, degree: int
+) -> dict:
+    """Solver iterates W^p(1) split by r^2 grade.
+
+    Returns {(p, grade): coeff array} for p <= p_max, grade <= grade_max;
+    each W application to a degree-l slice raises the grade by l + 1.  The
+    grade-resolved blocks match cluster_parts exactly.
+    """
+    state = {0: constant_field(config, degree).coeffs}
+    out = {(0, 0): state[0]}
+    for p in range(1, p_max + 1):
+        nxt: dict[int, np.ndarray] = {}
+        for grade, coeffs in state.items():
+            for l in range(degree + 1):
+                g_new = grade + l + 1
+                if g_new > grade_max or not np.any(coeffs[:, l]):
+                    continue
+                sliced = np.zeros_like(coeffs)
+                sliced[:, l] = coeffs[:, l]
+                img = apply_W(config, TaylorField(config=config, coeffs=sliced)).coeffs
+                nxt[g_new] = nxt[g_new] + img if g_new in nxt else img
+        state = nxt
+        for grade, coeffs in state.items():
+            out[(p, grade)] = coeffs
+    return out
+

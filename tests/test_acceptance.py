@@ -33,9 +33,12 @@ from effcond import (
     trial_seed,
 )
 from effcond.cli import main as cli_main
-from effcond.solver import cluster_parts, contrast_cluster_grades
-
-from _oracles import esum_reference, lattice_sum_brute_s2
+from _oracles import (
+    cluster_parts,
+    contrast_cluster_grades,
+    esum_reference,
+    lattice_sum_brute_s2,
+)
 
 
 def _report(name, ok, detail=""):

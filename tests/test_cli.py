@@ -77,6 +77,15 @@ class TestCoeffs:
         assert lines[0] == "n,re,im"
         assert len(lines) == 7
 
+    def test_order_cap_is_twelve(self, config_file, capsys):
+        args = ["coeffs", "--config", str(config_file), "--rho", "0.8", "--order"]
+        code, out, _ = run_cli(capsys, *args, "12")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 13
+        code, _, err = run_cli(capsys, *args, "13")
+        assert code == 2
+        assert "1..12" in err
+
 
 class TestLambda:
     @pytest.mark.parametrize("method", ["cluster", "contrast", "solver", "dilute", "pade"])
@@ -119,6 +128,20 @@ class TestMc:
             assert a == b
         data = json.loads((tmp_path / "r1" / "results.json").read_text())
         assert data["stats"]["e2_re"]["mean"] == pytest.approx(math.pi, abs=1.0)
+
+    def test_series_to_order_twelve(self, tmp_path, capsys):
+        code, _, _ = run_cli(
+            capsys, "mc", "--n", "4", "--nu", "0.1", "--trials", "2", "--seed", "7",
+            "--quantities", "lambda-series:0.8:6,lambda-series:0.8:12,lambda-solver:0.8",
+            "--out", str(tmp_path / "r"),
+        )
+        assert code == 0
+        stats = json.loads((tmp_path / "r" / "results.json").read_text())["stats"]
+        solver = stats["lambda-solver:0.8_lambda11"]["mean"]
+        err6, err12 = (
+            abs(stats[f"lambda-series:0.8:{j}_lambda11"]["mean"] - solver) for j in (6, 12)
+        )
+        assert err12 < 0.1 * err6  # measured 1.2e-6 against 3.4e-5
 
 
 class TestCompare:
@@ -168,12 +191,12 @@ class TestExitCodes:
 
 def test_generation_failure_exit_code(tmp_path, capsys, monkeypatch):
     from effcond.errors import GenerationError
-    import effcond.cli as cli
+    import effcond.pipeline as pipeline
 
     def failing_generate(desc, seed=None):
         raise GenerationError("placed 3/64 disks within 50 candidate draws", placed=3)
 
-    monkeypatch.setattr(cli, "rsa_generate", failing_generate)
+    monkeypatch.setattr(pipeline, "rsa_generate", failing_generate)
     code, _, err = run_cli(
         capsys, "gen", "--n", "64", "--nu", "0.5", "--trials", "1",
         "--seed", "0", "--out", str(tmp_path / "g"),

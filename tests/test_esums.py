@@ -283,7 +283,7 @@ class TestRequiredIndices:
         assert len(required_indices(6)) == 32
 
     def test_out_of_range(self):
-        for bad in (0, 7):
+        for bad in (0, 13):
             with pytest.raises(DomainError):
                 required_indices(bad)
 

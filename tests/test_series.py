@@ -20,7 +20,9 @@ from effcond import (
     rsa_generate,
     zeta1,
 )
-from effcond.series import COEFFICIENT_TABLE
+from effcond.esums import series_terms
+
+from _oracles import COEFFICIENT_TABLE
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +35,20 @@ def rsa8_table():
 
 def esum_table(config, order):
     return {idx.entries: esum(config, idx) for idx in required_indices(order)}
+
+
+class TestSeriesTerms:
+    def test_degree_paths_match_printed_table(self):
+        for n in range(1, 7):
+            assert set(series_terms(n)) == set(COEFFICIENT_TABLE[n]), f"A_{n}"
+            assert len(series_terms(n)) == len(COEFFICIENT_TABLE[n])
+
+    def test_rho_powers_ascend_and_indices_are_distinct(self):
+        for n in range(1, 13):
+            powers = [p for _, p, _ in series_terms(n)]
+            assert powers == sorted(powers)
+        entries = [i.entries for i in required_indices(12)]
+        assert len(entries) == len(set(entries)) == 2 ** 11
 
 
 class TestClusterCoeffs:
@@ -56,7 +72,7 @@ class TestClusterCoeffs:
     def test_order_range(self, rsa8_table):
         _, table, _ = rsa8_table
         with pytest.raises(DomainError):
-            cluster_coeffs(table, rho=0.5, order=7)
+            cluster_coeffs(table, rho=0.5, order=13)
 
     def test_rho_parity_structure(self, rsa8_table):
         # terms with even powers of rho are even under rho negation, odd

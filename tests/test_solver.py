@@ -13,7 +13,6 @@ from effcond import (
     SolverParams,
     apply_W,
     cluster_coeffs,
-    cluster_terms_exact,
     constant_field,
     esum,
     kernel_matrix,
@@ -26,14 +25,14 @@ from effcond import (
     solve_contrast,
     trial_seed,
 )
-from effcond.solver import (
-    TaylorField,
-    _workspace,
-    cluster_parts,
-    contrast_cluster_grades,
-)
+from effcond.solver import TaylorField, _workspace
 
-from _oracles import dense_operator
+from _oracles import (
+    cluster_parts,
+    cluster_terms_exact,
+    contrast_cluster_grades,
+    dense_operator,
+)
 
 
 @pytest.fixture(scope="module")
@@ -344,20 +343,18 @@ class TestSolveContrast:
 
 class TestCoefficientTableAgainstOperator:
     def test_series_coefficients_match_grade_resolved_iterates(self):
-        # Independent check of the whole closed-form coefficient table: the
+        # Independent check of the generated coefficients A_1..A_10: the
         # grade-resolved operator iterates W^p(1) give the exact expansion
         # mean psi(a_k) = 1 + sum_n A_n nu^n with
-        # A_n = sum_p rho^p mean(X[p,n][:,0]) / (N pi)^n, no printed
-        # coefficients involved.
+        # A_n = sum_p rho^p mean(X[p,n][:,0]) / (N pi)^n, exact for
+        # degree >= n - 2, with no structural sums involved.
         config = rsa_generate(EnsembleDescriptor(n=5, nu=0.18, trials=1, seed=97))
-        grades = contrast_cluster_grades(config, p_max=6, grade_max=6, degree=9)
+        grades = contrast_cluster_grades(config, p_max=10, grade_max=10, degree=9)
         nu = config.nu  # grade-n blocks carry r^(2n); nu^n = (N pi r^2)^n
+        table = {idx.entries: esum(config, idx) for idx in required_indices(10)}
         for rho in (0.7, -0.6):
-            table = {
-                idx.entries: esum(config, idx) for idx in required_indices(6)
-            }
-            coeffs = cluster_coeffs(table, rho, 6)
-            for n in range(1, 7):
+            coeffs = cluster_coeffs(table, rho, 10)
+            for n in range(1, 11):
                 from_operator = sum(
                     rho ** p * np.mean(block[:, 0])
                     for (p, g), block in grades.items()
@@ -375,6 +372,15 @@ class TestTaylorFieldEvaluation:
         field = TaylorField(config=config, coeffs=coeffs)
         z = 0.03 + 0.01j
         assert field(z) == pytest.approx(1 + 2 * z + 0.5 * z ** 2)
+
+    def test_nearest_disk_in_periodic_metric(self, square_cell):
+        # z = -0.52 is the image of 0.48, a point 0.03 inside disk 0
+        config = DiskConfiguration(
+            cell=square_cell, centers=np.array([0.45, -0.2 + 0.1j]), radius=0.1
+        )
+        coeffs = np.array([[1.0, 2.0], [5.0, 0.0]], dtype=complex)
+        field = TaylorField(config=config, coeffs=coeffs)
+        assert field(-0.52) == pytest.approx(1.06, rel=1e-14)
 
 
 class TestShapeFactor:
