@@ -38,7 +38,7 @@ class GenerationError(EffcondError, RuntimeError):
 
 
 class ConvergenceError(EffcondError, RuntimeError):
-    """Fixed-point iteration failed to reach the requested tolerance."""
+    """The GMRES solve used its Krylov budget without reaching the tolerance."""
 
     def __init__(self, message, residual_history=None):
         super().__init__(message)

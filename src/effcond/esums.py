@@ -69,26 +69,36 @@ def as_multi_index(index) -> MultiIndex:
 def kernel_matrix(config: DiskConfiguration, n: int) -> np.ndarray:
     """(N, N) matrix E_n(a_j - a_k) with the regularized diagonal S_n.
 
-    Every order from 2 to n not yet cached on the configuration is built in
-    one pass over the upper-triangle separations; the lower triangle follows
-    from E_n(-z) = (-1)^n E_n(z).  Each order is cached as a read-only array
-    and kept once built; rows may be consumed concurrently.
+    The configuration keeps E_2..E_n as one read-only (n-1, N, N) array.
+    Asking for a higher order builds only the missing orders, in one pass
+    over the upper-triangle separations (the lower triangle follows from
+    E_n(-z) = (-1)^n E_n(z)), and replaces the array by a longer one.
+    Returns a view; rows may be consumed concurrently.
     """
     if n < 2:
         raise DomainError(f"kernel order must be >= 2, got {n}")
-    if n not in config._kernels:
-        n_lo = len(config._kernels) + 2  # cached orders form the prefix 2..n_lo-1
+    old = config._kernels
+    n_lo = 2 if old is None else len(old) + 2  # orders 2..n_lo-1 are built
+    if n >= n_lo:
         n_disks = config.n_disks
         upper = np.triu_indices(n_disks, 1)
-        stack = eisenstein_stack(config.cell, n_lo, n, config.pair_separations()[upper])
-        for order, vals in zip(range(n_lo, n + 1), stack):
-            mat = np.empty((n_disks, n_disks), dtype=complex)
-            mat[upper] = vals
-            mat[upper[::-1]] = vals if order % 2 == 0 else -vals
+        vals = eisenstein_stack(config.cell, n_lo, n, config.pair_separations()[upper])
+        stack = np.empty((n - 1, n_disks, n_disks), dtype=complex)
+        if old is not None:
+            stack[: n_lo - 2] = old
+        for order, mat, v in zip(range(n_lo, n + 1), stack[n_lo - 2 :], vals):
+            mat[upper] = v
+            mat[upper[::-1]] = v if order % 2 == 0 else -v
             mat[np.diag_indices(n_disks)] = lattice_sum(config.cell, order)
-            mat.setflags(write=False)
-            config._kernels[order] = mat
-    return config._kernels[n]
+        stack.setflags(write=False)
+        object.__setattr__(config, "_kernels", stack)
+    return config._kernels[n - 2]
+
+
+def kernel_stack(config: DiskConfiguration, n: int) -> np.ndarray:
+    """E_2..E_n as a read-only (n-1, N, N) view of the configuration's kernels."""
+    kernel_matrix(config, n)
+    return config._kernels[: n - 1]
 
 
 def esum(config: DiskConfiguration, index) -> complex:

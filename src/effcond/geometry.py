@@ -51,16 +51,16 @@ def periodic_distance(cell: Cell, z1, z2):
 class DiskConfiguration:
     """N equal disks of radius r centered at `centers` inside `cell`.
 
-    Centers are stored reduced to the fundamental parallelogram; kernel and
-    solver caches attach lazily and are read-only once filled.
+    Centers are stored reduced to the fundamental parallelogram.  The
+    Eisenstein kernels E_2..E_n attach lazily as one read-only (n-1, N, N)
+    array, which esums.kernel_matrix owns and grows.
     """
 
     cell: Cell
     centers: np.ndarray
     radius: float
     meta: dict = field(default_factory=dict, repr=False)
-    _kernels: dict = field(default_factory=dict, repr=False)
-    _solver_cache: dict = field(default_factory=dict, repr=False)
+    _kernels: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         centers = np.atleast_1d(np.asarray(self.centers, dtype=complex))

@@ -27,7 +27,6 @@ from .esums import as_multi_index, esum, esum_nn, required_indices
 from .geometry import EnsembleDescriptor, rsa_generate, trial_seed
 from .serialize import dump_csv, dump_json
 from .series import (
-    ClusterCoefficients,
     cluster_coeffs,
     contrast_tail,
     lambda_cluster,
@@ -171,16 +170,19 @@ def run_ensemble(desc: EnsembleDescriptor, quantities) -> EnsembleStats:
         columns.extend(spec.columns())
 
     solver_params = SolverParams()
-    series_sums: dict[str, dict] = {
-        s.token: {idx.entries: 0.0 + 0.0j for idx in required_indices(s.order)}
-        for s in specs
-        if s.kind == "lambda_series"
-    }
+    # one table of structural sums per trial, to the largest series order;
+    # each lambda-series quantity reads its own indices from it
+    series_orders = [s.order for s in specs if s.kind == "lambda_series"]
+    series_indices = required_indices(max(series_orders)) if series_orders else ()
+    series_sums = {idx: 0.0 + 0.0j for idx in series_indices}
 
     seeds = []
     rows = []
     for _, seed, config in iter_trials(desc):
         seeds.append(seed)
+        series_table = {idx: esum(config, idx) for idx in series_indices}
+        for idx, val in series_table.items():
+            series_sums[idx] += val
         row = []
         for spec in specs:
             if spec.kind == "esum":
@@ -190,15 +192,9 @@ def run_ensemble(desc: EnsembleDescriptor, quantities) -> EnsembleStats:
                 res = solve_contrast(config, spec.rho, solver_params)
                 row.extend([res.lambda11, res.lambda12])
             elif spec.kind == "lambda_series":
-                table = {
-                    idx: esum(config, idx) for idx in required_indices(spec.order)
-                }
-                coeffs = cluster_coeffs(table, spec.rho, spec.order)
+                coeffs = cluster_coeffs(series_table, spec.rho, spec.order)
                 eff = lambda_cluster(spec.rho, desc.nu, coeffs)
                 row.extend([eff.lambda11, eff.lambda12])
-                acc = series_sums[spec.token]
-                for idx, val in table.items():
-                    acc[as_multi_index(idx).entries] += val
             elif spec.kind == "zeta1":
                 table = {n: esum_nn(config, n) for n in range(2, spec.n_max + 1)}
                 tail, _ = contrast_tail(desc.nu, table, spec.n_max)
@@ -224,13 +220,8 @@ def run_ensemble(desc: EnsembleDescriptor, quantities) -> EnsembleStats:
         if spec.kind == "lambda_series":
             # assemble-after-averaging reduction, reported for comparison
             # with the default average-of-lambda route
-            mean_table = {
-                entries: val / desc.trials
-                for entries, val in series_sums[spec.token].items()
-            }
-            coeffs = cluster_coeffs(
-                mean_table, spec.rho, spec.order, provenance="ensemble"
-            )
+            mean_table = {idx: val / desc.trials for idx, val in series_sums.items()}
+            coeffs = cluster_coeffs(mean_table, spec.rho, spec.order)
             eff = lambda_cluster(spec.rho, desc.nu, coeffs)
             extras[f"{spec.token}_from_mean_esums"] = eff.lambda11
 
@@ -296,21 +287,19 @@ def compare_methods(
     Returns one row per method with the difference from the solver value
     and the expected error scale of the method.
     """
+    # DomainError unless 1 <= order <= MAX_SERIES_ORDER, also at rho = 0
+    indices = required_indices(order)
     solver_params = SolverParams()
-    indices = required_indices(order) if order >= 1 else []
     sums = {"solver": 0.0 + 0.0j, "cluster": 0.0 + 0.0j, "contrast": 0.0 + 0.0j}
     for _, _, config in iter_trials(desc):
         res = solve_contrast(config, rho, solver_params)
         sums["solver"] += complex(res.lambda11, -res.lambda12)
-        if rho == 0.0:
-            coeffs = ClusterCoefficients(order=0, values=(), rho=0.0)
-        else:
-            table = {idx: esum(config, idx) for idx in indices}
-            coeffs = cluster_coeffs(table, rho, order)
-        eff = lambda_cluster(rho, desc.nu, coeffs)
+        table = {idx: esum(config, idx) for idx in indices}
+        eff = lambda_cluster(rho, desc.nu, cluster_coeffs(table, rho, order))
         sums["cluster"] += complex(eff.lambda11, -eff.lambda12)
         nn_table = {n: esum_nn(config, n) for n in range(2, n_max + 1)}
-        eff = lambda_contrast(desc.nu, nn_table, rho, n_max, e2=esum(config, (2,)))
+        e2 = table[as_multi_index(2)]
+        eff = lambda_contrast(desc.nu, nn_table, rho, n_max, e2=e2)
         sums["contrast"] += complex(eff.lambda11, -eff.lambda12)
 
     means = {k: v / desc.trials for k, v in sums.items()}

@@ -24,7 +24,6 @@ class ClusterCoefficients:
     order: int
     values: tuple  # complex A_1..A_order
     rho: float
-    provenance: str = "per-config"  # or "ensemble"
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,7 @@ def _from_complex(value: complex, method: str, **diagnostics) -> EffectiveResult
     )
 
 
-def cluster_coeffs(
-    esum_values: dict, rho: float, order: int, provenance: str = "per-config"
-) -> ClusterCoefficients:
+def cluster_coeffs(esum_values: dict, rho: float, order: int) -> ClusterCoefficients:
     """A_1..A_order from a map of structural sums.
 
     A_n = pi^(-n) * sum of prefactor * rho^power * e_entries over
@@ -84,9 +81,7 @@ def cluster_coeffs(
                 )
             acc += prefactor * (rho ** rho_power) * lookup[entries]
         values.append(acc / math.pi ** n)
-    return ClusterCoefficients(
-        order=order, values=tuple(values), rho=float(rho), provenance=provenance
-    )
+    return ClusterCoefficients(order=order, values=tuple(values), rho=float(rho))
 
 
 def lambda_cluster(rho: float, nu: float, coeffs: ClusterCoefficients) -> EffectiveResult:

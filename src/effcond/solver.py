@@ -8,26 +8,29 @@ around each center a_k with coefficient of (z - a_k)^j equal to
     (-1)^j * C(l+j+1, j) * E_{l+j+2}(a_k - a_m),
 
 coincident arguments regularized to lattice sums.  W is applied matrix-free:
-one GEMM of the stacked kernels E_2..E_{2L+3} against conj(psi), then a
-weighted gather of the entries with s = j + l.  W(psi) = A*conj(psi) is
+one GEMM of the configuration's kernel stack E_2..E_{2L+3} (esums.kernel_stack,
+the array the structural sums also read) against conj(psi), then a weighted
+gather of the entries with s = j + l.  W(psi) = A*conj(psi) is
 antilinear, so for real rho the fixed point psi = 1 + rho*W(psi) solves the
 complex-linear system (I - rho^2 A conj(A)) psi = 1 + rho*W(1); tolerance
 mode solves it by GMRES (Saad & Schultz 1986).  Order mode sums the
 successive approximations psi <- 1 + rho*W(psi) from psi = 1, which are
 exactly the partial sums of the contrast power series.  The effective
 conductivity is lambda11 - i*lambda12 = 1 + 2*rho*nu*mean_k psi_k(a_k).
-Distinct solves share nothing and may run concurrently.
+Solves share only the configuration's read-only kernels and may run
+concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .esums import kernel_matrix, step_weight
+from .esums import kernel_stack, step_weight
 from .geometry import DiskConfiguration
 from .lattice import Cell
 from .series import EffectiveResult
@@ -121,62 +124,43 @@ class SolveResult:
         )
 
 
-class _Workspace:
-    """Matrix-free W for one (configuration, degree) pair.
+@lru_cache(maxsize=None)
+def _gather(degree: int):
+    """Step weights step_weight(j, l) for j <= L+1, l <= L and the index s = j + l.
 
-    Holds the kernels E_2..E_{2L+3} stacked as one ((2L+2)N, N) array, the
-    weights c[j, l] = step_weight(j, l) r^(2l+2) for j <= L+1 and the gather
-    index s = j + l.  Row j = L+1 is the degree dropped by the truncation.
+    Row j = L+1 is the degree dropped by the truncation.
     """
-
-    def __init__(self, config: DiskConfiguration, degree: int):
-        lp1 = degree + 1
-        needed = 2 * degree + 3  # l + j + 2 with j up to L+1 (the tail row)
-        kernel_matrix(config, needed)  # builds the whole stack in one pass
-        self.stack = np.concatenate(
-            [kernel_matrix(config, n) for n in range(2, needed + 1)]
-        )
-        self.weights = np.array([
-            [step_weight(j, l) * config.radius ** (2 * l + 2) for l in range(lp1)]
-            for j in range(lp1 + 1)
-        ])
-        self.index = np.add.outer(np.arange(lp1 + 1), np.arange(lp1))
-        self.radius = config.radius
-        self.degree = degree
-
-    def image(self, coeffs: np.ndarray) -> np.ndarray:
-        """W(coeffs) with the dropped degree-(L+1) row as an extra column.
-
-        One GEMM gives g[s, k, l] = sum_m E_{s+2}(a_k - a_m) conj(c[m, l]);
-        the degree-j coefficient at disk k is sum_l c[j, l] g[j+l, k, l].
-        """
-        n_disks, lp1 = coeffs.shape
-        g = (self.stack @ np.conj(coeffs)).reshape(-1, n_disks, lp1)
-        rows = g[self.index, :, np.arange(lp1)]  # (L+2, L+1, N)
-        return np.einsum("jl,jlk->kj", self.weights, rows)
-
-    def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.image(coeffs)[:, :-1]
-
-    def tail_norm(self, image: np.ndarray) -> float:
-        """Dropped degree-(L+1) mass of one W image, disk-scaled."""
-        return float(np.abs(image[:, -1]).max()) * self.radius ** (self.degree + 1)
+    lp1 = degree + 1
+    steps = np.array(
+        [[step_weight(j, l) for l in range(lp1)] for j in range(lp1 + 1)], dtype=float
+    )
+    index = np.add.outer(np.arange(lp1 + 1), np.arange(lp1))
+    steps.setflags(write=False)
+    index.setflags(write=False)
+    return steps, index
 
 
-def _workspace(config: DiskConfiguration, degree: int) -> _Workspace:
-    ws = config._solver_cache.get(degree)
-    if ws is None:
-        ws = _Workspace(config, degree)
-        config._solver_cache[degree] = ws
-    return ws
+def w_image(config: DiskConfiguration, coeffs: np.ndarray) -> np.ndarray:
+    """W(coeffs) with the dropped degree-(L+1) row as an extra column.
+
+    One GEMM of the kernel stack E_2..E_{2L+3}, viewed as ((2L+2)N, N), gives
+    g[s, k, l] = sum_m E_{s+2}(a_k - a_m) conj(c[m, l]); the degree-j
+    coefficient at disk k is sum_l step_weight(j, l) r^(2l+2) g[j+l, k, l].
+    """
+    n_disks, lp1 = coeffs.shape
+    steps, index = _gather(lp1 - 1)
+    weights = steps * np.array([config.radius ** (2 * l + 2) for l in range(lp1)])
+    kernels = kernel_stack(config, 2 * lp1 + 1).reshape(-1, n_disks)
+    g = (kernels @ np.conj(coeffs)).reshape(-1, n_disks, lp1)
+    rows = g[index, :, np.arange(lp1)]  # (L+2, L+1, N)
+    return np.einsum("jl,jlk->kj", weights, rows)
 
 
 def apply_W(config: DiskConfiguration, field: TaylorField) -> TaylorField:
     """One application of the interaction operator (antilinear, no contrast)."""
     if field.config is not config:
         raise DomainError("field is attached to a different configuration")
-    ws = _workspace(config, field.degree)
-    return TaylorField(config=config, coeffs=ws.apply(field.coeffs))
+    return TaylorField(config=config, coeffs=w_image(config, field.coeffs)[:, :-1])
 
 
 def _lambda_pair(config: DiskConfiguration, rho: float, coeffs: np.ndarray):
@@ -193,7 +177,9 @@ def _scaled_max(delta: np.ndarray, radius: float) -> float:
     return float((np.abs(delta) * radius ** np.arange(delta.shape[1])).max())
 
 
-def _krylov(ws: _Workspace, rho: float, ones: np.ndarray, params: SolverParams):
+def _krylov(
+    config: DiskConfiguration, rho: float, ones: np.ndarray, params: SolverParams
+):
     """GMRES on (I - rho^2 W W) psi = 1 + rho W(1) in x_l = psi_l r^l.
 
     Unrestarted Arnoldi with modified Gram-Schmidt; the basis and the
@@ -203,12 +189,15 @@ def _krylov(ws: _Workspace, rho: float, ones: np.ndarray, params: SolverParams):
     true fixed-point residual does.  Returns psi, its W image, that residual
     and the estimates, one per iteration.
     """
-    scale = ws.radius ** np.arange(ws.degree + 1)
+    scale = config.radius ** np.arange(ones.shape[1])
 
     def psi_of(x):
         return x.reshape(ones.shape) / scale
 
-    b = ((ones + rho * ws.apply(ones)) * scale).ravel()
+    def apply(c):
+        return w_image(config, c)[:, :-1]
+
+    b = ((ones + rho * apply(ones)) * scale).ravel()
     basis = [b / np.linalg.norm(b)]
     hess = np.zeros((0, 0), dtype=complex)  # upper triangular after rotations
     rotations: list[np.ndarray] = []
@@ -216,7 +205,7 @@ def _krylov(ws: _Workspace, rho: float, ones: np.ndarray, params: SolverParams):
     history: list[float] = []
     while len(history) < params.max_iterations:
         psi = psi_of(basis[-1])
-        w = ((psi - rho * rho * ws.apply(ws.apply(psi))) * scale).ravel()
+        w = ((psi - rho * rho * apply(apply(psi))) * scale).ravel()
         col = np.empty(len(basis) + 1, dtype=complex)
         for i, v in enumerate(basis):
             col[i] = np.vdot(v, w)
@@ -236,8 +225,8 @@ def _krylov(ws: _Workspace, rho: float, ones: np.ndarray, params: SolverParams):
         history.append(float(abs(g[-1])))
         if history[-1] <= params.tolerance:
             psi = psi_of(np.linalg.solve(hess, g[:-1]) @ np.array(basis))
-            image = ws.image(psi)
-            residual = _scaled_max(psi - ones - rho * image[:, :-1], ws.radius)
+            image = w_image(config, psi)
+            residual = _scaled_max(psi - ones - rho * image[:, :-1], config.radius)
             if residual <= params.tolerance:
                 return psi, image, residual, history
         if h_next == 0.0:
@@ -265,22 +254,24 @@ def solve_contrast(
         raise DomainError(f"contrast rho = {rho:g} outside [-1, 1]")
     params = params or SolverParams()
     degree = params.resolved_degree()
-    ws = _workspace(config, degree)
     # unit external flux: the additive normalization constant of the field
     # problem is exactly one
     ones = constant_field(config, degree).coeffs
     if params.mode == "order":
         psi, step, history = ones, ones, []
         for _ in range(params.order):
-            step = rho * ws.apply(step)  # rho^p W^p(1): W is antilinear, rho real
+            # rho^p W^p(1): W is antilinear, rho real
+            step = rho * w_image(config, step)[:, :-1]
             psi = psi + step
             history.append(_scaled_max(step, config.radius))
         residual = history[-1] if history else 0.0
-        image = ws.image(psi)
+        image = w_image(config, psi)
     else:
-        psi, image, residual, history = _krylov(ws, rho, ones, params)
+        psi, image, residual, history = _krylov(config, rho, ones, params)
 
     lam11, lam12 = _lambda_pair(config, rho, psi)
+    # dropped degree-(L+1) mass of the last W image, disk-scaled
+    tail = float(np.abs(image[:, -1]).max()) * config.radius ** (degree + 1)
     return SolveResult(
         field=TaylorField(config=config, coeffs=psi),
         lambda11=lam11,
@@ -289,7 +280,7 @@ def solve_contrast(
         residual=residual,
         residual_history=history,
         converged=True,
-        truncation_tail=abs(rho) * ws.tail_norm(image),
+        truncation_tail=abs(rho) * tail,
     )
 
 

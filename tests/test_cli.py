@@ -180,6 +180,15 @@ class TestExitCodes:
         assert code == 2
         assert "kernel order" in err
 
+    @pytest.mark.parametrize("rho", ["0", "0.5"])
+    def test_compare_order_zero_is_two(self, capsys, rho):
+        code, _, err = run_cli(
+            capsys, "compare", "--n", "4", "--nu", "0.1", "--trials", "1",
+            "--rho", rho, "--order", "0",
+        )
+        assert code == 2
+        assert "series order" in err
+
     def test_missing_config_is_two(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "lambda", "--config", str(tmp_path / "missing.json"),

@@ -18,7 +18,8 @@ from effcond import (
     required_indices,
     rsa_generate,
 )
-from effcond.esums import as_multi_index, esums_csv
+import effcond.esums
+from effcond.esums import as_multi_index, esums_csv, kernel_stack
 from effcond.lattice import eisenstein_stack
 
 from _oracles import eisenstein_mpmath, esum_reference
@@ -122,8 +123,33 @@ class TestKernelMatrix:
         mat = kernel_matrix(config, 2)
         assert np.allclose(np.diag(mat), math.pi)
 
-    def test_cache_returns_same_object(self, rsa16):
-        assert kernel_matrix(rsa16, 4) is kernel_matrix(rsa16, 4)
+    @staticmethod
+    def counted_builds(monkeypatch):
+        calls = []
+
+        def counting(cell, n_lo, n_hi, z):
+            calls.append((n_lo, n_hi))
+            return eisenstein_stack(cell, n_lo, n_hi, z)
+
+        monkeypatch.setattr(effcond.esums, "eisenstein_stack", counting)
+        return calls
+
+    def test_second_call_builds_nothing(self, monkeypatch):
+        config = rsa_generate(EnsembleDescriptor(n=16, nu=0.25, trials=1, seed=21))
+        calls = self.counted_builds(monkeypatch)
+        first = kernel_matrix(config, 4)
+        assert np.array_equal(kernel_matrix(config, 4), first)
+        kernel_matrix(config, 3)
+        assert calls == [(2, 4)]
+
+    def test_growth_builds_only_missing_orders(self, monkeypatch):
+        config = rsa_generate(EnsembleDescriptor(n=16, nu=0.25, trials=1, seed=21))
+        low = kernel_stack(config, 4).copy()
+        calls = self.counted_builds(monkeypatch)
+        kernel_matrix(config, 9)
+        assert calls == [(5, 9)]
+        assert config._kernels.shape == (8, 16, 16)
+        assert kernel_stack(config, 4).tobytes() == low.tobytes()
 
     def test_read_only(self, rsa16):
         mat = kernel_matrix(rsa16, 2)

@@ -92,6 +92,27 @@ class TestRunEnsemble:
         both = stats.extras[f"{key}_lambda_e"], stats.extras[f"{key}_from_mean_esums"]
         assert abs(both[0] - both[1]) < 1e-3  # nonlinear-in-esums discrepancy
 
+    def test_series_quantities_share_one_table(self, monkeypatch):
+        import effcond.pipeline as pipeline
+
+        desc = EnsembleDescriptor(n=8, nu=0.2, trials=2, seed=5)
+        tokens = ["lambda-series:0.8:6", "lambda-series:1.0:6"]
+        alone = [run_ensemble(desc, [t]) for t in tokens]
+        calls = []
+
+        def counting(config, index):
+            calls.append(index)
+            return esum(config, index)
+
+        monkeypatch.setattr(pipeline, "esum", counting)
+        both = run_ensemble(desc, ["zeta1:6"] + tokens)
+        assert len(calls) == 32 * desc.trials  # A_1..A_6 need 32 sums
+        for one in alone:
+            for key, value in one.stats.items():
+                assert both.stats[key] == value
+            for key, value in one.extras.items():
+                assert both.extras[key] == value
+
     def test_zeta1_quantity(self):
         desc = EnsembleDescriptor(n=8, nu=0.2, trials=12, seed=6)
         stats = run_ensemble(desc, ["zeta1:6"])

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -25,7 +26,8 @@ from effcond import (
     solve_contrast,
     trial_seed,
 )
-from effcond.solver import TaylorField, _workspace
+import effcond.solver
+from effcond.solver import TaylorField, w_image
 
 from _oracles import (
     cluster_parts,
@@ -86,7 +88,7 @@ class TestMatrixFreeOperator:
         coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         dense = dense_operator(config, degree)
         want = (dense @ np.conj(coeffs).ravel()).reshape(config.n_disks, degree + 2)
-        got = _workspace(config, degree).image(coeffs)
+        got = w_image(config, coeffs)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         applied = apply_W(config, TaylorField(config=config, coeffs=coeffs)).coeffs
         assert np.array_equal(applied, got[:, :-1])
@@ -252,18 +254,44 @@ class TestSolveContrast:
         assert res.lambda11 == pytest.approx(series.lambda11, abs=1e-10)
         assert res.lambda12 == pytest.approx(series.lambda12, abs=1e-10)
 
-    def test_workspace_freed_without_cycle_collection(self):
-        # the configuration owns its workspace; the workspace must not refer
-        # back, or each solve's operator lives until a cyclic collection
+    def test_kernel_stack_freed_without_cycle_collection(self):
+        # the configuration owns its kernel stack; nothing the solve leaves
+        # behind may refer back, or each stack lives until a cyclic collection
         config = rsa_generate(EnsembleDescriptor(n=8, nu=0.3, trials=1, seed=5))
         gc.disable()
         try:
             res = solve_contrast(config, 0.5)
-            ws = weakref.ref(_workspace(config, res.field.degree))
+            stack = weakref.ref(config._kernels)
             del config, res
-            assert ws() is None
+            assert stack() is None
         finally:
             gc.enable()
+
+    def test_solver_and_esums_share_one_kernel_array(self, monkeypatch):
+        config = rsa_generate(EnsembleDescriptor(n=64, nu=0.45, trials=1, seed=3))
+        kernel_matrix(config, 31)  # E_2..E_{2L+3} for the default L = 14
+        views = []
+
+        def recording(cfg, n):
+            views.append(kernel_stack(cfg, n))
+            return views[-1]
+
+        kernel_stack = effcond.solver.kernel_stack
+        monkeypatch.setattr(effcond.solver, "kernel_stack", recording)
+        tracemalloc.start()
+        try:
+            solve_contrast(config, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        esum(config, (2, 5, 3))
+        arrays = {k for k, v in vars(config).items() if isinstance(v, np.ndarray)}
+        assert arrays == {"centers", "_kernels"}
+        assert config._kernels.shape == (30, 64, 64)
+        assert views and all(v.base is config._kernels for v in views)
+        assert np.shares_memory(views[-1], kernel_matrix(config, 5))
+        # the solve copies no kernels: its whole working set stays below them
+        assert peak < config._kernels.nbytes
 
     def test_geometric_residual_decay_at_full_contrast(self):
         # enforced minimum gap of 0.2r via the inflated exclusion factor; the
