@@ -101,6 +101,23 @@ def kernel_stack(config: DiskConfiguration, n: int) -> np.ndarray:
     return config._kernels[: n - 1]
 
 
+# OpenBLAS runs a complex matrix-vector product of 4096 or more entries on two
+# threads; at these sizes that gains nothing, and between the products of a
+# trial the second thread spins on the other CPU, so run times follow its load
+def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """mat @ vec for an (N, N) mat on one thread, in row blocks of < 4096 entries.
+
+    Rows round as in mat @ vec unless a block is one row, which numpy takes
+    as a dot product, so a product whose blocks would be that thin stays whole.
+    """
+    n = len(mat)
+    blocks = -(-n // max(1, 4095 // n))
+    if blocks == 1 or n < 2 * blocks:
+        return mat @ vec
+    return np.concatenate([mat[n * b // blocks : n * (b + 1) // blocks] @ vec
+                           for b in range(blocks)])
+
+
 def esum(config: DiskConfiguration, index) -> complex:
     """Structural sum e_{m1...mq} via chained matrix-vector products."""
     idx = as_multi_index(index)
@@ -110,7 +127,7 @@ def esum(config: DiskConfiguration, index) -> complex:
     # right to left so factor q acts first.
     for j in range(idx.order, 0, -1):
         mat = kernel_matrix(config, idx.entries[j - 1])
-        vec = (np.conj(mat) if j % 2 == 0 else mat) @ vec
+        vec = _matvec(np.conj(mat) if j % 2 == 0 else mat, vec)
     total = np.sum(vec)
     return complex(total / n_disks ** idx.weight)
 

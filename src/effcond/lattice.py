@@ -32,10 +32,13 @@ elementwise in the points.  Orders whose series would need more than 400
 terms, or weights k^(n-1) beyond a double, are refused (n >= 123).
 Kernel matrices mirror the upper triangle: E_n(-z) = (-1)^n E_n(z).
 
-Lattice sums S_n = E_n-minus-pole at 0: S_2, S_4, S_6 come from the same
-row summation; higher even orders use the classical quadratic recurrence
-seeded by S_4 and S_6; odd orders vanish by central symmetry and are
-returned as exact zeros.
+Lattice sums S_n = E_n-minus-pole at 0 have one cached path: lattice_sum
+fills the even orders of a cell in ascending order, S_2, S_4, S_6 from the
+same row summation and higher orders by the classical quadratic recurrence
+on the sums below.  The m2 = 0 row minus its pole is 2*zeta(n), taken from
+Euler's zeta(n) = |B_n| (2*pi)^n / (2 n!) with the Bernoulli number B_n in
+exact fractions, so numpy is the only dependency.  Odd orders vanish by
+central symmetry and are returned as exact zeros.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from functools import cached_property, lru_cache
 import math
 
 import numpy as np
-from scipy.special import zeta as _riemann_zeta
 
 from .errors import DomainError, InvalidCellError, NearSingularityError
 
@@ -64,6 +66,9 @@ _TWO_PI_I = 2j * math.pi
 
 # Longest u-series; orders whose series would need more are refused.
 _MAX_TERMS = 400
+
+# pi to 50 digits; (2*pi)^n then errs by about n*1e-50, far below a double
+_PI = Fraction("3.14159265358979323846264338327950288419716939937510")
 
 
 @lru_cache(maxsize=None)
@@ -334,47 +339,44 @@ def eisenstein(cell: Cell, n: int, z):
 
 
 def lattice_sum(cell: Cell, n: int) -> complex:
-    """Lattice sum S_n; exact 0 for odd n, cached per cell."""
+    """Lattice sum S_n; exact 0 for odd n, cached per cell.
+
+    The only writer of the cache: even orders are filled in ascending order,
+    so every order the recurrence reads is already there.
+    """
     if n < 2:
         raise DomainError(f"lattice sum order must be >= 2, got {n}")
     if n % 2 == 1:
         return 0.0 + 0.0j
-    cached = cell._sums.get(n)
-    if cached is not None:
-        return cached
-    if n in (2, 4, 6):
-        val = _lattice_sum_rows(cell, n)
-    else:
-        val = _lattice_sum_recurrence(cell, n)
-    cell._sums[n] = val
-    return val
+    sums = cell._sums
+    for even in range(2 * len(sums) + 2, n + 1, 2):
+        sums[even] = (_lattice_sum_rows(cell, even) if even <= 6
+                      else _lattice_sum_recurrence(sums, even))
+    return sums[n]
+
+
+@lru_cache(maxsize=None)
+def _zeta_even(n: int) -> float:
+    """zeta(n), n even, correctly rounded from |B_n| (2*pi)^n / (2 n!)."""
+    b = [Fraction(1)]  # Bernoulli numbers B_0, B_1, ...
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return float(abs(b[n]) * (2 * _PI) ** n / (2 * math.factorial(n)))
 
 
 def _lattice_sum_rows(cell: Cell, n: int) -> complex:
-    """S_n from the row summation; the m2 = 0 row minus its pole is 2*zeta(n)."""
+    """Even S_n by row summation; the m2 = 0 row minus its pole is 2*zeta(n)."""
     rows = _eisenstein_stack(cell, n, n, np.zeros(1), first_row=1)[0, 0]
-    return complex(2.0 * float(_riemann_zeta(n)) / cell.omega1 ** n + rows)
+    return complex(2.0 * _zeta_even(n) / cell.omega1 ** n + rows)
 
 
-def _lattice_sum_recurrence(cell: Cell, n: int) -> complex:
-    """Even S_n for n >= 8 via the quadratic recurrence seeded by S_4, S_6."""
-    for low in (4, 6):
-        if low not in cell._sums:
-            cell._sums[low] = _lattice_sum_rows(cell, low)
-    for even in range(8, n + 1, 2):
-        if even in cell._sums:
-            continue
-        k = even // 2
-        acc = 0.0 + 0.0j
-        for m in range(2, k - 1):
-            acc += (
-                (2 * m - 1)
-                * (2 * (k - m) - 1)
-                * cell._sums[2 * m]
-                * cell._sums[2 * (k - m)]
-            )
-        cell._sums[even] = 3.0 * acc / ((2 * k + 1) * (2 * k - 1) * (k - 3))
-    return cell._sums[n]
+def _lattice_sum_recurrence(sums: dict, n: int) -> complex:
+    """Even S_n, n >= 8, by the quadratic recurrence on S_4 .. S_(n-4) in sums."""
+    k = n // 2
+    acc = 0.0 + 0.0j
+    for m in range(2, k - 1):
+        acc += (2 * m - 1) * (2 * (k - m) - 1) * sums[2 * m] * sums[2 * (k - m)]
+    return 3.0 * acc / ((2 * k + 1) * (2 * k - 1) * (k - 3))
 
 
 def regularized_taylor_coeff(cell: Cell, n: int, j: int) -> complex:

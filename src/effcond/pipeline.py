@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError, GenerationError
-from .esums import as_multi_index, esum, esum_nn, required_indices
+from .esums import as_multi_index, esum, esum_nn, kernel_stack, required_indices
 from .geometry import EnsembleDescriptor, rsa_generate, trial_seed
 from .serialize import dump_csv, dump_json
 from .series import (
@@ -175,11 +175,18 @@ def run_ensemble(desc: EnsembleDescriptor, quantities) -> EnsembleStats:
     series_orders = [s.order for s in specs if s.kind == "lambda_series"]
     series_indices = required_indices(max(series_orders)) if series_orders else ()
     series_sums = {idx: 0.0 + 0.0j for idx in series_indices}
+    # one kernel pass per trial to the highest order the sums read; the
+    # solver sizes its own stack
+    top = max([m for s in specs if s.kind == "esum" for m in s.index]
+              + [m for idx in series_indices for m in idx.entries]
+              + [s.n_max for s in specs if s.kind == "zeta1"], default=1)
 
     seeds = []
     rows = []
     for _, seed, config in iter_trials(desc):
         seeds.append(seed)
+        if top >= 2:
+            kernel_stack(config, top)
         series_table = {idx: esum(config, idx) for idx in series_indices}
         for idx, val in series_table.items():
             series_sums[idx] += val

@@ -65,6 +65,24 @@ def eisenstein_mpmath(cell, n, z, dps=40):
         return complex(total / omega1 ** n)
 
 
+def lattice_sum_mpmath(cell, n, dps=20):
+    """S_n, n even >= 2, to about dps digits with mpmath.
+
+    The m2 = 0 row minus its pole is 2*zeta(n); each row m2 != 0 is the
+    Hurwitz-zeta row sum of eisenstein_mpmath at z = 0, and for even n the
+    rows m2 and -m2 are equal, since (-w + m)^(-n) = (w - m)^(-n).
+    """
+    with mpmath.workdps(dps):
+        omega1, omega2 = mpmath.mpf(cell.omega1), mpmath.mpc(cell.omega2)
+        im_tau = float((omega2 / omega1).imag)
+        rows = math.ceil(dps * math.log(10) / (2 * math.pi * im_tau)) + 3
+        total = 2 * mpmath.zeta(n)
+        for m2 in range(1, rows + 1):
+            w = m2 * omega2 / omega1
+            total += 2 * (mpmath.zeta(n, w) + mpmath.zeta(n, 1 - w))
+        return complex(total / omega1 ** n)
+
+
 def lattice_sum_brute_s2(cell, m1_range=200000, m2_range=30):
     """S_2 by the iterated ordering with the origin removed."""
 

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
+import effcond
 from effcond import esum, load_configuration
 from effcond.cli import main
 
@@ -218,3 +223,23 @@ def test_help_runs():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+import effcond, effcond.cli
+assert effcond.cli.main(sys.argv[1:]) == 0
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_no_scipy_at_run_time(tmp_path):
+    src = Path(effcond.__file__).resolve().parents[1]
+    argv = ["mc", "--n", "4", "--nu", "0.1", "--trials", "1", "--out", str(tmp_path),
+            "--quantities", "e2,lambda-solver:1.0,lambda-series:0.5:3,zeta1:6"]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "[]"

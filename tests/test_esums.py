@@ -19,7 +19,7 @@ from effcond import (
     rsa_generate,
 )
 import effcond.esums
-from effcond.esums import as_multi_index, esums_csv, kernel_stack
+from effcond.esums import _matvec, as_multi_index, esums_csv, kernel_stack
 from effcond.lattice import eisenstein_stack
 
 from _oracles import eisenstein_mpmath, esum_reference
@@ -104,6 +104,14 @@ class TestFastChain:
                 fast = esum(config, idx)
                 slow = esum_reference(config, idx)
                 assert fast == pytest.approx(slow, rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("n", [8, 63, 64, 65, 67, 256, 1025])
+    def test_blocked_product_bitwise(self, n):
+        """The row blocks round exactly as one mat @ vec, no block being one row."""
+        rng = np.random.default_rng(n)
+        mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert _matvec(mat, vec).tobytes() == (mat @ vec).tobytes()
 
     def test_entries_below_two_rejected(self, rsa16):
         with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,9 +13,9 @@ from effcond import (
     lattice_sum,
     make_cell,
 )
-from effcond.lattice import _lattice_sum_rows, regularized_taylor_coeff
+from effcond.lattice import _lattice_sum_rows, _zeta_even, regularized_taylor_coeff
 
-from _oracles import eisenstein_brute, lattice_sum_disk_sweep
+from _oracles import eisenstein_brute, lattice_sum_disk_sweep, lattice_sum_mpmath
 
 # frozen dev value: disk-truncation sweep of sum' P^-4 on the square cell,
 # independently reproduced below to 1e-9
@@ -87,6 +88,23 @@ class TestLatticeSums:
         # 90-degree rotation invariance: S_n = 0 unless 4 divides n (n > 2)
         assert abs(lattice_sum(square_cell, 6)) < 1e-13
         assert abs(lattice_sum(square_cell, 10)) < 1e-13
+
+    def test_zeta_even_is_correctly_rounded(self):
+        with mpmath.workdps(40):
+            for n in range(2, 61, 2):
+                assert _zeta_even(n) == float(mpmath.zeta(n))
+
+    # 4x the worst |S_n - ref| / max(1, |ref|) measured over n = 2..62
+    MPMATH_BOUNDS = {"square_cell": 2.7e-15, "sheared_cell": 5.8e-15,
+                     "hex_cell": 5.3e-15, "thin_cell": 2.2e-14}
+
+    @pytest.mark.parametrize("name", sorted(MPMATH_BOUNDS))
+    def test_sums_match_mpmath(self, name, request):
+        cell = request.getfixturevalue(name)
+        for n in range(2, 63, 2):
+            ref = lattice_sum_mpmath(cell, n)
+            err = abs(lattice_sum(cell, n) - ref) / max(1.0, abs(ref))
+            assert err <= self.MPMATH_BOUNDS[name], n
 
 
 class TestEisenstein:

@@ -113,6 +113,21 @@ class TestRunEnsemble:
             for key, value in one.extras.items():
                 assert both.extras[key] == value
 
+    def test_one_kernel_pass_per_trial(self, monkeypatch):
+        import effcond.esums
+        from effcond.lattice import eisenstein_stack
+
+        calls = []
+
+        def counting(cell, n_lo, n_hi, z):
+            calls.append((n_lo, n_hi))
+            return eisenstein_stack(cell, n_lo, n_hi, z)
+
+        monkeypatch.setattr(effcond.esums, "eisenstein_stack", counting)
+        desc = EnsembleDescriptor(n=8, nu=0.2, trials=3, seed=5)
+        run_ensemble(desc, ["lambda-series:0.8:6", "zeta1:12"])
+        assert calls == [(2, 12)] * desc.trials
+
     def test_zeta1_quantity(self):
         desc = EnsembleDescriptor(n=8, nu=0.2, trials=12, seed=6)
         stats = run_ensemble(desc, ["zeta1:6"])
