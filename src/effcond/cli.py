@@ -12,19 +12,21 @@ import sys
 from pathlib import Path
 
 from .errors import ConvergenceError, DomainError, GenerationError
-from .esums import MAX_SERIES_ORDER, esum, esum_nn, esums_csv, required_indices
+from .esums import MAX_SERIES_ORDER, as_multi_index, esums_csv
 from .geometry import EnsembleDescriptor, load_configuration, save_configuration
 from .pipeline import (
     DEFAULT_CONTRAST_NMAX,
+    QuantitySpec,
     compare_csv,
     compare_methods,
+    evaluate,
     iter_trials,
     run_ensemble,
     write_run,
 )
 from .serialize import dump_csv, dump_json
-from .series import cluster_coeffs, lambda_cluster, lambda_contrast, lambda_dilute, lambda_pade
-from .solver import SolverParams, shape_factor, solve_contrast
+from .series import cluster_coeffs, lambda_dilute, lambda_pade
+from .solver import shape_factor
 
 
 def _parse_cell(text: str):
@@ -83,14 +85,17 @@ def cmd_gen(args) -> int:
 
 def cmd_esum(args) -> int:
     config = load_configuration(args.config)
-    values = {idx: esum(config, idx) for idx in (_parse_index(t) for t in args.index)}
-    sys.stdout.write(esums_csv(Path(args.config).stem, values))
+    indices = [as_multi_index(_parse_index(t)).entries for t in args.index]
+    values, _ = evaluate(config, [QuantitySpec("", "esum", index=i) for i in indices],
+                         config.nu)
+    sys.stdout.write(esums_csv(Path(args.config).stem, dict(zip(indices, values))))
     return 0
 
 
 def cmd_coeffs(args) -> int:
     config = load_configuration(args.config)
-    table = {idx: esum(config, idx) for idx in required_indices(args.order)}
+    spec = QuantitySpec("", "lambda_series", rho=args.rho, order=args.order)
+    _, table = evaluate(config, [spec], config.nu)
     coeffs = cluster_coeffs(table, args.rho, args.order)
     rows = [(n + 1, a.real, a.imag) for n, a in enumerate(coeffs.values)]
     sys.stdout.write(dump_csv(["n", "re", "im"], rows))
@@ -99,21 +104,15 @@ def cmd_coeffs(args) -> int:
 
 def cmd_lambda(args) -> int:
     config = load_configuration(args.config)
-    if args.method == "cluster":
-        table = {idx: esum(config, idx) for idx in required_indices(args.order)}
-        coeffs = cluster_coeffs(table, args.rho, args.order)
-        result = lambda_cluster(args.rho, config.nu, coeffs)
-    elif args.method == "contrast":
-        table = {n: esum_nn(config, n) for n in range(2, args.nmax + 1)}
-        result = lambda_contrast(
-            config.nu, table, args.rho, args.nmax, e2=esum(config, (2,))
-        )
-    elif args.method == "solver":
-        result = solve_contrast(config, args.rho, SolverParams()).effective()
-    else:
+    if args.method in ("dilute", "pade"):
         alpha = shape_factor(config.cell, config.radius)
         fn = lambda_dilute if args.method == "dilute" else lambda_pade
         result = fn(config.nu, args.rho, alpha)
+    else:
+        kind = {"cluster": "lambda_series", "contrast": "lambda_contrast",
+                "solver": "lambda_solver"}[args.method]
+        spec = QuantitySpec("", kind, rho=args.rho, order=args.order, n_max=args.nmax)
+        (result,), _ = evaluate(config, [spec], config.nu)
     sys.stdout.write(dump_json(result.to_dict()))
     return 0
 

@@ -1,5 +1,9 @@
 """Monte Carlo ensemble orchestration and reporting.
 
+`evaluate` computes every requested quantity of one configuration after a
+single kernel pass; the ensemble, the method comparison and the
+single-configuration CLI commands all call it.
+
 Trials are deterministic: trial i of a run with master seed s uses the
 derived seed s XOR splitmix64(i), so identical descriptors reproduce
 byte-identical results and per-trial tables.  Aggregation is a sequential
@@ -27,6 +31,7 @@ from .esums import as_multi_index, esum, esum_nn, kernel_stack, required_indices
 from .geometry import EnsembleDescriptor, rsa_generate, trial_seed
 from .serialize import dump_csv, dump_json
 from .series import (
+    EffectiveResult,
     cluster_coeffs,
     contrast_tail,
     lambda_cluster,
@@ -34,17 +39,17 @@ from .series import (
     lambda_dilute,
     lambda_pade,
 )
-from .solver import SolverParams, shape_factor, solve_contrast
+from .solver import shape_factor, solve_contrast
 
 DEFAULT_CONTRAST_NMAX = 12
 
 
 @dataclass(frozen=True)
 class QuantitySpec:
-    """One requested per-trial quantity, parsed from its CLI token."""
+    """One requested per-configuration quantity (parse_quantity reads mc tokens)."""
 
     token: str
-    kind: str  # esum | lambda_solver | lambda_series | zeta1
+    kind: str  # esum | lambda_solver | lambda_series | lambda_contrast | zeta1
     index: tuple = ()
     rho: float = 0.0
     order: int = 6
@@ -53,7 +58,7 @@ class QuantitySpec:
     def columns(self) -> list:
         if self.kind == "esum":
             return [f"{self.token}_re", f"{self.token}_im"]
-        if self.kind in ("lambda_solver", "lambda_series"):
+        if self.kind.startswith("lambda_"):
             return [f"{self.token}_lambda11", f"{self.token}_lambda12"]
         return [self.token]
 
@@ -156,6 +161,50 @@ def iter_trials(desc: EnsembleDescriptor):
         yield i, seed, config
 
 
+def evaluate(config, specs, nu: float):
+    """Values of the quantities in specs on one configuration.
+
+    One kernel pass reaches the highest order any spec reads; the solver
+    sizes its own stack.  All lambda-series specs read one structural-sum
+    table and zeta1 / lambda_contrast one e_nn table, each built to the
+    largest order asked for.  Returns (values, series_table): a complex per
+    esum, an EffectiveResult per lambda kind and a float per zeta1.
+    """
+    series_orders = [s.order for s in specs if s.kind == "lambda_series"]
+    series_indices = required_indices(max(series_orders)) if series_orders else ()
+    n_maxes = [s.n_max for s in specs if s.kind in ("zeta1", "lambda_contrast")]
+    top = max([m for s in specs if s.kind == "esum" for m in s.index]
+              + [m for idx in series_indices for m in idx.entries] + n_maxes, default=1)
+    if top >= 2:
+        kernel_stack(config, top)
+    series_table = {idx: esum(config, idx) for idx in series_indices}
+    nn_table = {n: esum_nn(config, n) for n in range(2, max(n_maxes, default=1) + 1)}
+    values = []
+    for spec in specs:
+        if spec.kind == "esum":
+            values.append(esum(config, spec.index))
+        elif spec.kind == "lambda_solver":
+            values.append(solve_contrast(config, spec.rho).effective())
+        elif spec.kind == "lambda_series":
+            coeffs = cluster_coeffs(series_table, spec.rho, spec.order)
+            values.append(lambda_cluster(spec.rho, nu, coeffs))
+        elif spec.kind == "lambda_contrast":
+            values.append(lambda_contrast(nu, nn_table, spec.rho, spec.n_max,
+                                          e2=esum(config, (2,))))
+        else:
+            tail, _ = contrast_tail(nu, nn_table, spec.n_max)
+            values.append(nu ** 2 / (1.0 - nu) * (tail.real - 1.0))
+    return values, series_table
+
+
+def _cells(value) -> list:
+    if isinstance(value, EffectiveResult):
+        return [value.lambda11, value.lambda12]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return [value]
+
+
 def run_ensemble(desc: EnsembleDescriptor, quantities) -> EnsembleStats:
     """Generate the ensemble and average the requested quantities.
 
@@ -169,44 +218,15 @@ def run_ensemble(desc: EnsembleDescriptor, quantities) -> EnsembleStats:
     for spec in specs:
         columns.extend(spec.columns())
 
-    solver_params = SolverParams()
-    # one table of structural sums per trial, to the largest series order;
-    # each lambda-series quantity reads its own indices from it
-    series_orders = [s.order for s in specs if s.kind == "lambda_series"]
-    series_indices = required_indices(max(series_orders)) if series_orders else ()
-    series_sums = {idx: 0.0 + 0.0j for idx in series_indices}
-    # one kernel pass per trial to the highest order the sums read; the
-    # solver sizes its own stack
-    top = max([m for s in specs if s.kind == "esum" for m in s.index]
-              + [m for idx in series_indices for m in idx.entries]
-              + [s.n_max for s in specs if s.kind == "zeta1"], default=1)
-
     seeds = []
     rows = []
+    series_sums = {}
     for _, seed, config in iter_trials(desc):
         seeds.append(seed)
-        if top >= 2:
-            kernel_stack(config, top)
-        series_table = {idx: esum(config, idx) for idx in series_indices}
+        values, series_table = evaluate(config, specs, desc.nu)
         for idx, val in series_table.items():
-            series_sums[idx] += val
-        row = []
-        for spec in specs:
-            if spec.kind == "esum":
-                val = esum(config, spec.index)
-                row.extend([val.real, val.imag])
-            elif spec.kind == "lambda_solver":
-                res = solve_contrast(config, spec.rho, solver_params)
-                row.extend([res.lambda11, res.lambda12])
-            elif spec.kind == "lambda_series":
-                coeffs = cluster_coeffs(series_table, spec.rho, spec.order)
-                eff = lambda_cluster(spec.rho, desc.nu, coeffs)
-                row.extend([eff.lambda11, eff.lambda12])
-            elif spec.kind == "zeta1":
-                table = {n: esum_nn(config, n) for n in range(2, spec.n_max + 1)}
-                tail, _ = contrast_tail(desc.nu, table, spec.n_max)
-                row.append(desc.nu ** 2 / (1.0 - desc.nu) * (tail.real - 1.0))
-        rows.append(row)
+            series_sums[idx] = series_sums.get(idx, 0.0 + 0.0j) + val
+        rows.append([cell for value in values for cell in _cells(value)])
 
     data = np.asarray(rows, dtype=float)
     stats = {}
@@ -216,7 +236,7 @@ def run_ensemble(desc: EnsembleDescriptor, quantities) -> EnsembleStats:
 
     extras = {}
     for spec in specs:
-        if spec.kind in ("lambda_solver", "lambda_series"):
+        if spec.kind.startswith("lambda_"):
             s11 = stats[f"{spec.token}_lambda11"]
             s12 = stats[f"{spec.token}_lambda12"]
             extras[f"{spec.token}_lambda_e"] = s11["mean"]
@@ -294,26 +314,17 @@ def compare_methods(
     Returns one row per method with the difference from the solver value
     and the expected error scale of the method.
     """
-    # DomainError unless 1 <= order <= MAX_SERIES_ORDER, also at rho = 0
-    indices = required_indices(order)
-    solver_params = SolverParams()
-    sums = {"solver": 0.0 + 0.0j, "cluster": 0.0 + 0.0j, "contrast": 0.0 + 0.0j}
-    for _, _, config in iter_trials(desc):
-        res = solve_contrast(config, rho, solver_params)
-        sums["solver"] += complex(res.lambda11, -res.lambda12)
-        table = {idx: esum(config, idx) for idx in indices}
-        eff = lambda_cluster(rho, desc.nu, cluster_coeffs(table, rho, order))
-        sums["cluster"] += complex(eff.lambda11, -eff.lambda12)
-        nn_table = {n: esum_nn(config, n) for n in range(2, n_max + 1)}
-        e2 = table[as_multi_index(2)]
-        eff = lambda_contrast(desc.nu, nn_table, rho, n_max, e2=e2)
-        sums["contrast"] += complex(eff.lambda11, -eff.lambda12)
-
-    means = {k: v / desc.trials for k, v in sums.items()}
+    specs = [QuantitySpec("solver", "lambda_solver", rho=rho),
+             QuantitySpec("cluster", "lambda_series", rho=rho, order=order),
+             QuantitySpec("contrast", "lambda_contrast", rho=rho, n_max=n_max)]
+    per_trial = run_ensemble(desc, specs).per_trial
+    # lambda11 summed in trial order; numpy's pairwise mean rounds differently
+    means = {s.token: sum(row[2 * j] for row in per_trial) / desc.trials
+             for j, s in enumerate(specs)}
     alpha = shape_factor(desc.cell(), desc.radius)
     dilute = lambda_dilute(desc.nu, rho, alpha)
     pade = lambda_pade(desc.nu, rho, alpha)
-    solver_value = means["solver"].real
+    solver_value = means["solver"]
 
     scales = {
         "solver": ("converged", 0.0),
@@ -324,11 +335,7 @@ def compare_methods(
     }
     rows = []
     for method, value in [
-        ("solver", means["solver"].real),
-        ("cluster", means["cluster"].real),
-        ("contrast", means["contrast"].real),
-        ("dilute", dilute.lambda11),
-        ("pade", pade.lambda11),
+        *means.items(), ("dilute", dilute.lambda11), ("pade", pade.lambda11)
     ]:
         label, scale = scales[method]
         rows.append(

@@ -61,6 +61,14 @@ def _from_complex(value: complex, method: str, **diagnostics) -> EffectiveResult
     )
 
 
+def check_contrast(rho: float, nu: float | None = None):
+    """Raise DomainError unless -1 <= rho <= 1 and, if given, 0 < nu < 1."""
+    if not -1.0 <= rho <= 1.0:
+        raise DomainError(f"contrast rho = {rho:g} outside [-1, 1]")
+    if nu is not None and not 0.0 < nu < 1.0:
+        raise DomainError(f"nu = {nu:g} outside (0, 1)")
+
+
 def cluster_coeffs(esum_values: dict, rho: float, order: int) -> ClusterCoefficients:
     """A_1..A_order from a map of structural sums.
 
@@ -86,8 +94,7 @@ def cluster_coeffs(esum_values: dict, rho: float, order: int) -> ClusterCoeffici
 
 def lambda_cluster(rho: float, nu: float, coeffs: ClusterCoefficients) -> EffectiveResult:
     """Concentration series: 1 + 2*rho*nu*(1 + A_1 nu + ... + A_J nu^J)."""
-    if not 0.0 < nu < 1.0:
-        raise DomainError(f"nu = {nu:g} outside (0, 1)")
+    check_contrast(rho, nu)
     series = 1.0 + 0.0j
     power = 1.0
     for a_n in coeffs.values:
@@ -100,6 +107,8 @@ def lambda_cluster(rho: float, nu: float, coeffs: ClusterCoefficients) -> Effect
 def contrast_tail(nu: float, e_nn_table: dict, n_max: int):
     """Diagonal-sum tail sum_n (-1)^n (n-1) e_nn nu^(n-2)/pi^n and its
     last retained term."""
+    if n_max < 2:
+        raise DomainError(f"n_max must be >= 2, got {n_max}")
     tail = 0.0 + 0.0j
     last_term = 0.0 + 0.0j
     for n in range(2, n_max + 1):
@@ -131,10 +140,7 @@ def lambda_contrast(
     ensemble form is used (ensemble-averaged e_2 equals pi, so the rho^2
     coefficient is exactly 2 nu^2).
     """
-    if n_max < 2:
-        raise DomainError(f"n_max must be >= 2, got {n_max}")
-    if not 0.0 < nu < 1.0:
-        raise DomainError(f"nu = {nu:g} outside (0, 1)")
+    check_contrast(rho, nu)
     second = 1.0 + 0.0j if e2 is None else complex(e2) / math.pi
     tail, last_term = contrast_tail(nu, e_nn_table, n_max)
     value = (
@@ -185,8 +191,7 @@ def lambda_dilute(nu: float, rho: float, alpha: float = 1.0) -> EffectiveResult:
     This is the first-order truncation of the concentration series, so it
     differs from the exact value by 2*rho^2*nu^2*Re e2/pi + O(nu^3).
     """
-    if not 0.0 < nu < 1.0:
-        raise DomainError(f"nu = {nu:g} outside (0, 1)")
+    check_contrast(rho, nu)
     return _from_complex(
         complex(1.0 + 2.0 * rho * nu * alpha), "dilute", alpha=alpha
     )
@@ -194,8 +199,7 @@ def lambda_dilute(nu: float, rho: float, alpha: float = 1.0) -> EffectiveResult:
 
 def lambda_pade(nu: float, rho: float, alpha: float = 1.0) -> EffectiveResult:
     """Pade (1,1) resummation (1 + rho nu alpha)/(1 - rho nu alpha)."""
-    if not 0.0 < nu < 1.0:
-        raise DomainError(f"nu = {nu:g} outside (0, 1)")
+    check_contrast(rho, nu)
     x = rho * nu * alpha
     if abs(1.0 - x) < 1e-12:
         raise DomainError(f"Pade pole: rho*nu*alpha = {x:g}")

@@ -33,7 +33,7 @@ from .errors import ConvergenceError, DomainError
 from .esums import kernel_stack, step_weight
 from .geometry import DiskConfiguration
 from .lattice import Cell
-from .series import EffectiveResult
+from .series import EffectiveResult, check_contrast
 
 DEFAULT_DEGREE = 14
 
@@ -48,9 +48,6 @@ class TaylorField:
     @property
     def degree(self) -> int:
         return self.coeffs.shape[1] - 1
-
-    def center_values(self) -> np.ndarray:
-        return self.coeffs[:, 0]
 
     def __call__(self, z):
         """Evaluate the polynomial of the disk nearest to z in the periodic metric."""
@@ -250,8 +247,7 @@ def solve_contrast(
     when the Krylov budget runs out; order mode sums the successive
     approximations exactly to rho^order.
     """
-    if not -1.0 <= rho <= 1.0:
-        raise DomainError(f"contrast rho = {rho:g} outside [-1, 1]")
+    check_contrast(rho)
     params = params or SolverParams()
     degree = params.resolved_degree()
     # unit external flux: the additive normalization constant of the field

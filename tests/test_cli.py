@@ -116,6 +116,44 @@ class TestLambda:
         assert values["cluster"] == pytest.approx(values["solver"], abs=2e-2)
         assert values["pade"] == pytest.approx(values["solver"], abs=8e-2)
 
+    @pytest.mark.parametrize("method", ["cluster", "contrast", "solver", "dilute", "pade"])
+    def test_rho_outside_unit_interval_is_two(self, config_file, capsys, method):
+        code, _, err = run_cli(
+            capsys, "lambda", "--config", str(config_file),
+            "--rho", "3", "--method", method,
+        )
+        assert code == 2
+        assert "outside [-1, 1]" in err
+
+
+class TestKernelPasses:
+    """Each single-configuration command builds its kernels in one pass."""
+
+    @pytest.fixture()
+    def passes(self, monkeypatch):
+        import effcond.esums
+        from effcond.lattice import eisenstein_stack
+
+        calls = []
+
+        def counting(cell, n_lo, n_hi, z):
+            calls.append((n_lo, n_hi))
+            return eisenstein_stack(cell, n_lo, n_hi, z)
+
+        monkeypatch.setattr(effcond.esums, "eisenstein_stack", counting)
+        return calls
+
+    @pytest.mark.parametrize("argv, top", [
+        (["coeffs", "--rho", "0.8", "--order", "6"], 6),
+        (["lambda", "--rho", "0.8", "--method", "contrast"], 12),
+        (["lambda", "--rho", "0.8", "--method", "cluster", "--order", "12"], 12),
+        (["esum", "--index", "2", "--index", "3-3-2", "--index", "12-12"], 12),
+    ])
+    def test_one_pass(self, config_file, capsys, passes, argv, top):
+        code, _, _ = run_cli(capsys, *argv, "--config", str(config_file))
+        assert code == 0
+        assert passes == [(2, top)]
+
 
 class TestMc:
     def test_outputs_and_determinism(self, tmp_path, capsys):
@@ -184,6 +222,20 @@ class TestExitCodes:
         )
         assert code == 2
         assert "kernel order" in err
+
+    @pytest.mark.parametrize("token, message", [
+        ("zeta1:1", "n_max must be >= 2"),
+        ("zeta1:0", "n_max must be >= 2"),
+        ("zeta1:-3", "n_max must be >= 2"),
+        ("lambda-series:3:6", "outside [-1, 1]"),
+    ])
+    def test_quantity_outside_domain_is_two(self, tmp_path, capsys, token, message):
+        code, _, err = run_cli(
+            capsys, "mc", "--n", "4", "--nu", "0.1", "--trials", "1",
+            "--quantities", token, "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert message in err
 
     @pytest.mark.parametrize("rho", ["0", "0.5"])
     def test_compare_order_zero_is_two(self, capsys, rho):

@@ -203,6 +203,20 @@ class TestCompareMethods:
         rows = {r["method"]: r for r in compare_methods(desc, rho=1.0, order=6, n_max=8)}
         assert abs(rows["pade"]["diff_solver"]) < abs(rows["dilute"]["diff_solver"])
 
+    def test_reads_per_trial_values_of_mc(self):
+        desc = EnsembleDescriptor(n=8, nu=0.2, trials=10, seed=21)
+        rho, order = -0.7, 5
+        rows = compare_methods(desc, rho=rho, order=order)
+        per_trial = run_ensemble(
+            desc, [f"lambda-solver:{rho}", f"lambda-series:{rho}:{order}"]
+        ).per_trial
+        for j, method in enumerate(["solver", "cluster"]):
+            total = 0.0
+            for row in per_trial:
+                total += row[2 * j]
+            assert rows[j]["method"] == method
+            assert rows[j]["lambda_e"] == total / desc.trials
+
     def test_csv_emission(self):
         desc = EnsembleDescriptor(n=4, nu=0.1, trials=2, seed=3)
         rows = compare_methods(desc, rho=0.3, order=4, n_max=6)

@@ -242,6 +242,12 @@ class TestZeta1:
         with pytest.raises(DomainError):
             zeta1(1.0, {2: 0.0}, 2)
 
+    @pytest.mark.parametrize("n_max", [1, 0, -3])
+    def test_nmax_domain(self, n_max):
+        # the tail starts at e_22, so a cutoff below 2 has no terms to sum
+        with pytest.raises(DomainError):
+            zeta1(0.3, {}, n_max)
+
 
 class TestDiluteAndPade:
     def test_perfect_contrast_half_filling(self):
