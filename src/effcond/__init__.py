@@ -13,7 +13,7 @@ from .errors import (
     InvalidCellError,
     NearSingularityError,
 )
-from .lattice import Cell, eisenstein, eisenstein_regularized, lattice_sum, make_cell
+from .lattice import Cell, eisenstein, lattice_sum, make_cell
 from .geometry import (
     DiskConfiguration,
     EnsembleDescriptor,
@@ -30,7 +30,6 @@ from .esums import (
     esum,
     esum_nn,
     kernel_matrix,
-    required_indices,
 )
 from .series import (
     ClusterCoefficients,
@@ -84,7 +83,6 @@ __all__ = [
     "compare_methods",
     "constant_field",
     "eisenstein",
-    "eisenstein_regularized",
     "esum",
     "esum_nn",
     "kernel_matrix",
@@ -99,7 +97,6 @@ __all__ = [
     "periodic_distance",
     "periodic_reduce",
     "regular_array",
-    "required_indices",
     "rsa_generate",
     "run_ensemble",
     "save_configuration",

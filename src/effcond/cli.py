@@ -86,17 +86,15 @@ def cmd_gen(args) -> int:
 def cmd_esum(args) -> int:
     config = load_configuration(args.config)
     indices = [as_multi_index(_parse_index(t)).entries for t in args.index]
-    values, _ = evaluate(config, [QuantitySpec("", "esum", index=i) for i in indices],
-                         config.nu)
+    values = evaluate(config, [QuantitySpec("", "esum", index=i) for i in indices],
+                      config.nu)
     sys.stdout.write(esums_csv(Path(args.config).stem, dict(zip(indices, values))))
     return 0
 
 
 def cmd_coeffs(args) -> int:
     config = load_configuration(args.config)
-    spec = QuantitySpec("", "lambda_series", rho=args.rho, order=args.order)
-    _, table = evaluate(config, [spec], config.nu)
-    coeffs = cluster_coeffs(table, args.rho, args.order)
+    coeffs = cluster_coeffs(config, args.rho, args.order)
     rows = [(n + 1, a.real, a.imag) for n, a in enumerate(coeffs.values)]
     sys.stdout.write(dump_csv(["n", "re", "im"], rows))
     return 0
@@ -112,7 +110,7 @@ def cmd_lambda(args) -> int:
         kind = {"cluster": "lambda_series", "contrast": "lambda_contrast",
                 "solver": "lambda_solver"}[args.method]
         spec = QuantitySpec("", kind, rho=args.rho, order=args.order, n_max=args.nmax)
-        (result,), _ = evaluate(config, [spec], config.nu)
+        (result,) = evaluate(config, [spec], config.nu)
     sys.stdout.write(dump_json(result.to_dict()))
     return 0
 

@@ -22,7 +22,7 @@ class NearSingularityError(DomainError):
 
 
 class DependencyError(DomainError):
-    """A required input (e.g. a structural-sum index) is missing."""
+    """A required input (e.g. an e_nn table entry) is missing."""
 
     def __init__(self, message, missing=None):
         super().__init__(message)

@@ -10,18 +10,15 @@ per index after an O(N^2) per-order matrix build.
 Structural sums depend on the centers and the cell only; the disk radius
 never enters (it returns downstream through the concentration).
 
-The concentration-series coefficient A_n is generated, not tabulated: each
-of its terms is one degree path of the interaction operator W that starts
-and ends at Taylor degree 0 (series_terms), with the per-step weight
-step_weight that the solver's W also uses.  A_n has 2^(n-2) terms for
-n >= 2; MAX_SERIES_ORDER caps the cost.
+The concentration series (series.cluster_coeffs) reads the same kernel
+stack: one product per step of the interaction operator W between Taylor
+degrees, weighted by step_weight, which the solver's W also uses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -151,8 +148,8 @@ def step_weight(j: int, l: int) -> int:
     return (-1) ** j * math.comb(l + j + 1, j)
 
 
-#: Cost cap on the series order J: A_1..A_J need 2^(J-1) structural sums
-#: (2048 at J = 12, about 0.1 s together at N = 64).
+#: Highest concentration-series order J.  Order J >= 2 reads the kernels up
+#: to E_J; raising the cap waits on the accuracy of the high kernel orders.
 MAX_SERIES_ORDER = 12
 
 
@@ -162,43 +159,6 @@ def check_series_order(order: int):
         raise DomainError(
             f"series order must be in 1..{MAX_SERIES_ORDER}, got {order}"
         )
-
-
-def _degree_paths(budget: int, path: tuple):
-    """Completions of a degree path of W; each step to degree l costs 1 + l."""
-    if budget == 1:
-        yield path + (0,)
-    for l in range(budget - 1):
-        yield from _degree_paths(budget - 1 - l, path + (l,))
-
-
-@lru_cache(maxsize=None)
-def series_terms(n: int) -> tuple:
-    """Terms (prefactor, rho_power, entries) of pi^n A_n, by ascending rho power.
-
-    One term per degree path 0 = l_0, l_1, ..., l_q = 0 of W with
-    q + sum l_i = n: entries m_i = l_{i-1} + l_i + 2, rho power q and
-    prefactor prod_i step_weight(l_i, l_{i-1}).  Since sum m_i = 2n and
-    the path follows from m, no multi-index appears twice in any order.
-    """
-    check_series_order(n)
-    terms = []
-    for path in sorted(_degree_paths(n, (0,)), key=len):
-        steps = list(zip(path, path[1:]))
-        prefactor = math.prod(step_weight(j, l) for l, j in steps)
-        terms.append((prefactor, len(steps), tuple(l + j + 2 for l, j in steps)))
-    return tuple(terms)
-
-
-@lru_cache(maxsize=None)
-def required_indices(max_order: int) -> tuple:
-    """Multi-indices needed by the series coefficients A_1..A_J, each once."""
-    check_series_order(max_order)
-    return tuple(
-        MultiIndex(entries)
-        for n in range(1, max_order + 1)
-        for _, _, entries in series_terms(n)
-    )
 
 
 def esums_csv(config_id: str, values: dict) -> str:

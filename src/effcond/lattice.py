@@ -332,7 +332,8 @@ def eisenstein(cell: Cell, n: int, z):
 
     n = 1 is quasi-periodic (jump -2*pi*i/omega1 across omega2), n >= 2 is
     doubly periodic.  Points within NEAR_SINGULARITY_RADIUS of a lattice
-    point are refused; use eisenstein_regularized near z = 0.
+    point are refused; the kernel matrices take the regularized value S_n
+    (lattice_sum) at z = 0.
     """
     val = eisenstein_stack(cell, n, n, z)[0]
     return complex(val) if val.ndim == 0 else val
@@ -377,46 +378,3 @@ def _lattice_sum_recurrence(sums: dict, n: int) -> complex:
     for m in range(2, k - 1):
         acc += (2 * m - 1) * (2 * (k - m) - 1) * sums[2 * m] * sums[2 * (k - m)]
     return 3.0 * acc / ((2 * k + 1) * (2 * k - 1) * (k - 3))
-
-
-def regularized_taylor_coeff(cell: Cell, n: int, j: int) -> complex:
-    """j-th Taylor coefficient of E_n-minus-pole at 0: (-1)^j C(n+j-1, j) S_{n+j}."""
-    return ((-1) ** j) * math.comb(n + j - 1, j) * lattice_sum(cell, n + j)
-
-
-def eisenstein_regularized(cell: Cell, n: int, z):
-    """E_n(z) - z^(-n), analytic at z = 0 with value S_n.
-
-    z is taken modulo the lattice (the pole subtracted is the one nearest
-    to z).  Near the origin the Taylor series in lattice sums is used;
-    elsewhere the direct difference is accurate.
-    """
-    if n < 2:
-        raise DomainError(f"regularized kernel order must be >= 2, got {n}")
-    scalar = np.isscalar(z) or np.asarray(z).ndim == 0
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    zr, _, _ = cell.reduce(z)
-    zn = cell.min_image(z)  # z relative to its nearest lattice point
-
-    out = np.empty(zn.shape, dtype=complex)
-    # inside the series region the Taylor expansion in lattice sums is both
-    # fast and free of the pole-subtraction cancellation of the direct path
-    switch = 0.35 * cell.min_period
-    near = np.abs(zn) <= switch
-    if np.any(near):
-        zs = zn[near]
-        acc = np.zeros(zs.shape, dtype=complex)
-        power = np.ones(zs.shape, dtype=complex)
-        for j in range(0, 141):
-            coef = regularized_taylor_coeff(cell, n, j)
-            term = coef * power
-            acc += term
-            power *= zs
-            if j > 4 and np.all(np.abs(term) <= 1e-18 * (1.0 + np.abs(acc))):
-                break
-        out[near] = acc
-    far = ~near
-    if np.any(far):
-        # E_n is doubly periodic for n >= 2; the stack takes reduced points
-        out[far] = _eisenstein_stack(cell, n, n, zr[far])[0] - zn[far] ** (-n)
-    return complex(out[0]) if scalar else out

@@ -1,8 +1,8 @@
 """Closed-form effective-conductivity series.
 
 Implements the concentration (cluster) series with coefficients A_1..A_J
-(J <= 12), each a sum of structural sums over the degree paths of the
-interaction operator W (esums.series_terms); the contrast series through
+(J <= 12), summed over the degree paths of the interaction operator W by one
+recursion over (r^2 grade, Taylor degree) states; the contrast series through
 third order in the contrast parameter, the Torquato-Milton parameter
 zeta_1, the third-order contrast-expansion coefficient, and the dilute /
 Pade(1,1) estimates with a shape factor.
@@ -13,8 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DependencyError, DomainError
-from .esums import as_multi_index, check_series_order, series_terms
+from .esums import _matvec, check_series_order, kernel_stack, step_weight
+from .geometry import DiskConfiguration
 
 
 @dataclass(frozen=True)
@@ -69,26 +72,37 @@ def check_contrast(rho: float, nu: float | None = None):
         raise DomainError(f"nu = {nu:g} outside (0, 1)")
 
 
-def cluster_coeffs(esum_values: dict, rho: float, order: int) -> ClusterCoefficients:
-    """A_1..A_order from a map of structural sums.
+def cluster_coeffs(config: DiskConfiguration, rho: float, order: int) -> ClusterCoefficients:
+    """A_1..A_order of one configuration, by a recursion over degree states.
 
-    A_n = pi^(-n) * sum of prefactor * rho^power * e_entries over
-    series_terms(n).  Raises DependencyError naming the first missing index.
+    A_n sums rho^q times a product of step weights times a structural sum
+    over the degree paths 0 = l_0, l_1, ..., l_q = 0 of W with
+    q + sum l_i = n.  Summing the paths before the chain is applied leaves
+    one N-vector v[b, l] per state (r^2 grade b, Taylor degree l), from
+    v[0, 0] = 1: a step to degree j adds
+    rho * step_weight(j, l) * E_{l+j+2} conj(v[b, l]) to v[b+l+1, j], and
+    A_n = sum(v[n, 0]) / (N^(n+1) pi^n).  Only steps that can still return
+    to degree 0 by grade `order` are taken, so E_2..E_order are read.
     """
     check_series_order(order)
-    lookup = {as_multi_index(idx).entries: complex(v) for idx, v in esum_values.items()}
+    check_contrast(rho)
+    kernels = kernel_stack(config, max(order, 2))
+    n_disks = config.n_disks
+    states = {(0, 0): np.ones(n_disks, dtype=complex)}
     values = []
-    for n in range(1, order + 1):
-        acc = 0.0 + 0.0j
-        for prefactor, rho_power, entries in series_terms(n):
-            if entries not in lookup:
-                label = "-".join(str(m) for m in entries)
-                raise DependencyError(
-                    f"structural sum e_{label} required for A_{n} is missing",
-                    missing=label,
-                )
-            acc += prefactor * (rho ** rho_power) * lookup[entries]
-        values.append(acc / math.pi ** n)
+    for b in range(order + 1):
+        if b:
+            values.append(complex(np.sum(states[b, 0]) / n_disks ** (b + 1)) / math.pi ** b)
+        for l in range(order - b):
+            vec = states.pop((b, l), None)  # grade 0 holds (0, 0) alone
+            if vec is None:
+                continue
+            conj = np.conj(vec)
+            grade = b + l + 1
+            # a step to degree j > 0 needs another of grade j + 1 to return
+            for j in range(max(order - grade, 1)):
+                step = rho * step_weight(j, l) * _matvec(kernels[l + j], conj)
+                states[grade, j] = states.get((grade, j), 0.0) + step
     return ClusterCoefficients(order=order, values=tuple(values), rho=float(rho))
 
 

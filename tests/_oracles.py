@@ -6,21 +6,34 @@ translates in the prescribed iterated order (inner index along omega1, outer
 transverse, both symmetric), optionally Richardson-extrapolated in the
 truncation limits, or high-precision row sums in closed form through mpmath;
 nothing there is shared with the production evaluation path.  The
-structural-sum and operator references take the production kernel matrices
-and check what is built on them: the nested sum term by term, and the dense
-interaction matrix block by block.  The series references are the printed
-coefficient table through A_6 and the operator iterates W^p(1) split by r^2
-grade, with the exact low-order fields they must reproduce.
+pole-subtracted kernel E_n(z) - z^(-n) is the Taylor series in the
+production lattice sums near z = 0 and the production kernel minus the pole
+elsewhere.  The structural-sum and operator references take the production
+kernel matrices and check what is built on them: the nested sum term by
+term, and the dense interaction matrix block by block.  The series
+references are the printed coefficient table through A_6, the closed form
+of A_n as one structural sum per degree path of W (2^(n-2) terms for
+n >= 2), and the operator iterates W^p(1) split by r^2 grade, with the
+exact low-order fields they must reproduce.
 """
 
 import math
+from functools import lru_cache
 
 import mpmath
 import numpy as np
 
-from effcond.errors import DomainError
-from effcond.esums import as_multi_index, kernel_matrix
+from effcond.errors import DependencyError, DomainError
+from effcond.esums import (
+    MultiIndex,
+    as_multi_index,
+    check_series_order,
+    kernel_matrix,
+    step_weight,
+)
 from effcond.geometry import DiskConfiguration
+from effcond.lattice import eisenstein, lattice_sum
+from effcond.series import ClusterCoefficients
 from effcond.solver import DEFAULT_DEGREE, TaylorField, apply_W, constant_field
 
 
@@ -63,6 +76,45 @@ def eisenstein_mpmath(cell, n, z, dps=40):
         for m2 in range(1, rows + 1):
             total += row(m2) + row(-m2)
         return complex(total / omega1 ** n)
+
+
+def regularized_taylor_coeff(cell, n: int, j: int) -> complex:
+    """j-th Taylor coefficient of E_n-minus-pole at 0: (-1)^j C(n+j-1, j) S_{n+j}."""
+    return ((-1) ** j) * math.comb(n + j - 1, j) * lattice_sum(cell, n + j)
+
+
+def eisenstein_regularized(cell, n: int, z):
+    """E_n(z) - z^(-n), analytic at z = 0 with value S_n.
+
+    z is taken modulo the lattice (the pole subtracted is the one nearest
+    to z).  Near the origin the Taylor series in lattice sums is used;
+    elsewhere the direct difference is accurate.
+    """
+    if n < 2:
+        raise DomainError(f"regularized kernel order must be >= 2, got {n}")
+    scalar = np.isscalar(z) or np.asarray(z).ndim == 0
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    zn = cell.min_image(z)  # z relative to its nearest lattice point
+
+    out = np.empty(zn.shape, dtype=complex)
+    # inside the series region the Taylor expansion in lattice sums is both
+    # fast and free of the pole-subtraction cancellation of the direct path
+    near = np.abs(zn) <= 0.35 * cell.min_period
+    if np.any(near):
+        zs = zn[near]
+        acc = np.zeros(zs.shape, dtype=complex)
+        power = np.ones(zs.shape, dtype=complex)
+        for j in range(0, 141):
+            term = regularized_taylor_coeff(cell, n, j) * power
+            acc += term
+            power *= zs
+            if j > 4 and np.all(np.abs(term) <= 1e-18 * (1.0 + np.abs(acc))):
+                break
+        out[near] = acc
+    far = ~near
+    if np.any(far):
+        out[far] = eisenstein(cell, n, z[far]) - zn[far] ** (-n)
+    return complex(out[0]) if scalar else out
 
 
 def lattice_sum_mpmath(cell, n, dps=20):
@@ -194,6 +246,66 @@ COEFFICIENT_TABLE = {
         (1, 6, (2, 2, 2, 2, 2, 2)),
     ],
 }
+
+
+def _degree_paths(budget: int, path: tuple):
+    """Completions of a degree path of W; each step to degree l costs 1 + l."""
+    if budget == 1:
+        yield path + (0,)
+    for l in range(budget - 1):
+        yield from _degree_paths(budget - 1 - l, path + (l,))
+
+
+@lru_cache(maxsize=None)
+def series_terms(n: int) -> tuple:
+    """Terms (prefactor, rho_power, entries) of pi^n A_n, by ascending rho power.
+
+    One term per degree path 0 = l_0, l_1, ..., l_q = 0 of W with
+    q + sum l_i = n: entries m_i = l_{i-1} + l_i + 2, rho power q and
+    prefactor prod_i step_weight(l_i, l_{i-1}).  Since sum m_i = 2n and
+    the path follows from m, no multi-index appears twice in any order.
+    """
+    check_series_order(n)
+    terms = []
+    for path in sorted(_degree_paths(n, (0,)), key=len):
+        steps = list(zip(path, path[1:]))
+        prefactor = math.prod(step_weight(j, l) for l, j in steps)
+        terms.append((prefactor, len(steps), tuple(l + j + 2 for l, j in steps)))
+    return tuple(terms)
+
+
+@lru_cache(maxsize=None)
+def required_indices(max_order: int) -> tuple:
+    """Multi-indices needed by the series coefficients A_1..A_J, each once."""
+    check_series_order(max_order)
+    return tuple(
+        MultiIndex(entries)
+        for n in range(1, max_order + 1)
+        for _, _, entries in series_terms(n)
+    )
+
+
+def cluster_coeffs_table(esum_values: dict, rho: float, order: int) -> ClusterCoefficients:
+    """A_1..A_order from a map of structural sums, one per term of series_terms.
+
+    A_n = pi^(-n) * sum of prefactor * rho^power * e_entries.  Raises
+    DependencyError naming the first missing index.
+    """
+    check_series_order(order)
+    lookup = {as_multi_index(idx).entries: complex(v) for idx, v in esum_values.items()}
+    values = []
+    for n in range(1, order + 1):
+        acc = 0.0 + 0.0j
+        for prefactor, rho_power, entries in series_terms(n):
+            if entries not in lookup:
+                label = "-".join(str(m) for m in entries)
+                raise DependencyError(
+                    f"structural sum e_{label} required for A_{n} is missing",
+                    missing=label,
+                )
+            acc += prefactor * (rho ** rho_power) * lookup[entries]
+        values.append(acc / math.pi ** n)
+    return ClusterCoefficients(order=order, values=tuple(values), rho=float(rho))
 
 
 def _field_from_sources(

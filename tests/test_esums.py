@@ -15,14 +15,13 @@ from effcond import (
     esum_nn,
     kernel_matrix,
     regular_array,
-    required_indices,
     rsa_generate,
 )
 import effcond.esums
 from effcond.esums import _matvec, as_multi_index, esums_csv, kernel_stack
 from effcond.lattice import eisenstein_stack
 
-from _oracles import eisenstein_mpmath, esum_reference
+from _oracles import eisenstein_mpmath, esum_reference, required_indices
 
 
 @pytest.fixture(scope="module")

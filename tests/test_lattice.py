@@ -9,13 +9,18 @@ from effcond import (
     InvalidCellError,
     NearSingularityError,
     eisenstein,
-    eisenstein_regularized,
     lattice_sum,
     make_cell,
 )
-from effcond.lattice import _lattice_sum_rows, _zeta_even, regularized_taylor_coeff
+from effcond.lattice import _lattice_sum_rows, _zeta_even
 
-from _oracles import eisenstein_brute, lattice_sum_disk_sweep, lattice_sum_mpmath
+from _oracles import (
+    eisenstein_brute,
+    eisenstein_regularized,
+    lattice_sum_disk_sweep,
+    lattice_sum_mpmath,
+    regularized_taylor_coeff,
+)
 
 # frozen dev value: disk-truncation sweep of sum' P^-4 on the square cell,
 # independently reproduced below to 1e-9

@@ -15,7 +15,8 @@ from effcond import (
     trial_seed,
     write_run,
 )
-from effcond.pipeline import compare_csv, compare_methods
+from effcond.pipeline import compare_csv, compare_methods, iter_trials
+from effcond.series import ClusterCoefficients, cluster_coeffs, lambda_cluster
 
 
 class TestParseQuantity:
@@ -86,27 +87,41 @@ class TestRunEnsemble:
         )
 
     def test_series_reduction_routes_reported(self):
+        # the _from_mean_esums key is the mean of lambda: lambda is affine in
+        # A_n, so lambda of the mean coefficients differs only by rounding
         desc = EnsembleDescriptor(n=8, nu=0.2, trials=10, seed=5)
         stats = run_ensemble(desc, ["lambda-series:0.5:3"])
         key = "lambda-series:0.5:3"
-        both = stats.extras[f"{key}_lambda_e"], stats.extras[f"{key}_from_mean_esums"]
-        assert abs(both[0] - both[1]) < 1e-3  # nonlinear-in-esums discrepancy
+        coeffs = [cluster_coeffs(config, 0.5, 3).values for _, _, config in iter_trials(desc)]
+        mean = ClusterCoefficients(3, tuple(np.mean(coeffs, axis=0)), 0.5)
+        from_mean = lambda_cluster(0.5, desc.nu, mean).lambda11
+        assert stats.extras[f"{key}_from_mean_esums"] == stats.extras[f"{key}_lambda_e"]
+        assert stats.extras[f"{key}_from_mean_esums"] == pytest.approx(from_mean, rel=1e-12)
 
     def test_series_quantities_share_one_table(self, monkeypatch):
         import effcond.pipeline as pipeline
+        import effcond.series as series
 
         desc = EnsembleDescriptor(n=8, nu=0.2, trials=2, seed=5)
         tokens = ["lambda-series:0.8:6", "lambda-series:1.0:6"]
         alone = [run_ensemble(desc, [t]) for t in tokens]
         calls = []
+        products = []
 
         def counting(config, index):
             calls.append(index)
             return esum(config, index)
 
+        def counting_matvec(mat, vec):
+            products.append(mat.shape)
+            return series_matvec(mat, vec)
+
+        series_matvec = series._matvec
         monkeypatch.setattr(pipeline, "esum", counting)
+        monkeypatch.setattr(series, "_matvec", counting_matvec)
         both = run_ensemble(desc, ["zeta1:6"] + tokens)
-        assert len(calls) == 32 * desc.trials  # A_1..A_6 need 32 sums
+        assert calls == []  # the series read the kernel stack, not structural sums
+        assert len(products) == 2 * 2 * 30  # 30 products per order-6 recursion
         for one in alone:
             for key, value in one.stats.items():
                 assert both.stats[key] == value
@@ -127,6 +142,9 @@ class TestRunEnsemble:
         desc = EnsembleDescriptor(n=8, nu=0.2, trials=3, seed=5)
         run_ensemble(desc, ["lambda-series:0.8:6", "zeta1:12"])
         assert calls == [(2, 12)] * desc.trials
+        calls.clear()
+        run_ensemble(desc, ["lambda-series:0.8:8"])  # order J reads E_2..E_J
+        assert calls == [(2, 8)] * desc.trials
 
     def test_zeta1_quantity(self):
         desc = EnsembleDescriptor(n=8, nu=0.2, trials=12, seed=6)

@@ -12,7 +12,6 @@ from effcond import (
     EnsembleDescriptor,
     cluster_coeffs,
     esum,
-    required_indices,
     rsa_generate,
     run_ensemble,
     trial_seed,
@@ -55,8 +54,7 @@ class TestEnsembleIsotropy:
         per_trial = []
         for i in range(desc.trials):
             config = rsa_generate(desc, seed=trial_seed(desc.seed, i))
-            table = {idx.entries: esum(config, idx) for idx in required_indices(order)}
-            coeffs = cluster_coeffs(table, rho, order)
+            coeffs = cluster_coeffs(config, rho, order)
             per_trial.append([a.imag for a in coeffs.values])
         data = np.asarray(per_trial)
         means = data.mean(axis=0)

@@ -16,13 +16,11 @@ from effcond import (
     lambda_dilute,
     lambda_pade,
     regular_array,
-    required_indices,
     rsa_generate,
     zeta1,
 )
-from effcond.esums import series_terms
 
-from _oracles import COEFFICIENT_TABLE
+from _oracles import COEFFICIENT_TABLE, cluster_coeffs_table, required_indices, series_terms
 
 
 @pytest.fixture(scope="module")
@@ -31,10 +29,6 @@ def rsa8_table():
     table = {idx.entries: esum(config, idx) for idx in required_indices(6)}
     nn = {n: esum_nn(config, n) for n in range(2, 13)}
     return config, table, nn
-
-
-def esum_table(config, order):
-    return {idx.entries: esum(config, idx) for idx in required_indices(order)}
 
 
 class TestSeriesTerms:
@@ -51,36 +45,59 @@ class TestSeriesTerms:
         assert len(entries) == len(set(entries)) == 2 ** 11
 
 
+class TestRecursionAgainstTable:
+    """The degree-state recursion against one structural sum per degree path."""
+
+    @pytest.mark.parametrize("omega2", [1j, np.exp(1j * np.pi / 3), 0.3j],
+                             ids=["square", "hexagonal", "aspect-0.3"])
+    def test_matches_closed_form_table(self, omega2):
+        desc = EnsembleDescriptor(n=12, nu=0.3, trials=1, seed=41, cell_omega2=omega2)
+        config = rsa_generate(desc)
+        table = {idx.entries: esum(config, idx) for idx in required_indices(10)}
+        for order in range(1, 11):
+            for rho in (1.0, 0.8, -0.6):
+                got = cluster_coeffs(config, rho, order).values
+                want = cluster_coeffs_table(table, rho, order).values
+                assert len(got) == order
+                for n, (a, b) in enumerate(zip(got, want), start=1):
+                    assert a == pytest.approx(b, rel=1e-13), f"A_{n}, J={order}, rho={rho}"
+            assert cluster_coeffs(config, 0.0, order).values == (0j,) * order
+
+
 class TestClusterCoeffs:
     def test_single_disk_square_first_orders(self, square_cell):
         config = regular_array(square_cell, "square", 1, 0.2)
-        coeffs = cluster_coeffs(esum_table(config, 2), rho=1.0, order=2)
+        coeffs = cluster_coeffs(config, rho=1.0, order=2)
         assert coeffs.values[0] == pytest.approx(1.0, abs=1e-12)
         assert coeffs.values[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_contrast_zeroes_all(self, rsa8_table):
-        _, table, _ = rsa8_table
-        coeffs = cluster_coeffs(table, rho=0.0, order=6)
+        config, _, _ = rsa8_table
+        coeffs = cluster_coeffs(config, rho=0.0, order=6)
         assert all(v == 0.0 for v in coeffs.values)
 
     def test_missing_index_named(self):
+        # the table oracle names the structural sum it lacks
         with pytest.raises(DependencyError) as err:
-            cluster_coeffs({(2,): 3.14}, rho=0.5, order=3)
+            cluster_coeffs_table({(2,): 3.14}, rho=0.5, order=3)
         assert "2-2" in str(err.value)
         assert err.value.missing == "2-2"
 
     def test_order_range(self, rsa8_table):
-        _, table, _ = rsa8_table
-        with pytest.raises(DomainError):
-            cluster_coeffs(table, rho=0.5, order=13)
+        config, _, _ = rsa8_table
+        for order in (0, 13):
+            with pytest.raises(DomainError):
+                cluster_coeffs(config, rho=0.5, order=order)
+        with pytest.raises(DomainError, match=r"outside \[-1, 1\]"):
+            cluster_coeffs(config, rho=1.5, order=2)
 
     def test_rho_parity_structure(self, rsa8_table):
         # terms with even powers of rho are even under rho negation, odd
-        # powers odd; verified against the table split by parity
-        _, table, _ = rsa8_table
+        # powers odd; verified against the printed table split by parity
+        config, table, _ = rsa8_table
         rho = 0.73
-        plus = cluster_coeffs(table, rho, 6).values
-        minus = cluster_coeffs(table, -rho, 6).values
+        plus = cluster_coeffs(config, rho, 6).values
+        minus = cluster_coeffs(config, -rho, 6).values
         for n in range(1, 7):
             even = sum(
                 pref * rho ** p * table[e]
@@ -98,16 +115,16 @@ class TestClusterCoeffs:
 
 class TestLambdaCluster:
     def test_zero_contrast_gives_one(self, rsa8_table):
-        _, table, _ = rsa8_table
-        coeffs = cluster_coeffs(table, rho=0.0, order=6)
+        config, _, _ = rsa8_table
+        coeffs = cluster_coeffs(config, rho=0.0, order=6)
         result = lambda_cluster(0.0, 0.3, coeffs)
         assert result.lambda11 == 1.0
         assert result.lambda12 == 0.0
 
     def test_order_one_by_hand(self, rsa8_table):
-        _, table, _ = rsa8_table
+        config, table, _ = rsa8_table
         rho, nu = 0.6, 0.14
-        coeffs = cluster_coeffs(table, rho, 1)
+        coeffs = cluster_coeffs(config, rho, 1)
         result = lambda_cluster(rho, nu, coeffs)
         a1 = rho * table[(2,)] / math.pi
         expected = 1 + 2 * rho * nu * (1 + a1 * nu)
@@ -124,30 +141,30 @@ class TestLambdaCluster:
         assert result.lambda12 == 0.0
 
     def test_nu_domain(self, rsa8_table):
-        _, table, _ = rsa8_table
-        coeffs = cluster_coeffs(table, 0.5, 2)
+        config, _, _ = rsa8_table
+        coeffs = cluster_coeffs(config, 0.5, 2)
         for nu in (0.0, 1.0, -0.1):
             with pytest.raises(DomainError):
                 lambda_cluster(0.5, nu, coeffs)
 
     def test_lambda_at_least_one_for_positive_contrast(self, rsa8_table):
-        _, table, _ = rsa8_table
+        config, _, _ = rsa8_table
         for rho in (0.0, 0.3, 0.7, 1.0):
-            coeffs = cluster_coeffs(table, rho, 6)
+            coeffs = cluster_coeffs(config, rho, 6)
             for nu in (0.05, 0.15, 0.3):
                 assert lambda_cluster(rho, nu, coeffs).lambda11 >= 1.0
 
     def test_order_consistency_exponent(self, rsa8_table):
         # |lambda(J) - lambda(J-1)| = 2|rho A_J| nu^(J+1) on a fixed
         # configuration, so the fitted exponent is J+1
-        _, table, _ = rsa8_table
+        config, _, _ = rsa8_table
         rho = 0.8
         for J in (3, 4, 5, 6):
             nus = np.array([0.05, 0.1, 0.15, 0.2, 0.25])
             diffs = []
             for nu in nus:
-                hi = lambda_cluster(rho, nu, cluster_coeffs(table, rho, J))
-                lo = lambda_cluster(rho, nu, cluster_coeffs(table, rho, J - 1))
+                hi = lambda_cluster(rho, nu, cluster_coeffs(config, rho, J))
+                lo = lambda_cluster(rho, nu, cluster_coeffs(config, rho, J - 1))
                 diffs.append(
                     abs(complex(hi.lambda11, -hi.lambda12) - complex(lo.lambda11, -lo.lambda12))
                 )
@@ -200,7 +217,7 @@ class TestCrossExpansionConsistency:
         rhos = np.linspace(-1.0, 1.0, 9)
         values = []
         for rho in rhos:
-            res = lambda_cluster(rho, nu, cluster_coeffs(table, rho, order))
+            res = lambda_cluster(rho, nu, cluster_coeffs(config, rho, order))
             values.append(complex(res.lambda11, -res.lambda12))
         fit = np.polynomial.polynomial.polyfit(rhos, values, 7)
 
@@ -263,9 +280,9 @@ class TestDiluteAndPade:
             lambda_pade(0.5, 1.0, 2.0)
 
     def test_both_near_cluster_series_at_low_nu(self, rsa8_table):
-        _, table, _ = rsa8_table
+        config, _, _ = rsa8_table
         nu, rho = 0.05, 1.0
-        ref = lambda_cluster(rho, nu, cluster_coeffs(table, rho, 6)).lambda11
+        ref = lambda_cluster(rho, nu, cluster_coeffs(config, rho, 6)).lambda11
         dil = lambda_dilute(nu, rho, 1.0).lambda11
         pad = lambda_pade(nu, rho, 1.0).lambda11
         assert abs(dil - ref) < 3 * nu ** 2

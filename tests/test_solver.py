@@ -20,7 +20,6 @@ from effcond import (
     lambda_cluster,
     lattice_sum,
     regular_array,
-    required_indices,
     rsa_generate,
     shape_factor,
     solve_contrast,
@@ -219,13 +218,7 @@ class TestSolveContrast:
         config = regular_array(square_cell, "square", 1, 0.2)
         res = solve_contrast(config, 1.0, SolverParams(degree=24, tolerance=1e-13))
         assert res.lambda12 == pytest.approx(0.0, abs=1e-12)
-        series = lambda_cluster(
-            1.0,
-            0.2,
-            cluster_coeffs(
-                {i.entries: esum(config, i) for i in required_indices(6)}, 1.0, 6
-            ),
-        )
+        series = lambda_cluster(1.0, 0.2, cluster_coeffs(config, 1.0, 6))
         assert res.lambda11 == pytest.approx(series.lambda11, abs=2e-4)
 
     def test_realness_for_conjugation_symmetric_config(self, square_cell):
@@ -350,8 +343,7 @@ class TestSolveContrast:
         config = DiskConfiguration(cell=base.cell, centers=base.centers, radius=r)
         rho = 0.8
         res = solve_contrast(config, rho, SolverParams(degree=20, tolerance=1e-14))
-        table = {i.entries: esum(config, i) for i in required_indices(6)}
-        series = lambda_cluster(rho, nu, cluster_coeffs(table, rho, 6))
+        series = lambda_cluster(rho, nu, cluster_coeffs(config, rho, 6))
         diff = abs(
             complex(res.lambda11, -res.lambda12)
             - complex(series.lambda11, -series.lambda12)
@@ -371,17 +363,16 @@ class TestSolveContrast:
 
 class TestCoefficientTableAgainstOperator:
     def test_series_coefficients_match_grade_resolved_iterates(self):
-        # Independent check of the generated coefficients A_1..A_10: the
+        # Independent check of the recursion's coefficients A_1..A_10: the
         # grade-resolved operator iterates W^p(1) give the exact expansion
         # mean psi(a_k) = 1 + sum_n A_n nu^n with
         # A_n = sum_p rho^p mean(X[p,n][:,0]) / (N pi)^n, exact for
-        # degree >= n - 2, with no structural sums involved.
+        # degree >= n - 2, through apply_W and its field objects.
         config = rsa_generate(EnsembleDescriptor(n=5, nu=0.18, trials=1, seed=97))
         grades = contrast_cluster_grades(config, p_max=10, grade_max=10, degree=9)
         nu = config.nu  # grade-n blocks carry r^(2n); nu^n = (N pi r^2)^n
-        table = {idx.entries: esum(config, idx) for idx in required_indices(10)}
         for rho in (0.7, -0.6):
-            coeffs = cluster_coeffs(table, rho, 10)
+            coeffs = cluster_coeffs(config, rho, 10)
             for n in range(1, 11):
                 from_operator = sum(
                     rho ** p * np.mean(block[:, 0])
