@@ -48,7 +48,6 @@ from .solver import (
     TaylorField,
     apply_W,
     constant_field,
-    shape_factor,
     solve_contrast,
 )
 from .pipeline import (
@@ -100,7 +99,6 @@ __all__ = [
     "rsa_generate",
     "run_ensemble",
     "save_configuration",
-    "shape_factor",
     "solve_contrast",
     "trial_seed",
     "write_run",

@@ -26,7 +26,6 @@ from .pipeline import (
 )
 from .serialize import dump_csv, dump_json
 from .series import cluster_coeffs, lambda_dilute, lambda_pade
-from .solver import shape_factor
 
 
 def _parse_cell(text: str):
@@ -103,9 +102,8 @@ def cmd_coeffs(args) -> int:
 def cmd_lambda(args) -> int:
     config = load_configuration(args.config)
     if args.method in ("dilute", "pade"):
-        alpha = shape_factor(config.cell, config.radius)
         fn = lambda_dilute if args.method == "dilute" else lambda_pade
-        result = fn(config.nu, args.rho, alpha)
+        result = fn(config.nu, args.rho)
     else:
         kind = {"cluster": "lambda_series", "contrast": "lambda_contrast",
                 "solver": "lambda_solver"}[args.method]

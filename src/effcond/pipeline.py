@@ -33,13 +33,13 @@ from .serialize import dump_csv, dump_json
 from .series import (
     EffectiveResult,
     cluster_coeffs,
-    contrast_tail,
     lambda_cluster,
     lambda_contrast,
     lambda_dilute,
     lambda_pade,
+    zeta1,
 )
-from .solver import shape_factor, solve_contrast
+from .solver import DEFAULT_DEGREE, kernel_top, solve_contrast
 
 DEFAULT_CONTRAST_NMAX = 12
 
@@ -165,16 +165,17 @@ def evaluate(config, specs, nu: float):
     """Values of the quantities in specs on one configuration.
 
     One kernel pass reaches the highest order any spec reads (series order
-    J reads E_J); the solver sizes its own stack.  zeta1 / lambda_contrast
-    read one e_nn table, built to the largest cutoff asked for.  Returns a
+    J reads E_J, the solver E_{2L+3} at its default degree L).  zeta1 /
+    lambda_contrast read one e_nn table, built to the largest cutoff asked for.  Returns a
     complex per esum, an EffectiveResult per lambda kind and a float per zeta1.
     """
     series_orders = [s.order for s in specs if s.kind == "lambda_series"]
     for order in series_orders:
         check_series_order(order)
     n_maxes = [s.n_max for s in specs if s.kind in ("zeta1", "lambda_contrast")]
+    solver_tops = [kernel_top(DEFAULT_DEGREE) for s in specs if s.kind == "lambda_solver"]
     top = max([m for s in specs if s.kind == "esum" for m in s.index]
-              + series_orders + n_maxes, default=1)
+              + series_orders + n_maxes + solver_tops, default=1)
     if top >= 2:
         kernel_stack(config, top)
     nn_table = {n: esum_nn(config, n) for n in range(2, max(n_maxes, default=1) + 1)}
@@ -191,8 +192,7 @@ def evaluate(config, specs, nu: float):
             values.append(lambda_contrast(nu, nn_table, spec.rho, spec.n_max,
                                           e2=esum(config, (2,))))
         else:
-            tail, _ = contrast_tail(nu, nn_table, spec.n_max)
-            values.append(nu ** 2 / (1.0 - nu) * (tail.real - 1.0))
+            values.append(zeta1(nu, nn_table, spec.n_max))
     return values
 
 
@@ -315,9 +315,8 @@ def compare_methods(
     # lambda11 summed in trial order; numpy's pairwise mean rounds differently
     means = {s.token: sum(row[2 * j] for row in per_trial) / desc.trials
              for j, s in enumerate(specs)}
-    alpha = shape_factor(desc.cell(), desc.radius)
-    dilute = lambda_dilute(desc.nu, rho, alpha)
-    pade = lambda_pade(desc.nu, rho, alpha)
+    dilute = lambda_dilute(desc.nu, rho)
+    pade = lambda_pade(desc.nu, rho)
     solver_value = means["solver"]
 
     scales = {

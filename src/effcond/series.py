@@ -4,8 +4,9 @@ Implements the concentration (cluster) series with coefficients A_1..A_J
 (J <= 12), summed over the degree paths of the interaction operator W by one
 recursion over (r^2 grade, Taylor degree) states; the contrast series through
 third order in the contrast parameter, the Torquato-Milton parameter
-zeta_1, the third-order contrast-expansion coefficient, and the dilute /
-Pade(1,1) estimates with a shape factor.
+zeta_1, the third-order contrast-expansion coefficient, and the closed-form
+dilute estimate 1 + 2 rho nu and its Pade(1,1) resummation
+(1 + rho nu)/(1 - rho nu).
 """
 
 from __future__ import annotations
@@ -199,22 +200,21 @@ def a13(nu: float, ehat_nn_table: dict, n_max: int = 12) -> float:
     return zeta1(nu, ehat_nn_table, n_max) * nu * (1.0 - nu)
 
 
-def lambda_dilute(nu: float, rho: float, alpha: float = 1.0) -> EffectiveResult:
-    """Leading-order estimate 1 + 2*rho*nu*alpha.
+def lambda_dilute(nu: float, rho: float) -> EffectiveResult:
+    """Leading-order estimate 1 + 2*rho*nu (a disk's dilute coefficient is 2*rho).
 
     This is the first-order truncation of the concentration series, so it
     differs from the exact value by 2*rho^2*nu^2*Re e2/pi + O(nu^3).
     """
     check_contrast(rho, nu)
-    return _from_complex(
-        complex(1.0 + 2.0 * rho * nu * alpha), "dilute", alpha=alpha
-    )
+    return _from_complex(complex(1.0 + 2.0 * rho * nu), "dilute")
 
 
-def lambda_pade(nu: float, rho: float, alpha: float = 1.0) -> EffectiveResult:
-    """Pade (1,1) resummation (1 + rho nu alpha)/(1 - rho nu alpha)."""
+def lambda_pade(nu: float, rho: float) -> EffectiveResult:
+    """Pade (1,1) resummation (1 + rho nu)/(1 - rho nu) of the dilute estimate.
+
+    check_contrast keeps |rho nu| < 1, so the pole is out of reach.
+    """
     check_contrast(rho, nu)
-    x = rho * nu * alpha
-    if abs(1.0 - x) < 1e-12:
-        raise DomainError(f"Pade pole: rho*nu*alpha = {x:g}")
-    return _from_complex(complex((1.0 + x) / (1.0 - x)), "pade", alpha=alpha)
+    x = rho * nu
+    return _from_complex(complex((1.0 + x) / (1.0 - x)), "pade")

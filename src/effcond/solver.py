@@ -32,7 +32,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .esums import kernel_stack, step_weight
 from .geometry import DiskConfiguration
-from .lattice import Cell
 from .series import EffectiveResult, check_contrast
 
 DEFAULT_DEGREE = 14
@@ -137,6 +136,11 @@ def _gather(degree: int):
     return steps, index
 
 
+def kernel_top(degree: int) -> int:
+    """Highest kernel order W reads at Taylor degree L: E_{2L+3}."""
+    return 2 * degree + 3
+
+
 def w_image(config: DiskConfiguration, coeffs: np.ndarray) -> np.ndarray:
     """W(coeffs) with the dropped degree-(L+1) row as an extra column.
 
@@ -147,7 +151,7 @@ def w_image(config: DiskConfiguration, coeffs: np.ndarray) -> np.ndarray:
     n_disks, lp1 = coeffs.shape
     steps, index = _gather(lp1 - 1)
     weights = steps * np.array([config.radius ** (2 * l + 2) for l in range(lp1)])
-    kernels = kernel_stack(config, 2 * lp1 + 1).reshape(-1, n_disks)
+    kernels = kernel_stack(config, kernel_top(lp1 - 1)).reshape(-1, n_disks)
     g = (kernels @ np.conj(coeffs)).reshape(-1, n_disks, lp1)
     rows = g[index, :, np.arange(lp1)]  # (L+2, L+1, N)
     return np.einsum("jl,jlk->kj", weights, rows)
@@ -278,24 +282,3 @@ def solve_contrast(
         converged=True,
         truncation_tail=abs(rho) * tail,
     )
-
-
-def shape_factor(cell: Cell, r: float, rho: float = 1.0) -> float:
-    """Dilute-limit shape factor of one inclusion (1 for disks).
-
-    Solves the one-disk cell problem at radii r and r/2 and removes the
-    first-order periodic-image term by Richardson extrapolation toward
-    zero concentration; the result is contrast-independent to O(nu^2).
-    """
-    nu = math.pi * r ** 2
-    if not 0.0 < nu < 1.0:
-        raise DomainError(f"single-disk concentration {nu:g} outside (0, 1)")
-    params = SolverParams(degree=12, tolerance=1e-13)
-    alphas = []
-    for radius in (r, r / 2.0):
-        config = DiskConfiguration(cell=cell, centers=np.array([0j]), radius=radius)
-        res = solve_contrast(config, rho, params)
-        value = complex(res.lambda11, -res.lambda12)
-        alphas.append((value - 1.0) / (2.0 * rho * config.nu))
-    alpha0 = (4.0 * alphas[1] - alphas[0]) / 3.0
-    return float(alpha0.real)

@@ -27,7 +27,6 @@ from effcond import (
     make_cell,
     rsa_generate,
     run_ensemble,
-    shape_factor,
     solve_contrast,
     trial_seed,
 )
@@ -272,7 +271,7 @@ def test_8_dilute_and_pade_sanity():
     ]
     # Structural sums depend only on the centers, so rescaling the radius
     # with the centers fixed keeps lambda on one power series in nu.
-    solver_lam, alpha = {}, {}
+    solver_lam = {}
     for scale in (1, 2, 4):
         radius = math.sqrt(nu / scale / (desc.n * math.pi))
         values = [
@@ -284,16 +283,15 @@ def test_8_dilute_and_pade_sanity():
             for c in configs
         ]
         solver_lam[scale] = float(np.mean(values))
-        alpha[scale] = shape_factor(desc.cell(), radius)
-    dil = abs(lambda_dilute(nu, rho, alpha[1]).lambda11 - solver_lam[1])
-    pad = abs(lambda_pade(nu, rho, alpha[1]).lambda11 - solver_lam[1])
+    dil = abs(lambda_dilute(nu, rho).lambda11 - solver_lam[1])
+    pad = abs(lambda_pade(nu, rho).lambda11 - solver_lam[1])
 
     ok_order = _report(
         "8 Pade strictly closer to the solver than dilute",
         pad < dil,
         f"|pade-solver|={pad:.2e} |dilute-solver|={dil:.2e}",
     )
-    # The Pade nu^2 defect is 2*rho^2*nu^2*(Re e2/pi - alpha^2): the 2e-3
+    # The Pade nu^2 defect is 2*rho^2*nu^2*(Re e2/pi - 1): the 2e-3
     # bound holds here because the seed-11 ensemble has Re e2/pi = 0.82; at
     # seeds 1-5 the same ensemble sits 1.9e-3 to 4.9e-3 from the solver.
     # Kept as stated.
@@ -303,14 +301,14 @@ def test_8_dilute_and_pade_sanity():
     # The dilute formula is the first-order truncation of the concentration
     # series 1 + 2*rho*nu*(1 + A_1*nu + ...), A_1 = rho*e2/pi, so
     # solver - dilute = 2*rho^2*nu^2*Re e2/pi + O(nu^3), 5.45e-3 on this
-    # ensemble at nu = 0.05, where no alpha near 1 brings it within 2e-3 while
-    # keeping the Pade checks above.  Check that statement instead: the
-    # nu^2 coefficient of the difference, Richardson-extrapolated from nu/2
-    # and nu/4 to cancel the nu^3 term, matches 2*rho^2*Re e2/pi to 5%.  A 1%
-    # error in alpha or in the factor 2 moves the coefficient by about 2.4.
+    # ensemble at nu = 0.05, where no dilute coefficient near 2 rho brings it
+    # within 2e-3 while keeping the Pade checks above.  Check that statement
+    # instead: the nu^2 coefficient of the difference, Richardson-extrapolated
+    # from nu/2 and nu/4 to cancel the nu^3 term, matches 2*rho^2*Re e2/pi to
+    # 5%.  A 1% error in the dilute coefficient 2 moves the nu^2 coefficient
+    # by about 2.4.
     diff = {
-        scale: solver_lam[scale]
-        - lambda_dilute(nu / scale, rho, alpha[scale]).lambda11
+        scale: solver_lam[scale] - lambda_dilute(nu / scale, rho).lambda11
         for scale in (2, 4)
     }
     c2 = 2 * diff[4] / (nu / 4) ** 2 - diff[2] / (nu / 2) ** 2

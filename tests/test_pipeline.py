@@ -19,6 +19,22 @@ from effcond.pipeline import compare_csv, compare_methods, iter_trials
 from effcond.series import ClusterCoefficients, cluster_coeffs, lambda_cluster
 
 
+@pytest.fixture()
+def kernel_passes(monkeypatch):
+    """(n_lo, n_hi) of every kernel build, in call order."""
+    import effcond.esums
+    from effcond.lattice import eisenstein_stack
+
+    calls = []
+
+    def counting(cell, n_lo, n_hi, z):
+        calls.append((n_lo, n_hi))
+        return eisenstein_stack(cell, n_lo, n_hi, z)
+
+    monkeypatch.setattr(effcond.esums, "eisenstein_stack", counting)
+    return calls
+
+
 class TestParseQuantity:
     def test_esum_compact(self):
         spec = parse_quantity("e22")
@@ -128,23 +144,16 @@ class TestRunEnsemble:
             for key, value in one.extras.items():
                 assert both.extras[key] == value
 
-    def test_one_kernel_pass_per_trial(self, monkeypatch):
-        import effcond.esums
-        from effcond.lattice import eisenstein_stack
-
-        calls = []
-
-        def counting(cell, n_lo, n_hi, z):
-            calls.append((n_lo, n_hi))
-            return eisenstein_stack(cell, n_lo, n_hi, z)
-
-        monkeypatch.setattr(effcond.esums, "eisenstein_stack", counting)
+    def test_one_kernel_pass_per_trial(self, kernel_passes):
         desc = EnsembleDescriptor(n=8, nu=0.2, trials=3, seed=5)
         run_ensemble(desc, ["lambda-series:0.8:6", "zeta1:12"])
-        assert calls == [(2, 12)] * desc.trials
-        calls.clear()
+        assert kernel_passes == [(2, 12)] * desc.trials
+        kernel_passes.clear()
         run_ensemble(desc, ["lambda-series:0.8:8"])  # order J reads E_2..E_J
-        assert calls == [(2, 8)] * desc.trials
+        assert kernel_passes == [(2, 8)] * desc.trials
+        kernel_passes.clear()
+        run_ensemble(desc, ["e2", "lambda-solver:1.0"])  # degree 14 reads E_2..E_31
+        assert kernel_passes == [(2, 31)] * desc.trials
 
     def test_zeta1_quantity(self):
         desc = EnsembleDescriptor(n=8, nu=0.2, trials=12, seed=6)
@@ -234,6 +243,12 @@ class TestCompareMethods:
                 total += row[2 * j]
             assert rows[j]["method"] == method
             assert rows[j]["lambda_e"] == total / desc.trials
+
+    def test_one_kernel_pass_per_trial(self, kernel_passes):
+        # dilute and Pade are closed forms and build no kernels of their own
+        desc = EnsembleDescriptor(n=8, nu=0.2, trials=3, seed=5)
+        compare_methods(desc, rho=1.0)
+        assert kernel_passes == [(2, 31)] * desc.trials
 
     def test_csv_emission(self):
         desc = EnsembleDescriptor(n=4, nu=0.1, trials=2, seed=3)

@@ -268,23 +268,19 @@ class TestZeta1:
 
 class TestDiluteAndPade:
     def test_perfect_contrast_half_filling(self):
-        assert lambda_pade(0.5, 1.0, 1.0).lambda11 == pytest.approx(3.0)
-        assert lambda_dilute(0.5, 1.0, 1.0).lambda11 == pytest.approx(2.0)
+        assert lambda_pade(0.5, 1.0).lambda11 == pytest.approx(3.0)
+        assert lambda_dilute(0.5, 1.0).lambda11 == pytest.approx(2.0)
 
     def test_zero_contrast(self):
         assert lambda_dilute(0.3, 0.0).lambda11 == 1.0
         assert lambda_pade(0.3, 0.0).lambda11 == 1.0
 
-    def test_pole_error(self):
-        with pytest.raises(DomainError):
-            lambda_pade(0.5, 1.0, 2.0)
-
     def test_both_near_cluster_series_at_low_nu(self, rsa8_table):
         config, _, _ = rsa8_table
         nu, rho = 0.05, 1.0
         ref = lambda_cluster(rho, nu, cluster_coeffs(config, rho, 6)).lambda11
-        dil = lambda_dilute(nu, rho, 1.0).lambda11
-        pad = lambda_pade(nu, rho, 1.0).lambda11
+        dil = lambda_dilute(nu, rho).lambda11
+        pad = lambda_pade(nu, rho).lambda11
         assert abs(dil - ref) < 3 * nu ** 2
         assert abs(pad - ref) < 3 * nu ** 2
         assert dil == pytest.approx(1.1)

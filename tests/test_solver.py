@@ -21,7 +21,6 @@ from effcond import (
     lattice_sum,
     regular_array,
     rsa_generate,
-    shape_factor,
     solve_contrast,
     trial_seed,
 )
@@ -400,25 +399,3 @@ class TestTaylorFieldEvaluation:
         coeffs = np.array([[1.0, 2.0], [5.0, 0.0]], dtype=complex)
         field = TaylorField(config=config, coeffs=coeffs)
         assert field(-0.52) == pytest.approx(1.06, rel=1e-14)
-
-
-class TestShapeFactor:
-    def test_dilute_limit_is_one(self, square_cell):
-        assert shape_factor(square_cell, 0.005) == pytest.approx(1.0, abs=1e-4)
-
-    def test_moderate_concentration_close_to_one(self, square_cell):
-        nu = 0.1
-        alpha = shape_factor(square_cell, math.sqrt(nu / math.pi))
-        assert abs(alpha - 1.0) < 0.05
-        assert abs(alpha - 1.0) < 0.5 * nu  # quadratic, not linear, in nu
-
-    def test_contrast_independence_of_leading_term(self, square_cell):
-        nu = 0.1
-        r = math.sqrt(nu / math.pi)
-        a_half = shape_factor(square_cell, r, rho=0.5)
-        a_full = shape_factor(square_cell, r, rho=1.0)
-        assert abs(a_half - a_full) < 0.5 * nu ** 2
-
-    def test_domain(self, square_cell):
-        with pytest.raises(DomainError):
-            shape_factor(square_cell, 0.7)
