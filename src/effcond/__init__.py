@@ -18,8 +18,6 @@ from .geometry import (
     DiskConfiguration,
     EnsembleDescriptor,
     load_configuration,
-    periodic_distance,
-    periodic_reduce,
     regular_array,
     rsa_generate,
     save_configuration,
@@ -93,8 +91,6 @@ __all__ = [
     "load_configuration",
     "make_cell",
     "parse_quantity",
-    "periodic_distance",
-    "periodic_reduce",
     "regular_array",
     "rsa_generate",
     "run_ensemble",

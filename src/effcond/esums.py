@@ -68,9 +68,10 @@ def kernel_matrix(config: DiskConfiguration, n: int) -> np.ndarray:
 
     The configuration keeps E_2..E_n as one read-only (n-1, N, N) array.
     Asking for a higher order builds only the missing orders, in one pass
-    over the upper-triangle separations (the lower triangle follows from
-    E_n(-z) = (-1)^n E_n(z)), and replaces the array by a longer one.
-    Returns a view; rows may be consumed concurrently.
+    over the configuration's stored pair separations, which fill the upper
+    triangle (the lower triangle follows from E_n(-z) = (-1)^n E_n(z)), and
+    replaces the array by a longer one.  Returns a view; rows may be
+    consumed concurrently.
     """
     if n < 2:
         raise DomainError(f"kernel order must be >= 2, got {n}")
@@ -79,7 +80,7 @@ def kernel_matrix(config: DiskConfiguration, n: int) -> np.ndarray:
     if n >= n_lo:
         n_disks = config.n_disks
         upper = np.triu_indices(n_disks, 1)
-        vals = eisenstein_stack(config.cell, n_lo, n, config.pair_separations()[upper])
+        vals = eisenstein_stack(config.cell, n_lo, n, config.separations)
         stack = np.empty((n - 1, n_disks, n_disks), dtype=complex)
         if old is not None:
             stack[: n_lo - 2] = old

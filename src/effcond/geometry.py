@@ -29,29 +29,14 @@ DEFAULT_ATTEMPT_BUDGET = 10 ** 6
 _OVERLAP_TOL = 1e-12
 
 
-def periodic_reduce(cell: Cell, z):
-    """Representative of z in the fundamental parallelogram; idempotent."""
-    zr, _, _ = cell.reduce(z)
-    if np.isscalar(z) or np.asarray(z).ndim == 0:
-        return complex(zr)
-    return zr
-
-
-def periodic_distance(cell: Cell, z1, z2):
-    """min over the 9 nearest lattice translates of |z1 - z2 + m1 w1 + m2 w2|."""
-    dist = np.abs(
-        cell.min_image(np.asarray(z1, dtype=complex) - np.asarray(z2, dtype=complex))
-    )
-    if np.isscalar(z1) and np.isscalar(z2):
-        return float(dist)
-    return dist
-
-
 @dataclass(frozen=True, eq=False)
 class DiskConfiguration:
     """N equal disks of radius r centered at `centers` inside `cell`.
 
-    Centers are stored reduced to the fundamental parallelogram.  The
+    Centers are stored read-only, reduced to the fundamental parallelogram.
+    The minimal-image separations a_j - a_k of the pairs j < k, in
+    np.triu_indices(N, 1) order, are computed once on construction and kept
+    read-only; the overlap check and the kernel build both read them.  The
     Eisenstein kernels E_2..E_n attach lazily as one read-only (n-1, N, N)
     array, which esums.kernel_matrix owns and grows.
     """
@@ -60,12 +45,17 @@ class DiskConfiguration:
     centers: np.ndarray
     radius: float
     meta: dict = field(default_factory=dict, repr=False)
+    separations: np.ndarray = field(init=False, repr=False)
     _kernels: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        centers = np.atleast_1d(np.asarray(self.centers, dtype=complex))
-        reduced = periodic_reduce(self.cell, centers)
-        object.__setattr__(self, "centers", np.atleast_1d(reduced))
+        centers = self.cell.reduce(np.atleast_1d(self.centers))[0]
+        j, k = np.triu_indices(len(centers), 1)
+        separations = self.cell.min_image(centers[j] - centers[k])
+        centers.setflags(write=False)
+        separations.setflags(write=False)
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "separations", separations)
         self.validate()
 
     @property
@@ -81,21 +71,13 @@ class DiskConfiguration:
             raise DomainError(f"radius must be positive, got {self.radius}")
         if not 0.0 < self.nu < 1.0:
             raise DomainError(f"concentration nu = {self.nu:g} outside (0, 1)")
-        n = self.n_disks
-        if n > 1:
-            diff = self.centers[:, None] - self.centers[None, :]
-            dist = periodic_distance(self.cell, diff, 0.0)
-            dist[np.diag_indices(n)] = np.inf
-            dmin = float(dist.min())
+        if self.n_disks > 1:
+            dmin = float(np.abs(self.separations).min())
             if dmin < 2.0 * self.radius - _OVERLAP_TOL:
                 raise DomainError(
                     f"overlapping disks: min periodic distance {dmin:.17g} "
                     f"< diameter {2 * self.radius:.17g}"
                 )
-
-    def pair_separations(self) -> np.ndarray:
-        """Minimal-image differences a_j - a_k as an (N, N) complex matrix."""
-        return self.cell.min_image(self.centers[:, None] - self.centers[None, :])
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ single-configuration CLI commands all call it.
 
 Trials are deterministic: trial i of a run with master seed s uses the
 derived seed s XOR splitmix64(i), so identical descriptors reproduce
-byte-identical results and per-trial tables.  Aggregation is a sequential
-reduction ordered by trial index (fixed floating-point summation order); a
-failed placement aborts the whole run rather than silently resampling.
+byte-identical results and per-trial tables.  Each statistic is numpy's
+pairwise mean of its trial-ordered column, so its rounding is fixed by the
+trial count; a failed placement aborts the whole run rather than silently
+resampling.
 
 Output layout of a run directory: manifest.json (descriptor, per-trial
 seeds, versions, timestamps), results.json and trials.csv (both free of
@@ -187,7 +188,7 @@ def evaluate(config, specs, nu: float):
             values.append(solve_contrast(config, spec.rho).effective())
         elif spec.kind == "lambda_series":
             coeffs = cluster_coeffs(config, spec.rho, spec.order)
-            values.append(lambda_cluster(spec.rho, nu, coeffs))
+            values.append(lambda_cluster(nu, coeffs))
         elif spec.kind == "lambda_contrast":
             values.append(lambda_contrast(nu, nn_table, spec.rho, spec.n_max,
                                           e2=esum(config, (2,))))
@@ -311,10 +312,8 @@ def compare_methods(
     specs = [QuantitySpec("solver", "lambda_solver", rho=rho),
              QuantitySpec("cluster", "lambda_series", rho=rho, order=order),
              QuantitySpec("contrast", "lambda_contrast", rho=rho, n_max=n_max)]
-    per_trial = run_ensemble(desc, specs).per_trial
-    # lambda11 summed in trial order; numpy's pairwise mean rounds differently
-    means = {s.token: sum(row[2 * j] for row in per_trial) / desc.trials
-             for j, s in enumerate(specs)}
+    stats = run_ensemble(desc, specs).stats
+    means = {s.token: stats[f"{s.token}_lambda11"]["mean"] for s in specs}
     dilute = lambda_dilute(desc.nu, rho)
     pade = lambda_pade(desc.nu, rho)
     solver_value = means["solver"]

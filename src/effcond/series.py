@@ -107,8 +107,12 @@ def cluster_coeffs(config: DiskConfiguration, rho: float, order: int) -> Cluster
     return ClusterCoefficients(order=order, values=tuple(values), rho=float(rho))
 
 
-def lambda_cluster(rho: float, nu: float, coeffs: ClusterCoefficients) -> EffectiveResult:
-    """Concentration series: 1 + 2*rho*nu*(1 + A_1 nu + ... + A_J nu^J)."""
+def lambda_cluster(nu: float, coeffs: ClusterCoefficients) -> EffectiveResult:
+    """Concentration series: 1 + 2*rho*nu*(1 + A_1 nu + ... + A_J nu^J).
+
+    rho is coeffs.rho, the contrast the coefficients were computed at.
+    """
+    rho = coeffs.rho
     check_contrast(rho, nu)
     series = 1.0 + 0.0j
     power = 1.0

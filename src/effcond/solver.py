@@ -120,20 +120,22 @@ class SolveResult:
         )
 
 
-@lru_cache(maxsize=None)
-def _gather(degree: int):
-    """Step weights step_weight(j, l) for j <= L+1, l <= L and the index s = j + l.
+@lru_cache(maxsize=8)
+def _gather(degree: int, radius: float):
+    """Weights step_weight(j, l) r^(2l+2) for j <= L+1, l <= L and the index s = j + l.
 
-    Row j = L+1 is the degree dropped by the truncation.
+    Row j = L+1 is the degree dropped by the truncation.  A solve applies W
+    some 50 times on one radius, so the table is built once per (L, r).
     """
     lp1 = degree + 1
     steps = np.array(
         [[step_weight(j, l) for l in range(lp1)] for j in range(lp1 + 1)], dtype=float
     )
+    weights = steps * np.array([radius ** (2 * l + 2) for l in range(lp1)])
     index = np.add.outer(np.arange(lp1 + 1), np.arange(lp1))
-    steps.setflags(write=False)
+    weights.setflags(write=False)
     index.setflags(write=False)
-    return steps, index
+    return weights, index
 
 
 def kernel_top(degree: int) -> int:
@@ -149,8 +151,7 @@ def w_image(config: DiskConfiguration, coeffs: np.ndarray) -> np.ndarray:
     coefficient at disk k is sum_l step_weight(j, l) r^(2l+2) g[j+l, k, l].
     """
     n_disks, lp1 = coeffs.shape
-    steps, index = _gather(lp1 - 1)
-    weights = steps * np.array([config.radius ** (2 * l + 2) for l in range(lp1)])
+    weights, index = _gather(lp1 - 1, config.radius)
     kernels = kernel_stack(config, kernel_top(lp1 - 1)).reshape(-1, n_disks)
     g = (kernels @ np.conj(coeffs)).reshape(-1, n_disks, lp1)
     rows = g[index, :, np.arange(lp1)]  # (L+2, L+1, N)

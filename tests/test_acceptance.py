@@ -177,7 +177,7 @@ def test_5_solver_reproduces_exact_low_orders_and_series():
         res = solve_contrast(
             config, rho, SolverParams(degree=30, tolerance=1e-14, max_iterations=600)
         )
-        series = lambda_cluster(rho, nu, cluster_coeffs(config, rho, 6))
+        series = lambda_cluster(nu, cluster_coeffs(config, rho, 6))
         diffs.append(
             abs(
                 complex(res.lambda11, -res.lambda12)
@@ -196,9 +196,7 @@ def test_5_solver_reproduces_exact_low_orders_and_series():
 def test_6_full_contrast_convergence():
     desc = EnsembleDescriptor(n=16, nu=0.25, trials=1, seed=77, exclusion_factor=1.1)
     config = rsa_generate(desc)
-    sep = config.pair_separations()
-    dist = np.abs(sep) + np.where(np.eye(16, dtype=bool), np.inf, 0.0)
-    gap = dist.min() - 2 * config.radius
+    gap = np.abs(config.separations).min() - 2 * config.radius
     assert gap >= 0.2 * config.radius
 
     all_ok = True

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import effcond
-from effcond import esum, load_configuration
+from effcond import NearSingularityError, esum, load_configuration
+from effcond.geometry import configuration_from_dict
 from effcond.cli import main
 
 
@@ -129,20 +130,6 @@ class TestLambda:
 class TestKernelPasses:
     """Each single-configuration command builds its kernels in at most one pass."""
 
-    @pytest.fixture()
-    def passes(self, monkeypatch):
-        import effcond.esums
-        from effcond.lattice import eisenstein_stack
-
-        calls = []
-
-        def counting(cell, n_lo, n_hi, z):
-            calls.append((n_lo, n_hi))
-            return eisenstein_stack(cell, n_lo, n_hi, z)
-
-        monkeypatch.setattr(effcond.esums, "eisenstein_stack", counting)
-        return calls
-
     @pytest.mark.parametrize("argv, top", [
         (["coeffs", "--rho", "0.8", "--order", "6"], 6),
         (["lambda", "--rho", "0.8", "--method", "contrast"], 12),
@@ -152,10 +139,43 @@ class TestKernelPasses:
         (["lambda", "--rho", "0.8", "--method", "dilute"], None),  # closed forms
         (["lambda", "--rho", "0.8", "--method", "pade"], None),
     ])
-    def test_one_pass(self, config_file, capsys, passes, argv, top):
+    def test_one_pass(self, config_file, capsys, kernel_passes, argv, top):
         code, _, _ = run_cli(capsys, *argv, "--config", str(config_file))
         assert code == 0
-        assert passes == ([(2, top)] if top else [])
+        assert kernel_passes == ([(2, top)] if top else [])
+
+
+class TestNearSingularConfiguration:
+    """Two centers 5e-10 apart lie within the kernels' 1e-9 singularity guard."""
+
+    DATA = {
+        "cell": {"omega1": 1.0, "omega2": [0.0, 1.0]},
+        "radius": 1e-12,
+        "centers": [[0.0, 0.0], [5e-10, 0.0]],
+    }
+
+    @pytest.fixture()
+    def near_file(self, tmp_path):
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(self.DATA))
+        return path
+
+    def test_esum_refused(self):
+        config = configuration_from_dict(self.DATA)
+        with pytest.raises(NearSingularityError):
+            esum(config, (2,))
+
+    def test_cli_esum_is_two(self, near_file, capsys):
+        code, _, err = run_cli(capsys, "esum", "--config", str(near_file), "--index", "2")
+        assert code == 2
+        assert "lattice point" in err
+
+    def test_cli_dilute_builds_no_kernels(self, near_file, capsys):
+        code, out, _ = run_cli(
+            capsys, "lambda", "--config", str(near_file), "--rho", "1", "--method", "dilute",
+        )
+        assert code == 0
+        assert json.loads(out)["method"] == "dilute"
 
 
 class TestMc:

@@ -233,10 +233,10 @@ class TestKernelOracle:
                     cell=cell, centers=np.array([0j, s]), radius=self.RADIUS
                 )
                 mat = kernel_matrix(config, n)
-                sep = config.pair_separations()
-                for j, k in ((0, 1), (1, 0)):
-                    ref = eisenstein_mpmath(cell, n, sep[j, k])
-                    scale = cell.lattice_distance(sep[j, k]) ** n
+                (sep,) = config.separations  # a_0 - a_1
+                for j, k, z in ((0, 1, sep), (1, 0, -sep)):
+                    ref = eisenstein_mpmath(cell, n, z)
+                    scale = cell.lattice_distance(z) ** n
                     worst[kind] = max(worst[kind], abs(mat[j, k] - ref) * scale)
         return worst
 
@@ -277,14 +277,14 @@ class TestKernelStack:
 
     def test_upper_triangle_is_eisenstein(self):
         config = self.fresh()
-        sep = config.pair_separations()[np.triu_indices(config.n_disks, 1)]
+        sep = config.separations
         for n in self.ORDERS:
             upper = kernel_matrix(config, n)[np.triu_indices(config.n_disks, 1)]
             assert np.array_equal(upper, eisenstein(config.cell, n, sep))
 
     def test_batch_matches_scalar_calls(self, sheared_cell, thin_cell):
         config = self.fresh()
-        sep = config.pair_separations()[np.triu_indices(config.n_disks, 1)]
+        sep = config.separations
         assert sep.size == 2016
         for n in (2, 31):
             batch = eisenstein(config.cell, n, sep)

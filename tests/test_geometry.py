@@ -12,8 +12,6 @@ from effcond import (
     GenerationError,
     load_configuration,
     make_cell,
-    periodic_distance,
-    periodic_reduce,
     regular_array,
     rsa_generate,
     save_configuration,
@@ -23,39 +21,39 @@ from effcond import (
 
 class TestPeriodicReduce:
     def test_inside_unchanged(self, square_cell):
-        assert periodic_reduce(square_cell, 0.3) == 0.3
+        assert square_cell.reduce(0.3)[0] == 0.3
 
     def test_real_wrap(self, square_cell):
-        assert periodic_reduce(square_cell, 1.3) == pytest.approx(0.3, abs=1e-15)
+        assert square_cell.reduce(1.3)[0] == pytest.approx(0.3, abs=1e-15)
 
     def test_both_directions(self, square_cell):
-        got = periodic_reduce(square_cell, 0.6 + 0.7j)
+        got = square_cell.reduce(0.6 + 0.7j)[0]
         assert got == pytest.approx(-0.4 - 0.3j, abs=1e-15)
 
     def test_idempotent(self, sheared_cell):
         rng = np.random.default_rng(0)
         z = rng.normal(size=20) + 1j * rng.normal(size=20)
-        once = periodic_reduce(sheared_cell, z)
-        twice = periodic_reduce(sheared_cell, once)
+        once = sheared_cell.reduce(z)[0]
+        twice = sheared_cell.reduce(once)[0]
         assert np.array_equal(once, twice)
 
 
 class TestPeriodicDistance:
     def test_wrap_across_omega2(self, square_cell):
-        assert periodic_distance(square_cell, 0.45j, -0.45j) == pytest.approx(0.1)
+        assert square_cell.lattice_distance(0.45j - (-0.45j)) == pytest.approx(0.1)
 
     def test_identical_points(self, square_cell):
-        assert periodic_distance(square_cell, 0.1 + 0.1j, 0.1 + 0.1j) == 0.0
+        assert square_cell.lattice_distance((0.1 + 0.1j) - (0.1 + 0.1j)) == 0.0
 
     def test_wrap_across_omega1(self, square_cell):
-        assert periodic_distance(square_cell, -0.45, 0.45) == pytest.approx(0.1)
+        assert square_cell.lattice_distance(-0.45 - 0.45) == pytest.approx(0.1)
 
     def test_symmetry(self, sheared_cell):
         rng = np.random.default_rng(1)
         for _ in range(20):
             z1, z2 = rng.normal(size=2) + 1j * rng.normal(size=2)
-            d12 = periodic_distance(sheared_cell, z1, z2)
-            d21 = periodic_distance(sheared_cell, z2, z1)
+            d12 = sheared_cell.lattice_distance(z1 - z2)
+            d21 = sheared_cell.lattice_distance(z2 - z1)
             assert d12 == pytest.approx(d21, abs=1e-15)
 
     def test_triangle_inequality(self, square_cell, sheared_cell, hex_cell):
@@ -63,9 +61,9 @@ class TestPeriodicDistance:
         for cell in (square_cell, sheared_cell, hex_cell):
             for _ in range(50):
                 a, b, c = rng.normal(size=3) + 1j * rng.normal(size=3)
-                dab = periodic_distance(cell, a, b)
-                dbc = periodic_distance(cell, b, c)
-                dac = periodic_distance(cell, a, c)
+                dab = cell.lattice_distance(a - b)
+                dbc = cell.lattice_distance(b - c)
+                dac = cell.lattice_distance(a - c)
                 assert dac <= dab + dbc + 1e-12
 
 
@@ -80,8 +78,7 @@ class TestRsaGenerate:
         desc = EnsembleDescriptor(n=64, nu=0.3, trials=1, seed=42)
         config = rsa_generate(desc)
         assert config.n_disks == 64
-        sep = config.centers[:, None] - config.centers[None, :]
-        dist = periodic_distance(config.cell, sep, 0.0)
+        dist = config.cell.lattice_distance(config.centers[:, None] - config.centers[None, :])
         dist[np.diag_indices(64)] = np.inf
         assert dist.min() >= 2 * config.radius - 1e-12
 
@@ -206,6 +203,17 @@ class TestConfigurationValidation:
             cell=square_cell, centers=np.array([1.3 + 0j]), radius=0.1
         )
         assert config.centers[0] == pytest.approx(0.3, abs=1e-15)
+
+
+    def test_centers_and_separations_read_only(self, square_cell):
+        # the separations and kernels are derived from the centers once
+        config = DiskConfiguration(
+            cell=square_cell, centers=np.array([0j, 0.3 + 0j]), radius=0.05
+        )
+        assert config.separations.shape == (1,)
+        for array in (config.centers, config.separations):
+            with pytest.raises(ValueError):
+                array[0] = 0.06
 
 
 class TestSerialization:

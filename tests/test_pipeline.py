@@ -19,22 +19,6 @@ from effcond.pipeline import compare_csv, compare_methods, iter_trials
 from effcond.series import ClusterCoefficients, cluster_coeffs, lambda_cluster
 
 
-@pytest.fixture()
-def kernel_passes(monkeypatch):
-    """(n_lo, n_hi) of every kernel build, in call order."""
-    import effcond.esums
-    from effcond.lattice import eisenstein_stack
-
-    calls = []
-
-    def counting(cell, n_lo, n_hi, z):
-        calls.append((n_lo, n_hi))
-        return eisenstein_stack(cell, n_lo, n_hi, z)
-
-    monkeypatch.setattr(effcond.esums, "eisenstein_stack", counting)
-    return calls
-
-
 class TestParseQuantity:
     def test_esum_compact(self):
         spec = parse_quantity("e22")
@@ -110,7 +94,7 @@ class TestRunEnsemble:
         key = "lambda-series:0.5:3"
         coeffs = [cluster_coeffs(config, 0.5, 3).values for _, _, config in iter_trials(desc)]
         mean = ClusterCoefficients(3, tuple(np.mean(coeffs, axis=0)), 0.5)
-        from_mean = lambda_cluster(0.5, desc.nu, mean).lambda11
+        from_mean = lambda_cluster(desc.nu, mean).lambda11
         assert stats.extras[f"{key}_from_mean_esums"] == stats.extras[f"{key}_lambda_e"]
         assert stats.extras[f"{key}_from_mean_esums"] == pytest.approx(from_mean, rel=1e-12)
 
@@ -154,6 +138,13 @@ class TestRunEnsemble:
         kernel_passes.clear()
         run_ensemble(desc, ["e2", "lambda-solver:1.0"])  # degree 14 reads E_2..E_31
         assert kernel_passes == [(2, 31)] * desc.trials
+
+    def test_one_min_image_pass_per_trial(self, min_image_points):
+        # N(N-1)/2 pair separations on construction, and as many again in
+        # eisenstein_stack's near-singularity guard
+        desc = EnsembleDescriptor(n=8, nu=0.2, trials=3, seed=5)
+        run_ensemble(desc, ["e2"])
+        assert min_image_points == [28, 28] * desc.trials
 
     def test_zeta1_quantity(self):
         desc = EnsembleDescriptor(n=8, nu=0.2, trials=12, seed=6)
@@ -234,15 +225,11 @@ class TestCompareMethods:
         desc = EnsembleDescriptor(n=8, nu=0.2, trials=10, seed=21)
         rho, order = -0.7, 5
         rows = compare_methods(desc, rho=rho, order=order)
-        per_trial = run_ensemble(
-            desc, [f"lambda-solver:{rho}", f"lambda-series:{rho}:{order}"]
-        ).per_trial
-        for j, method in enumerate(["solver", "cluster"]):
-            total = 0.0
-            for row in per_trial:
-                total += row[2 * j]
+        tokens = [f"lambda-solver:{rho}", f"lambda-series:{rho}:{order}"]
+        stats = run_ensemble(desc, tokens).stats
+        for j, (method, token) in enumerate(zip(["solver", "cluster"], tokens)):
             assert rows[j]["method"] == method
-            assert rows[j]["lambda_e"] == total / desc.trials
+            assert rows[j]["lambda_e"] == stats[f"{token}_lambda11"]["mean"]
 
     def test_one_kernel_pass_per_trial(self, kernel_passes):
         # dilute and Pade are closed forms and build no kernels of their own

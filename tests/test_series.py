@@ -117,7 +117,7 @@ class TestLambdaCluster:
     def test_zero_contrast_gives_one(self, rsa8_table):
         config, _, _ = rsa8_table
         coeffs = cluster_coeffs(config, rho=0.0, order=6)
-        result = lambda_cluster(0.0, 0.3, coeffs)
+        result = lambda_cluster(0.3, coeffs)
         assert result.lambda11 == 1.0
         assert result.lambda12 == 0.0
 
@@ -125,7 +125,7 @@ class TestLambdaCluster:
         config, table, _ = rsa8_table
         rho, nu = 0.6, 0.14
         coeffs = cluster_coeffs(config, rho, 1)
-        result = lambda_cluster(rho, nu, coeffs)
+        result = lambda_cluster(nu, coeffs)
         a1 = rho * table[(2,)] / math.pi
         expected = 1 + 2 * rho * nu * (1 + a1 * nu)
         assert result.lambda11 == pytest.approx(expected.real, rel=1e-14)
@@ -136,23 +136,33 @@ class TestLambdaCluster:
 
         rho, nu = 0.7, 0.01
         coeffs = ClusterCoefficients(order=0, values=(), rho=rho)
-        result = lambda_cluster(rho, nu, coeffs)
+        result = lambda_cluster(nu, coeffs)
         assert result.lambda11 == 1 + 2 * rho * nu
         assert result.lambda12 == 0.0
+
+    def test_contrast_read_from_coefficients(self, rsa8_table):
+        config, _, _ = rsa8_table
+        nu = 0.2
+        coeffs = cluster_coeffs(config, 0.8, 6)
+        series = 1.0 + sum(a_n * nu ** n for n, a_n in enumerate(coeffs.values, 1))
+        expected = 1.0 + 2.0 * coeffs.rho * nu * series
+        result = lambda_cluster(nu, coeffs)
+        assert result.lambda11 == pytest.approx(expected.real, rel=1e-14)
+        assert result.lambda12 == pytest.approx(-expected.imag, rel=1e-12, abs=1e-15)
 
     def test_nu_domain(self, rsa8_table):
         config, _, _ = rsa8_table
         coeffs = cluster_coeffs(config, 0.5, 2)
         for nu in (0.0, 1.0, -0.1):
             with pytest.raises(DomainError):
-                lambda_cluster(0.5, nu, coeffs)
+                lambda_cluster(nu, coeffs)
 
     def test_lambda_at_least_one_for_positive_contrast(self, rsa8_table):
         config, _, _ = rsa8_table
         for rho in (0.0, 0.3, 0.7, 1.0):
             coeffs = cluster_coeffs(config, rho, 6)
             for nu in (0.05, 0.15, 0.3):
-                assert lambda_cluster(rho, nu, coeffs).lambda11 >= 1.0
+                assert lambda_cluster(nu, coeffs).lambda11 >= 1.0
 
     def test_order_consistency_exponent(self, rsa8_table):
         # |lambda(J) - lambda(J-1)| = 2|rho A_J| nu^(J+1) on a fixed
@@ -163,8 +173,8 @@ class TestLambdaCluster:
             nus = np.array([0.05, 0.1, 0.15, 0.2, 0.25])
             diffs = []
             for nu in nus:
-                hi = lambda_cluster(rho, nu, cluster_coeffs(config, rho, J))
-                lo = lambda_cluster(rho, nu, cluster_coeffs(config, rho, J - 1))
+                hi = lambda_cluster(nu, cluster_coeffs(config, rho, J))
+                lo = lambda_cluster(nu, cluster_coeffs(config, rho, J - 1))
                 diffs.append(
                     abs(complex(hi.lambda11, -hi.lambda12) - complex(lo.lambda11, -lo.lambda12))
                 )
@@ -217,7 +227,7 @@ class TestCrossExpansionConsistency:
         rhos = np.linspace(-1.0, 1.0, 9)
         values = []
         for rho in rhos:
-            res = lambda_cluster(rho, nu, cluster_coeffs(config, rho, order))
+            res = lambda_cluster(nu, cluster_coeffs(config, rho, order))
             values.append(complex(res.lambda11, -res.lambda12))
         fit = np.polynomial.polynomial.polyfit(rhos, values, 7)
 
@@ -278,7 +288,7 @@ class TestDiluteAndPade:
     def test_both_near_cluster_series_at_low_nu(self, rsa8_table):
         config, _, _ = rsa8_table
         nu, rho = 0.05, 1.0
-        ref = lambda_cluster(rho, nu, cluster_coeffs(config, rho, 6)).lambda11
+        ref = lambda_cluster(nu, cluster_coeffs(config, rho, 6)).lambda11
         dil = lambda_dilute(nu, rho).lambda11
         pad = lambda_pade(nu, rho).lambda11
         assert abs(dil - ref) < 3 * nu ** 2

@@ -217,7 +217,7 @@ class TestSolveContrast:
         config = regular_array(square_cell, "square", 1, 0.2)
         res = solve_contrast(config, 1.0, SolverParams(degree=24, tolerance=1e-13))
         assert res.lambda12 == pytest.approx(0.0, abs=1e-12)
-        series = lambda_cluster(1.0, 0.2, cluster_coeffs(config, 1.0, 6))
+        series = lambda_cluster(0.2, cluster_coeffs(config, 1.0, 6))
         assert res.lambda11 == pytest.approx(series.lambda11, abs=2e-4)
 
     def test_realness_for_conjugation_symmetric_config(self, square_cell):
@@ -278,7 +278,7 @@ class TestSolveContrast:
             tracemalloc.stop()
         esum(config, (2, 5, 3))
         arrays = {k for k, v in vars(config).items() if isinstance(v, np.ndarray)}
-        assert arrays == {"centers", "_kernels"}
+        assert arrays == {"centers", "separations", "_kernels"}
         assert config._kernels.shape == (30, 64, 64)
         assert views and all(v.base is config._kernels for v in views)
         assert np.shares_memory(views[-1], kernel_matrix(config, 5))
@@ -342,7 +342,7 @@ class TestSolveContrast:
         config = DiskConfiguration(cell=base.cell, centers=base.centers, radius=r)
         rho = 0.8
         res = solve_contrast(config, rho, SolverParams(degree=20, tolerance=1e-14))
-        series = lambda_cluster(rho, nu, cluster_coeffs(config, rho, 6))
+        series = lambda_cluster(nu, cluster_coeffs(config, rho, 6))
         diff = abs(
             complex(res.lambda11, -res.lambda12)
             - complex(series.lambda11, -series.lambda12)
