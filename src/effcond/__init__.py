@@ -41,7 +41,6 @@ from .series import (
     zeta1,
 )
 from .solver import (
-    SolverParams,
     SolveResult,
     TaylorField,
     apply_W,
@@ -72,7 +71,6 @@ __all__ = [
     "MultiIndex",
     "NearSingularityError",
     "SolveResult",
-    "SolverParams",
     "TaylorField",
     "a13",
     "apply_W",

@@ -49,7 +49,10 @@ class DiskConfiguration:
     _kernels: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        centers = self.cell.reduce(np.atleast_1d(self.centers))[0]
+        centers = np.atleast_1d(self.centers)
+        if not np.isfinite(centers).all():
+            raise DomainError("disk centers must be finite")
+        centers = self.cell.reduce(centers)[0]
         j, k = np.triu_indices(len(centers), 1)
         separations = self.cell.min_image(centers[j] - centers[k])
         centers.setflags(write=False)
@@ -224,19 +227,20 @@ def configuration_to_dict(config: DiskConfiguration) -> dict:
 
 
 def configuration_from_dict(data: dict) -> DiskConfiguration:
-    omega1 = float(data["cell"]["omega1"])
-    omega2 = complex(*data["cell"]["omega2"])
+    try:
+        omega1 = float(data["cell"]["omega1"])
+        omega2 = complex(*data["cell"]["omega2"])
+        centers = np.array([complex(re, im) for re, im in data["centers"]])
+        radius = float(data["radius"])
+        meta = dict(data.get("meta", {}))
+    except (KeyError, TypeError) as exc:
+        raise DomainError(f"malformed configuration: {exc!r}") from exc
     if abs(omega1 * omega2.imag - 1.0) > 1e-12:
         raise DomainError(
             f"configuration cell area {omega1 * omega2.imag:.17g} != 1"
         )
-    cell = make_cell(omega1, omega2)
-    centers = np.array([complex(re, im) for re, im in data["centers"]])
     return DiskConfiguration(
-        cell=cell,
-        centers=centers,
-        radius=float(data["radius"]),
-        meta=dict(data.get("meta", {})),
+        cell=make_cell(omega1, omega2), centers=centers, radius=radius, meta=meta
     )
 
 

@@ -12,10 +12,11 @@ one GEMM of the configuration's kernel stack E_2..E_{2L+3} (esums.kernel_stack,
 the array the structural sums also read) against conj(psi), then a weighted
 gather of the entries with s = j + l.  W(psi) = A*conj(psi) is
 antilinear, so for real rho the fixed point psi = 1 + rho*W(psi) solves the
-complex-linear system (I - rho^2 A conj(A)) psi = 1 + rho*W(1); tolerance
-mode solves it by GMRES (Saad & Schultz 1986).  Order mode sums the
-successive approximations psi <- 1 + rho*W(psi) from psi = 1, which are
-exactly the partial sums of the contrast power series.  The effective
+complex-linear system (I - rho^2 A conj(A)) psi = 1 + rho*W(1), which
+solve_contrast solves by GMRES (Saad & Schultz 1986).  Given an order p it
+instead sums the generalized method of Schwarz, the successive
+approximations psi <- 1 + rho*W(psi) from psi = 1, which are exactly the
+partial sums of the contrast power series to rho^p.  The effective
 conductivity is lambda11 - i*lambda12 = 1 + 2*rho*nu*mean_k psi_k(a_k).
 Solves share only the configuration's read-only kernels and may run
 concurrently.
@@ -59,41 +60,6 @@ def constant_field(config: DiskConfiguration, degree: int) -> TaylorField:
     coeffs = np.zeros((config.n_disks, degree + 1), dtype=complex)
     coeffs[:, 0] = 1.0
     return TaylorField(config=config, coeffs=coeffs)
-
-
-@dataclass(frozen=True)
-class SolverParams:
-    """Solve controls.
-
-    mode "tolerance" runs GMRES, at most max_iterations Krylov iterations,
-    until the fixed-point residual in the disk-scaled max norm is at most
-    the tolerance; mode "order" truncates exactly at the given power of the
-    contrast parameter.  When degree is None it defaults to 2*order + 2 in
-    order mode and to DEFAULT_DEGREE otherwise.
-    """
-
-    degree: int | None = None
-    mode: str = "tolerance"
-    tolerance: float = 1e-12
-    max_iterations: int = 200  # Krylov; RSA at nu = 0.5, rho = +-1 needs <= 29
-    order: int | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("tolerance", "order"):
-            raise DomainError(f"unknown solver mode {self.mode!r}")
-        if self.mode == "order" and (self.order is None or self.order < 0):
-            raise DomainError("order mode needs a nonnegative contrast order")
-        if self.mode == "tolerance" and not self.tolerance > 0.0:
-            raise DomainError("tolerance must be positive")
-        if self.degree is not None and self.degree < 0:
-            raise DomainError("Taylor degree must be >= 0")
-
-    def resolved_degree(self) -> int:
-        if self.degree is not None:
-            return self.degree
-        if self.mode == "order":
-            return 2 * self.order + 2
-        return DEFAULT_DEGREE
 
 
 @dataclass(frozen=True)
@@ -179,9 +145,7 @@ def _scaled_max(delta: np.ndarray, radius: float) -> float:
     return float((np.abs(delta) * radius ** np.arange(delta.shape[1])).max())
 
 
-def _krylov(
-    config: DiskConfiguration, rho: float, ones: np.ndarray, params: SolverParams
-):
+def _krylov(config: DiskConfiguration, rho: float, ones, tolerance, max_iterations):
     """GMRES on (I - rho^2 W W) psi = 1 + rho W(1) in x_l = psi_l r^l.
 
     Unrestarted Arnoldi with modified Gram-Schmidt; the basis and the
@@ -205,7 +169,7 @@ def _krylov(
     rotations: list[np.ndarray] = []
     g = np.array([np.linalg.norm(b)], dtype=complex)  # rotated beta*e1
     history: list[float] = []
-    while len(history) < params.max_iterations:
+    while len(history) < max_iterations:
         psi = psi_of(basis[-1])
         w = ((psi - rho * rho * apply(apply(psi))) * scale).ravel()
         col = np.empty(len(basis) + 1, dtype=complex)
@@ -225,50 +189,63 @@ def _krylov(
         g = np.append(g, 0.0)
         g[-2:] = rotations[-1] @ g[-2:]
         history.append(float(abs(g[-1])))
-        if history[-1] <= params.tolerance:
+        if history[-1] <= tolerance:
             psi = psi_of(np.linalg.solve(hess, g[:-1]) @ np.array(basis))
             image = w_image(config, psi)
             residual = _scaled_max(psi - ones - rho * image[:, :-1], config.radius)
-            if residual <= params.tolerance:
+            if residual <= tolerance:
                 return psi, image, residual, history
         if h_next == 0.0:
             break
         basis.append(w / h_next)
     raise ConvergenceError(
-        f"no convergence to {params.tolerance:g} within {len(history)} Krylov "
+        f"no convergence to {tolerance:g} within {len(history)} Krylov "
         f"iterations (last residual estimate {history[-1] if history else math.inf:g})",
         residual_history=history,
     )
 
 
 def solve_contrast(
-    config: DiskConfiguration, rho: float, params: SolverParams | None = None
+    config: DiskConfiguration,
+    rho: float,
+    *,
+    degree: int | None = None,
+    tolerance: float = 1e-12,
+    max_iterations: int = 200,
+    order: int | None = None,
 ) -> SolveResult:
-    """Solve psi = 1 + rho*W(psi) for the truncated flux.
+    """Solve psi = 1 + rho*W(psi) for the flux truncated at Taylor degree L.
 
-    Tolerance mode runs GMRES on the equivalent complex-linear system until
-    the fixed-point residual max_l |psi - 1 - rho*W(psi)| r^l is at most the
-    tolerance, and raises ConvergenceError (with the residual estimates)
-    when the Krylov budget runs out; order mode sums the successive
-    approximations exactly to rho^order.
+    order=None runs GMRES until the fixed-point residual
+    max_l |psi - 1 - rho*W(psi)| r^l is at most the tolerance, and raises
+    ConvergenceError (with the residual estimates) after max_iterations
+    Krylov iterations; RSA at nu = 0.5, rho = +-1 needs <= 29.  order=p sums
+    the successive approximations exactly to rho^p.  L defaults to 2p + 2
+    with an order and to DEFAULT_DEGREE without one.
     """
     check_contrast(rho)
-    params = params or SolverParams()
-    degree = params.resolved_degree()
+    if order is not None and order < 0:
+        raise DomainError(f"contrast order must be >= 0, got {order}")
+    if order is None and not tolerance > 0.0:
+        raise DomainError("tolerance must be positive")
+    if degree is None:
+        degree = DEFAULT_DEGREE if order is None else 2 * order + 2
+    elif degree < 0:
+        raise DomainError("Taylor degree must be >= 0")
     # unit external flux: the additive normalization constant of the field
     # problem is exactly one
     ones = constant_field(config, degree).coeffs
-    if params.mode == "order":
+    if order is None:
+        psi, image, residual, history = _krylov(config, rho, ones, tolerance, max_iterations)
+    else:
         psi, step, history = ones, ones, []
-        for _ in range(params.order):
+        for _ in range(order):
             # rho^p W^p(1): W is antilinear, rho real
             step = rho * w_image(config, step)[:, :-1]
             psi = psi + step
             history.append(_scaled_max(step, config.radius))
         residual = history[-1] if history else 0.0
         image = w_image(config, psi)
-    else:
-        psi, image, residual, history = _krylov(config, rho, ones, params)
 
     lam11, lam12 = _lambda_pair(config, rho, psi)
     # dropped degree-(L+1) mass of the last W image, disk-scaled

@@ -14,7 +14,6 @@ import pytest
 from effcond import (
     DiskConfiguration,
     EnsembleDescriptor,
-    SolverParams,
     cluster_coeffs,
     eisenstein,
     esum,
@@ -175,7 +174,7 @@ def test_5_solver_reproduces_exact_low_orders_and_series():
         radius = math.sqrt(nu / (4 * math.pi))
         config = DiskConfiguration(cell=base.cell, centers=base.centers, radius=radius)
         res = solve_contrast(
-            config, rho, SolverParams(degree=30, tolerance=1e-14, max_iterations=600)
+            config, rho, degree=30, tolerance=1e-14, max_iterations=600
         )
         series = lambda_cluster(nu, cluster_coeffs(config, rho, 6))
         diffs.append(
@@ -201,20 +200,18 @@ def test_6_full_contrast_convergence():
 
     all_ok = True
     for rho in (1.0, -1.0):
-        # geometric decay of the Schwarz steps rho^p W^p(1), the order-mode
-        # residual history, over the 20 ratios ending at the first step below
-        # 1e-13; the solve itself is the default (Krylov) tolerance mode
-        steps = solve_contrast(
-            config, rho, SolverParams(mode="order", order=400, degree=30)
-        ).residual_history
+        # geometric decay of the Schwarz steps rho^p W^p(1), the residual
+        # history of a solve with an order, over the 20 ratios ending at the
+        # first step below 1e-13; the solve itself is the default GMRES
+        steps = solve_contrast(config, rho, order=400, degree=30).residual_history
         first = next(p for p, step in enumerate(steps) if step <= 1e-13)
         hist = steps[: first + 1]
         ratios = [hist[i + 1] / hist[i] for i in range(len(hist) - 21, len(hist) - 1)]
         res = solve_contrast(
-            config, rho, SolverParams(degree=30, tolerance=1e-13, max_iterations=400)
+            config, rho, degree=30, tolerance=1e-13, max_iterations=400
         )
         refined = solve_contrast(
-            config, rho, SolverParams(degree=34, tolerance=1e-13, max_iterations=400)
+            config, rho, degree=34, tolerance=1e-13, max_iterations=400
         )
         dlam = abs(res.lambda11 - refined.lambda11)
         ok = (
@@ -242,7 +239,7 @@ def test_7_contrast_series_accuracy_order():
     diffs = []
     for rho in rhos:
         res = solve_contrast(
-            config, rho, SolverParams(degree=24, tolerance=1e-14, max_iterations=400)
+            config, rho, degree=24, tolerance=1e-14, max_iterations=400
         )
         con = lambda_contrast(config.nu, nn, rho, 12, e2=e2)
         diffs.append(
@@ -263,7 +260,7 @@ def test_7_contrast_series_accuracy_order():
 def test_8_dilute_and_pade_sanity():
     nu, rho = 0.05, 1.0
     desc = EnsembleDescriptor(n=16, nu=nu, trials=8, seed=11)
-    params = SolverParams(degree=18, tolerance=1e-13, max_iterations=400)
+    params = dict(degree=18, tolerance=1e-13, max_iterations=400)
     configs = [
         rsa_generate(desc, seed=trial_seed(desc.seed, i)) for i in range(desc.trials)
     ]
@@ -276,7 +273,7 @@ def test_8_dilute_and_pade_sanity():
             solve_contrast(
                 DiskConfiguration(cell=c.cell, centers=c.centers, radius=radius),
                 rho,
-                params,
+                **params,
             ).lambda11
             for c in configs
         ]

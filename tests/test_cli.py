@@ -278,6 +278,29 @@ class TestExitCodes:
         assert "error" in err
 
 
+class TestMalformedConfiguration:
+    """The loader's validation errors exit 2 like every other domain error."""
+
+    @pytest.fixture(params=["no radius", "NaN center"])
+    def bad_file(self, request, config_file, tmp_path):
+        data = json.loads(config_file.read_text())
+        if request.param == "no radius":
+            del data["radius"]
+        else:
+            data["centers"][0][0] = math.nan
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize("method", ["solver", "dilute"])
+    def test_lambda_is_two(self, bad_file, capsys, method):
+        code, out, err = run_cli(
+            capsys, "lambda", "--config", str(bad_file), "--rho", "0.5",
+            "--method", method,
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
 def test_generation_failure_exit_code(tmp_path, capsys, monkeypatch):
     from effcond.errors import GenerationError
     import effcond.pipeline as pipeline

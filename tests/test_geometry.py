@@ -17,6 +17,7 @@ from effcond import (
     save_configuration,
     trial_seed,
 )
+from effcond.geometry import configuration_from_dict
 
 
 class TestPeriodicReduce:
@@ -204,6 +205,12 @@ class TestConfigurationValidation:
         )
         assert config.centers[0] == pytest.approx(0.3, abs=1e-15)
 
+    @pytest.mark.parametrize("center", [complex(math.nan, 0.1), complex(0.1, math.inf)])
+    def test_non_finite_center_rejected(self, square_cell, center):
+        with pytest.raises(DomainError, match="finite"):
+            DiskConfiguration(
+                cell=square_cell, centers=np.array([0j, center]), radius=0.05
+            )
 
     def test_centers_and_separations_read_only(self, square_cell):
         # the separations and kernels are derived from the centers once
@@ -251,6 +258,24 @@ class TestSerialization:
         assert data["meta"]["seed"] == 9
         assert data["meta"]["nu"] == pytest.approx(0.1)
 
+
+    @pytest.mark.parametrize("change", [
+        {"radius": None},
+        {"cell": {"omega1": 1.0}},
+        {"centers": [0.1, 0.2]},
+        {"cell": {"omega1": 1.0, "omega2": 1.0}},
+    ])
+    def test_malformed_dict_is_domain_error(self, change):
+        data = {
+            "cell": {"omega1": 1.0, "omega2": [0.0, 1.0]},
+            "radius": 0.05,
+            "centers": [[0.1, 0.2]],
+        }
+        data.update(change)
+        if data["radius"] is None:
+            del data["radius"]
+        with pytest.raises(DomainError, match="malformed configuration"):
+            configuration_from_dict(data)
 
 class TestTrialSeeds:
     def test_deterministic(self):

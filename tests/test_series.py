@@ -17,6 +17,7 @@ from effcond import (
     lambda_pade,
     regular_array,
     rsa_generate,
+    solve_contrast,
     zeta1,
 )
 
@@ -181,6 +182,26 @@ class TestLambdaCluster:
             slope = np.polyfit(np.log(nus), np.log(diffs), 1)[0]
             assert slope >= J + 0.5
 
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_approaches_solver_as_order_grows(self, seed):
+        # at nu = 0.1 every RSA configuration sits well inside the series'
+        # radius of convergence: |lambda_J - lambda_solver| falls strictly
+        # over J = 2, 4, ..., 12 at rho = +-1 (J = 12 at rho = 1: 1.9e-5 to
+        # 1.35e-4 over these seeds)
+        config = rsa_generate(EnsembleDescriptor(n=32, nu=0.1, trials=1, seed=seed))
+        for rho in (1.0, -1.0):
+            ref = solve_contrast(
+                config, rho, degree=30, tolerance=1e-14, max_iterations=400
+            ).lambda11
+            errors = [
+                abs(lambda_cluster(config.nu, cluster_coeffs(config, rho, J)).lambda11
+                    - ref)
+                for J in range(2, 13, 2)
+            ]
+            assert all(hi > lo for hi, lo in zip(errors, errors[1:])), errors
+            if rho == 1.0:
+                assert errors[-1] < 2e-4
 
 class TestLambdaContrast:
     def test_zero_contrast(self, rsa8_table):

@@ -11,7 +11,6 @@ from effcond import (
     DiskConfiguration,
     DomainError,
     EnsembleDescriptor,
-    SolverParams,
     apply_W,
     cluster_coeffs,
     constant_field,
@@ -96,16 +95,14 @@ class TestKrylovSolve:
     @pytest.mark.parametrize("rho", [1.0, -1.0, 0.5])
     def test_matches_successive_approximations(self, rsa6, rho):
         res = solve_contrast(rsa6, rho)
-        series = solve_contrast(
-            rsa6, rho, SolverParams(mode="order", order=200, degree=14)
-        )
+        series = solve_contrast(rsa6, rho, order=200, degree=14)
         assert res.iterations < 40
         assert res.lambda11 == pytest.approx(series.lambda11, abs=1e-10)
         assert res.lambda12 == pytest.approx(series.lambda12, abs=1e-10)
 
     def test_residual_is_the_fixed_point_residual(self, rsa6):
         rho = 0.9
-        res = solve_contrast(rsa6, rho, SolverParams(tolerance=1e-13))
+        res = solve_contrast(rsa6, rho, tolerance=1e-13)
         psi = res.field
         ones = constant_field(rsa6, psi.degree).coeffs
         scale = rsa6.radius ** np.arange(psi.degree + 1)
@@ -126,14 +123,34 @@ class TestKrylovSolve:
     def test_single_disk_exhausts_krylov_space(self, square_cell, degree):
         # the system has N(L+1) unknowns, so GMRES ends within that many steps
         config = regular_array(square_cell, "square", 1, 0.5)
-        res = solve_contrast(
-            config, 1.0, SolverParams(degree=degree, tolerance=1e-14)
-        )
-        series = solve_contrast(
-            config, 1.0, SolverParams(mode="order", order=300, degree=degree)
-        )
+        res = solve_contrast(config, 1.0, degree=degree, tolerance=1e-14)
+        series = solve_contrast(config, 1.0, order=300, degree=degree)
         assert res.iterations <= degree + 1 and res.residual <= 1e-14
         assert res.lambda11 == pytest.approx(series.lambda11, abs=1e-13)
+
+
+class TestSolverControls:
+    @pytest.mark.parametrize(
+        "controls", [{"order": -1}, {"tolerance": 0.0}, {"degree": -1}]
+    )
+    def test_out_of_domain_refused(self, rsa6, controls):
+        with pytest.raises(DomainError):
+            solve_contrast(rsa6, 0.5, **controls)
+
+    def test_order_zero_is_exactly_dilute(self, rsa6):
+        rho = 0.5
+        res = solve_contrast(rsa6, rho, order=0)
+        assert res.lambda11 == 1 + 2 * rho * rsa6.nu
+        assert res.lambda12 == 0.0 and res.iterations == 0
+
+    def test_order_sets_default_degree(self, rsa6):
+        # L = 2p + 2 with an order
+        res = solve_contrast(rsa6, 0.5, order=3)
+        assert res.field.coeffs.shape == (rsa6.n_disks, 9)
+
+    def test_controls_are_keyword_only(self, rsa6):
+        with pytest.raises(TypeError):
+            solve_contrast(rsa6, 0.5, 14)
 
 
 class TestClusterGradeEquivalence:
@@ -198,7 +215,7 @@ class TestSolveContrast:
     def test_first_order_lambda(self, rsa6):
         rho = 0.44
         nu = rsa6.nu
-        res = solve_contrast(rsa6, rho, SolverParams(mode="order", order=1))
+        res = solve_contrast(rsa6, rho, order=1)
         e2 = esum(rsa6, (2,))
         expected = 1 + 2 * rho * nu * (1 + rho * nu * e2 / math.pi)
         assert complex(res.lambda11, -res.lambda12) == pytest.approx(
@@ -207,15 +224,15 @@ class TestSolveContrast:
 
     def test_order_mode_matches_fixed_point(self, rsa6):
         rho = 0.8
-        tol = solve_contrast(rsa6, rho, SolverParams(tolerance=1e-13))
-        order = solve_contrast(rsa6, rho, SolverParams(mode="order", order=60, degree=14))
+        tol = solve_contrast(rsa6, rho, tolerance=1e-13)
+        order = solve_contrast(rsa6, rho, order=60, degree=14)
         assert tol.lambda11 == pytest.approx(order.lambda11, abs=1e-11)
         assert tol.lambda12 == pytest.approx(order.lambda12, abs=1e-11)
 
     def test_square_array_value(self, square_cell):
         # classic benchmark: nu = 0.2, perfect contrast, square array
         config = regular_array(square_cell, "square", 1, 0.2)
-        res = solve_contrast(config, 1.0, SolverParams(degree=24, tolerance=1e-13))
+        res = solve_contrast(config, 1.0, degree=24, tolerance=1e-13)
         assert res.lambda12 == pytest.approx(0.0, abs=1e-12)
         series = lambda_cluster(0.2, cluster_coeffs(config, 1.0, 6))
         assert res.lambda11 == pytest.approx(series.lambda11, abs=2e-4)
@@ -228,7 +245,7 @@ class TestSolveContrast:
 
     def test_non_convergence_carries_history(self, rsa6):
         with pytest.raises(ConvergenceError) as err:
-            solve_contrast(rsa6, 1.0, SolverParams(max_iterations=2))
+            solve_contrast(rsa6, 1.0, max_iterations=2)
         assert len(err.value.residual_history) == 2
 
     def test_slow_contraction_converges_within_default_budget(self):
@@ -240,9 +257,7 @@ class TestSolveContrast:
         res = solve_contrast(config, 1.0)
         assert res.converged and res.iterations <= 40
         # 600 successive approximations leave a remainder of 0.943^600 ~ 5e-16
-        series = solve_contrast(
-            config, 1.0, SolverParams(mode="order", order=600, degree=14)
-        )
+        series = solve_contrast(config, 1.0, order=600, degree=14)
         assert res.lambda11 == pytest.approx(series.lambda11, abs=1e-10)
         assert res.lambda12 == pytest.approx(series.lambda12, abs=1e-10)
 
@@ -287,16 +302,14 @@ class TestSolveContrast:
 
     def test_geometric_residual_decay_at_full_contrast(self):
         # enforced minimum gap of 0.2r via the inflated exclusion factor; the
-        # Schwarz steps rho^p W^p(1) are the order-mode residual history,
-        # cut at the first one below 1e-13
+        # Schwarz steps rho^p W^p(1) are the residual history of a solve with
+        # an order, cut at the first one below 1e-13
         desc = EnsembleDescriptor(
             n=16, nu=0.25, trials=1, seed=77, exclusion_factor=1.1
         )
         config = rsa_generate(desc)
         for rho in (1.0, -1.0):
-            res = solve_contrast(
-                config, rho, SolverParams(mode="order", order=300, degree=14)
-            )
+            res = solve_contrast(config, rho, order=300, degree=14)
             steps = res.residual_history
             first = next(p for p, step in enumerate(steps) if step <= 1e-13)
             hist = steps[: first + 1]
@@ -308,9 +321,7 @@ class TestSolveContrast:
         config = regular_array(square_cell, "square", 4, 0.2)
         lam = {}
         for degree in (14, 18):
-            res = solve_contrast(
-                config, 0.8, SolverParams(degree=degree, tolerance=1e-13)
-            )
+            res = solve_contrast(config, 0.8, degree=degree, tolerance=1e-13)
             lam[degree] = res.lambda11
         assert abs(lam[14] - lam[18]) < 1e-8
 
@@ -318,7 +329,7 @@ class TestSolveContrast:
         # non-square cells flow through kernels, sums and the solver; the
         # hexagonal array at moderate filling sits on the Pade resummation
         config = regular_array(hex_cell, "hexagonal", 1, 0.2)
-        res = solve_contrast(config, 1.0, SolverParams(degree=16, tolerance=1e-13))
+        res = solve_contrast(config, 1.0, degree=16, tolerance=1e-13)
         assert abs(res.lambda12) < 1e-10
         assert res.lambda11 == pytest.approx(1.5, abs=5e-3)
         assert esum(config, (2,)) == pytest.approx(math.pi, abs=1e-11)
@@ -326,7 +337,7 @@ class TestSolveContrast:
     def test_single_disk_full_contrast_refinement(self, square_cell):
         config = regular_array(square_cell, "square", 1, 0.1)
         results = [
-            solve_contrast(config, 1.0, SolverParams(degree=d, tolerance=1e-12))
+            solve_contrast(config, 1.0, degree=d, tolerance=1e-12)
             for d in (14, 18)
         ]
         assert results[0].converged and results[0].residual <= 1e-12
@@ -341,7 +352,7 @@ class TestSolveContrast:
         r = math.sqrt(nu / (4 * math.pi))
         config = DiskConfiguration(cell=base.cell, centers=base.centers, radius=r)
         rho = 0.8
-        res = solve_contrast(config, rho, SolverParams(degree=20, tolerance=1e-14))
+        res = solve_contrast(config, rho, degree=20, tolerance=1e-14)
         series = lambda_cluster(nu, cluster_coeffs(config, rho, 6))
         diff = abs(
             complex(res.lambda11, -res.lambda12)
