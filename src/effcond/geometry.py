@@ -2,10 +2,11 @@
 
 Random sequential addition (RSA) realizes the uniform non-overlapping
 ensemble: candidates are drawn uniformly in the cell and accepted iff their
-periodic distance to every accepted center is at least one diameter.
-Generation is a pure function of the seed; per-trial seeds for ensembles
-derive from a master seed through splitmix64 (trial i uses
-master XOR splitmix64(i)), so trials may run concurrently.
+periodic distance to every accepted center is at least one diameter.  The
+candidates are tested a chunk at a time, with the same result as testing
+them one by one in draw order.  Generation is a pure function of the seed;
+per-trial seeds for ensembles derive from a master seed through splitmix64
+(trial i uses master XOR splitmix64(i)), so trials may run concurrently.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ NU_GUARD = 0.5
 
 #: Candidate-draw budget for one configuration.
 DEFAULT_ATTEMPT_BUDGET = 10 ** 6
+
+#: RSA draws candidates in blocks of _BLOCK and tests them _CHUNK at a time.
+_BLOCK = 1024
+_CHUNK = 64
 
 _OVERLAP_TOL = 1e-12
 
@@ -107,6 +112,10 @@ class EnsembleDescriptor:
             )
         if self.exclusion_factor < 1.0:
             raise DomainError("exclusion_factor must be >= 1")
+        if self.attempt_budget < 1:
+            raise DomainError(
+                f"attempt_budget must be >= 1, got {self.attempt_budget}"
+            )
 
     def cell(self) -> Cell:
         return make_cell(self.cell_omega1, self.cell_omega2)
@@ -132,8 +141,13 @@ def rsa_generate(desc: EnsembleDescriptor, seed: int | None = None) -> DiskConfi
     """One RSA configuration; deterministic function of the seed.
 
     Draws uniform candidates and accepts each iff its periodic distance to
-    all accepted centers is >= exclusion_factor * 2r.  Raises
-    GenerationError (carrying the count placed) when the budget runs out.
+    all accepted centers is >= exclusion_factor * 2r.  Candidates are tested
+    in chunks of _CHUNK: one array pass against the centers placed before
+    the chunk, then the survivors in draw order against those accepted
+    within it, read from one array of their mutual distances.  Centers and
+    candidates_drawn equal those of testing every candidate on its own.
+    Raises GenerationError (carrying the count placed) when the budget runs
+    out.
     """
     cell = desc.cell()
     r = desc.radius
@@ -142,36 +156,57 @@ def rsa_generate(desc: EnsembleDescriptor, seed: int | None = None) -> DiskConfi
     accepted = np.empty(desc.n, dtype=complex)
     placed = 0
     drawn = 0
-    block = np.empty((0, 2))
+    block = np.empty(0, dtype=complex)
     cursor = 0
-    # Cell.min_image inlined for the hot loop: a method call per candidate
-    # costs about 1.2-1.4x per configuration near jamming
+    # minimal images inline, in the arithmetic of the one-at-a-time rule:
+    # through Cell.reduce and Cell.min_image a configuration at N = 64 took
+    # 2.6 ms against 1.9 (nu = 0.3) and 3.9 against 2.9 (nu = 0.45), 2 CPUs
     shifts = cell.stencil
     inv_im = 1.0 / cell.omega2.imag
-    re2, w1 = cell.omega2.real, cell.omega1
+    re2, w1, w2 = cell.omega2.real, cell.omega1, cell.omega2
+
+    def images(centers, z):
+        d = centers - z
+        beta = d.imag * inv_im
+        alpha = (d.real - beta * re2) / w1
+        return d - np.floor(alpha + 0.5) * w1 - np.floor(beta + 0.5) * w2
+
     while placed < desc.n:
         if cursor >= len(block):
-            block = rng.random((1024, 2))
+            if drawn >= desc.attempt_budget:
+                raise GenerationError(
+                    f"placed {placed}/{desc.n} disks within "
+                    f"{desc.attempt_budget} candidate draws",
+                    placed=placed,
+                )
+            u = rng.random((_BLOCK, 2))
+            block = (u[:, 0] - 0.5) * w1 + (u[:, 1] - 0.5) * w2
+            block = block[: desc.attempt_budget - drawn]
             cursor = 0
-        u1, u2 = block[cursor]
-        cursor += 1
-        drawn += 1
-        if drawn > desc.attempt_budget:
-            raise GenerationError(
-                f"placed {placed}/{desc.n} disks within "
-                f"{desc.attempt_budget} candidate draws",
-                placed=placed,
-            )
-        z = (u1 - 0.5) * cell.omega1 + (u2 - 0.5) * cell.omega2
-        if placed:
-            d = accepted[:placed] - z
-            beta = d.imag * inv_im
-            alpha = (d.real - beta * re2) / w1
-            d = d - np.floor(alpha + 0.5) * w1 - np.floor(beta + 0.5) * cell.omega2
-            if np.abs(d[:, None] + shifts).min() < min_dist:
+        chunk = block[cursor : cursor + _CHUNK]
+        cursor += len(chunk)
+        # the shift-0 image bounds the 9-shift minimum from above
+        d = images(accepted[:placed], chunk[:, None])
+        survivors = np.flatnonzero(np.abs(d).min(axis=1, initial=np.inf) >= min_dist)
+        d = d[survivors, :, None] + shifts
+        survivors = survivors[np.abs(d).min(axis=(1, 2), initial=np.inf) >= min_dist]
+        # survivors in draw order, each tested against those accepted before
+        # it: clear[j, i] is the test of survivor j against survivor i
+        z = chunk[survivors]
+        d = images(z[None, :], z[:, None])[..., None] + shifts
+        clear = np.abs(d).min(axis=2) >= min_dist
+        free = np.ones(len(z), dtype=bool)
+        taken = len(chunk)
+        for i, k in enumerate(survivors.tolist()):
+            if not free[i]:
                 continue
-        accepted[placed] = z
-        placed += 1
+            accepted[placed] = z[i]
+            placed += 1
+            if placed == desc.n:
+                taken = k + 1
+                break
+            free &= clear[:, i]
+        drawn += taken
     meta = {
         "generator": "rsa",
         "seed": int(desc.seed if seed is None else seed),

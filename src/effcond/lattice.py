@@ -327,6 +327,16 @@ def eisenstein_stack(cell: Cell, n_lo: int, n_hi: int, z) -> np.ndarray:
     return out
 
 
+def _eisenstein_stack_min_image(cell: Cell, n_lo: int, n_hi: int, z) -> np.ndarray:
+    """eisenstein_stack for minimal images z, n_lo >= 2: |z| is the guard's distance."""
+    near = np.abs(z) < NEAR_SINGULARITY_RADIUS
+    if np.any(near):
+        raise NearSingularityError(
+            f"z = {z[near][0]} within {NEAR_SINGULARITY_RADIUS:g} of a lattice point"
+        )
+    return _eisenstein_stack(cell, n_lo, n_hi, cell.reduce(z)[0])
+
+
 def eisenstein(cell: Cell, n: int, z):
     """E_n(z); scalar in, scalar out, ndarray in, ndarray out.
 

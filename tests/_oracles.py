@@ -14,7 +14,9 @@ term, and the dense interaction matrix block by block.  The series
 references are the printed coefficient table through A_6, the closed form
 of A_n as one structural sum per degree path of W (2^(n-2) terms for
 n >= 2), and the operator iterates W^p(1) split by r^2 grade, with the
-exact low-order fields they must reproduce.
+exact low-order fields they must reproduce.  The RSA reference is the
+placement rule tested one candidate at a time, which the chunked production
+loop must reproduce draw for draw.
 """
 
 import math
@@ -23,7 +25,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from effcond.errors import DependencyError, DomainError
+from effcond.errors import DependencyError, DomainError, GenerationError
 from effcond.esums import (
     MultiIndex,
     as_multi_index,
@@ -31,7 +33,7 @@ from effcond.esums import (
     kernel_matrix,
     step_weight,
 )
-from effcond.geometry import DiskConfiguration
+from effcond.geometry import DiskConfiguration, EnsembleDescriptor
 from effcond.lattice import eisenstein, lattice_sum
 from effcond.series import ClusterCoefficients
 from effcond.solver import DEFAULT_DEGREE, TaylorField, apply_W, constant_field
@@ -394,3 +396,49 @@ def contrast_cluster_grades(
             out[(p, grade)] = coeffs
     return out
 
+
+
+def rsa_one_at_a_time(desc: EnsembleDescriptor, seed: int) -> DiskConfiguration:
+    """RSA tested one candidate at a time against every accepted center.
+
+    Candidates come from the same rng.random((1024, 2)) blocks as
+    geometry.rsa_generate; meta holds candidates_drawn only.
+    """
+    cell = desc.cell()
+    r = desc.radius
+    min_dist = desc.exclusion_factor * 2.0 * r
+    rng = np.random.default_rng(seed)
+    accepted = np.empty(desc.n, dtype=complex)
+    placed = 0
+    drawn = 0
+    block = np.empty((0, 2))
+    cursor = 0
+    shifts = cell.stencil
+    inv_im = 1.0 / cell.omega2.imag
+    re2, w1 = cell.omega2.real, cell.omega1
+    while placed < desc.n:
+        if cursor >= len(block):
+            block = rng.random((1024, 2))
+            cursor = 0
+        u1, u2 = block[cursor]
+        cursor += 1
+        drawn += 1
+        if drawn > desc.attempt_budget:
+            raise GenerationError(
+                f"placed {placed}/{desc.n} disks within "
+                f"{desc.attempt_budget} candidate draws",
+                placed=placed,
+            )
+        z = (u1 - 0.5) * cell.omega1 + (u2 - 0.5) * cell.omega2
+        if placed:
+            d = accepted[:placed] - z
+            beta = d.imag * inv_im
+            alpha = (d.real - beta * re2) / w1
+            d = d - np.floor(alpha + 0.5) * w1 - np.floor(beta + 0.5) * cell.omega2
+            if np.abs(d[:, None] + shifts).min() < min_dist:
+                continue
+        accepted[placed] = z
+        placed += 1
+    return DiskConfiguration(
+        cell=cell, centers=accepted, radius=r, meta={"candidates_drawn": drawn}
+    )

@@ -19,6 +19,8 @@ from effcond import (
 )
 from effcond.geometry import configuration_from_dict
 
+from _oracles import rsa_one_at_a_time
+
 
 class TestPeriodicReduce:
     def test_inside_unchanged(self, square_cell):
@@ -101,6 +103,11 @@ class TestRsaGenerate:
         with pytest.raises(DomainError):
             EnsembleDescriptor(n=16, nu=0.55, trials=1, seed=0)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_guard(self, budget):
+        with pytest.raises(DomainError, match="attempt_budget"):
+            EnsembleDescriptor(n=16, nu=0.3, trials=1, seed=0, attempt_budget=budget)
+
     def test_budget_exhaustion_reports_placed(self):
         desc = EnsembleDescriptor(
             n=64, nu=0.5, trials=1, seed=0, attempt_budget=70
@@ -134,6 +141,62 @@ class TestRsaGenerate:
         # chi-square survival function, df = 99
         p = mpmath.gammainc(99 / 2, stat / 2, mpmath.inf, regularized=True)
         assert p > 0.001
+
+
+def _outcome(generate, desc):
+    """Centers and draws of a configuration, or the text and count of its failure."""
+    try:
+        config = generate(desc, desc.seed)
+    except GenerationError as exc:
+        return str(exc), exc.placed
+    return config.centers.tobytes(), config.meta["candidates_drawn"]
+
+
+class TestRsaChunksAgainstOneAtATime:
+    """The chunked accept loop reproduces the one-at-a-time rule bitwise."""
+
+    CELLS = {"square": 1j, "hexagonal": np.exp(1j * np.pi / 3),
+             "oblique": 0.3 + 1.1j, "aspect-0.3": 0.3j}
+
+    @pytest.mark.parametrize("cell", CELLS)
+    @pytest.mark.parametrize("n", [1, 2, 16, 64, 256])
+    @pytest.mark.parametrize("nu, factor", [(0.3, 1.0), (0.45, 1.0), (0.5, 1.0), (0.3, 1.3)])
+    def test_same_centers_and_draws(self, cell, n, nu, factor):
+        desc = EnsembleDescriptor(
+            n=n, nu=nu, trials=1, seed=n, cell_omega2=self.CELLS[cell],
+            exclusion_factor=factor, attempt_budget=50000,
+        )
+        assert _outcome(rsa_generate, desc) == _outcome(rsa_one_at_a_time, desc)
+
+    # draws whose shift-0 image clears a center that a stencil neighbour of
+    # it overlaps: large disks on the hexagonal and a sheared cell
+    @pytest.mark.parametrize("omega2, n, seed", [
+        (np.exp(1j * np.pi / 3), 2, 12), (np.exp(1j * np.pi / 3), 2, 16),
+        (0.45 + 0.2j, 3, 0), (0.45 + 0.2j, 3, 2),
+    ])
+    def test_corner_images(self, omega2, n, seed):
+        desc = EnsembleDescriptor(n=n, nu=0.5, trials=1, seed=seed,
+                                  cell_omega2=omega2, attempt_budget=2000)
+        assert _outcome(rsa_generate, desc) == _outcome(rsa_one_at_a_time, desc)
+
+    # seeds whose last disk lands on draw 63, 64, 65 (n = 30, nu = 0.3) and
+    # 1023, 1024, 1025 (n = 64, nu = 0.45); n = 64 at nu = 0.5 with spacing
+    # 1.3 never completes
+    EDGES = [(30, 0.3, 1.0, 2, 63), (30, 0.3, 1.0, 60, 64), (30, 0.3, 1.0, 35, 65),
+             (64, 0.45, 1.0, 539, 1023), (64, 0.45, 1.0, 158, 1024),
+             (64, 0.45, 1.0, 696, 1025), (64, 0.5, 1.3, 0, None)]
+
+    @pytest.mark.parametrize("n, nu, factor, seed, draws", EDGES)
+    @pytest.mark.parametrize("budget", [1, 63, 64, 65, 1023, 1024, 1025])
+    def test_budget_edges(self, n, nu, factor, seed, draws, budget):
+        desc = EnsembleDescriptor(n=n, nu=nu, trials=1, seed=seed,
+                                  exclusion_factor=factor, attempt_budget=budget)
+        outcome = _outcome(rsa_generate, desc)
+        assert outcome == _outcome(rsa_one_at_a_time, desc)
+        if draws is not None and budget >= draws:
+            assert outcome[1] == draws
+        else:
+            assert outcome[0].endswith(f"within {budget} candidate draws")
 
 
 class TestRegularArray:

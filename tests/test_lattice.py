@@ -12,7 +12,12 @@ from effcond import (
     lattice_sum,
     make_cell,
 )
-from effcond.lattice import _lattice_sum_rows, _zeta_even
+from effcond.lattice import (
+    _eisenstein_stack_min_image,
+    _lattice_sum_rows,
+    _zeta_even,
+    eisenstein_stack,
+)
 
 from _oracles import (
     eisenstein_brute,
@@ -120,6 +125,17 @@ class TestEisenstein:
     def test_near_lattice_point_refused(self, square_cell):
         with pytest.raises(NearSingularityError):
             eisenstein(square_cell, 2, 1.0 + 1e-10)
+
+    def test_min_image_entry(self, hex_cell, sheared_cell):
+        # the kernel build's entry for minimal images: eisenstein_stack's
+        # values bitwise, and the same refusal near a lattice point
+        rng = np.random.default_rng(4)
+        for cell in (hex_cell, sheared_cell):
+            z = cell.min_image(rng.uniform(-2, 2, 50) + 1j * rng.uniform(-2, 2, 50))
+            assert np.array_equal(_eisenstein_stack_min_image(cell, 2, 9, z),
+                                  eisenstein_stack(cell, 2, 9, z))
+            with pytest.raises(NearSingularityError):
+                _eisenstein_stack_min_image(cell, 2, 9, np.append(z, 1e-10j))
 
     def test_parity(self, square_cell, sheared_cell):
         rng = np.random.default_rng(11)
