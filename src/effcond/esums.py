@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import DiskConfiguration
-from .lattice import _eisenstein_stack_min_image, lattice_sum
+from .lattice import eisenstein_stack, lattice_sum
 from .serialize import dump_csv
 
 
@@ -80,7 +80,7 @@ def kernel_matrix(config: DiskConfiguration, n: int) -> np.ndarray:
     if n >= n_lo:
         n_disks = config.n_disks
         upper = np.triu_indices(n_disks, 1)
-        vals = _eisenstein_stack_min_image(config.cell, n_lo, n, config.separations)
+        vals = eisenstein_stack(config.cell, n_lo, n, config.separations)
         stack = np.empty((n - 1, n_disks, n_disks), dtype=complex)
         if old is not None:
             stack[: n_lo - 2] = old

@@ -315,7 +315,10 @@ def eisenstein_stack(cell: Cell, n_lo: int, n_hi: int, z) -> np.ndarray:
     if n_lo < 1:
         raise DomainError(f"kernel order must be >= 1, got {n_lo}")
     zr, _, k2 = cell.reduce(z)
-    dist = cell.lattice_distance(zr)
+    # every nonzero lattice point lies at least half a cell height outside
+    # the centred parallelogram, so zr is within R of a lattice point
+    # exactly when |zr| < R
+    dist = np.abs(zr)
     if np.any(dist < NEAR_SINGULARITY_RADIUS):
         bad = np.asarray(z, dtype=complex)[dist < NEAR_SINGULARITY_RADIUS][0]
         raise NearSingularityError(
@@ -325,16 +328,6 @@ def eisenstein_stack(cell: Cell, n_lo: int, n_hi: int, z) -> np.ndarray:
     if n_lo == 1:
         out[0] -= k2 * (_TWO_PI_I / cell.omega1)
     return out
-
-
-def _eisenstein_stack_min_image(cell: Cell, n_lo: int, n_hi: int, z) -> np.ndarray:
-    """eisenstein_stack for minimal images z, n_lo >= 2: |z| is the guard's distance."""
-    near = np.abs(z) < NEAR_SINGULARITY_RADIUS
-    if np.any(near):
-        raise NearSingularityError(
-            f"z = {z[near][0]} within {NEAR_SINGULARITY_RADIUS:g} of a lattice point"
-        )
-    return _eisenstein_stack(cell, n_lo, n_hi, cell.reduce(z)[0])
 
 
 def eisenstein(cell: Cell, n: int, z):

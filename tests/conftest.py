@@ -28,15 +28,15 @@ def thin_cell():
 def kernel_passes(monkeypatch):
     """(n_lo, n_hi) of every kernel build, in call order."""
     import effcond.esums
-    from effcond.lattice import _eisenstein_stack_min_image
+    from effcond.lattice import eisenstein_stack
 
     calls = []
 
     def counting(cell, n_lo, n_hi, z):
         calls.append((n_lo, n_hi))
-        return _eisenstein_stack_min_image(cell, n_lo, n_hi, z)
+        return eisenstein_stack(cell, n_lo, n_hi, z)
 
-    monkeypatch.setattr(effcond.esums, "_eisenstein_stack_min_image", counting)
+    monkeypatch.setattr(effcond.esums, "eisenstein_stack", counting)
     return calls
 
 

@@ -19,7 +19,7 @@ from effcond import (
 )
 import effcond.esums
 from effcond.esums import _matvec, as_multi_index, esums_csv, kernel_stack
-from effcond.lattice import _eisenstein_stack_min_image, eisenstein_stack
+from effcond.lattice import eisenstein_stack
 
 from _oracles import eisenstein_mpmath, esum_reference, required_indices
 
@@ -136,9 +136,9 @@ class TestKernelMatrix:
 
         def counting(cell, n_lo, n_hi, z):
             calls.append((n_lo, n_hi))
-            return _eisenstein_stack_min_image(cell, n_lo, n_hi, z)
+            return eisenstein_stack(cell, n_lo, n_hi, z)
 
-        monkeypatch.setattr(effcond.esums, "_eisenstein_stack_min_image", counting)
+        monkeypatch.setattr(effcond.esums, "eisenstein_stack", counting)
         return calls
 
     def test_second_call_builds_nothing(self, monkeypatch):

@@ -13,7 +13,6 @@ from effcond import (
     make_cell,
 )
 from effcond.lattice import (
-    _eisenstein_stack_min_image,
     _lattice_sum_rows,
     _zeta_even,
     eisenstein_stack,
@@ -122,20 +121,18 @@ class TestEisenstein:
         with pytest.raises(DomainError):
             eisenstein(square_cell, 0, 0.3)
 
-    def test_near_lattice_point_refused(self, square_cell):
+    def test_near_lattice_point_refused(self, square_cell, hex_cell, sheared_cell,
+                                        thin_cell):
         with pytest.raises(NearSingularityError):
             eisenstein(square_cell, 2, 1.0 + 1e-10)
-
-    def test_min_image_entry(self, hex_cell, sheared_cell):
-        # the kernel build's entry for minimal images: eisenstein_stack's
-        # values bitwise, and the same refusal near a lattice point
-        rng = np.random.default_rng(4)
-        for cell in (hex_cell, sheared_cell):
-            z = cell.min_image(rng.uniform(-2, 2, 50) + 1j * rng.uniform(-2, 2, 50))
-            assert np.array_equal(_eisenstein_stack_min_image(cell, 2, 9, z),
-                                  eisenstein_stack(cell, 2, 9, z))
-            with pytest.raises(NearSingularityError):
-                _eisenstein_stack_min_image(cell, 2, 9, np.append(z, 1e-10j))
+        # the guard reads |z| after reduction: within the radius of any
+        # lattice point is refused, just outside it is not
+        for cell in (hex_cell, sheared_cell, thin_cell):
+            for p in cell.stencil + 2 * cell.omega1 - cell.omega2:
+                for step in (1e-10, -0.6e-9j, (-0.5 + 0.5j) * 1e-9):
+                    with pytest.raises(NearSingularityError):
+                        eisenstein_stack(cell, 2, 4, np.array([0.3, p + step]))
+                assert np.all(np.isfinite(eisenstein_stack(cell, 2, 4, np.array([p + 2e-9]))))
 
     def test_parity(self, square_cell, sheared_cell):
         rng = np.random.default_rng(11)
