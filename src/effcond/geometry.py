@@ -3,8 +3,9 @@
 Random sequential addition (RSA) realizes the uniform non-overlapping
 ensemble: candidates are drawn uniformly in the cell and accepted iff their
 periodic distance to every accepted center is at least one diameter.  The
-candidates are tested a chunk at a time, with the same result as testing
-them one by one in draw order.  Generation is a pure function of the seed;
+candidates are tested a chunk at a time, each against the centers in the
+bins around its own, with the same result as testing them one by one in
+draw order against every center.  Generation is a pure function of the seed;
 per-trial seeds for ensembles derive from a master seed through splitmix64
 (trial i uses master XOR splitmix64(i)), so trials may run concurrently.
 """
@@ -143,9 +144,12 @@ def rsa_generate(desc: EnsembleDescriptor, seed: int | None = None) -> DiskConfi
     Draws uniform candidates and accepts each iff its periodic distance to
     all accepted centers is >= exclusion_factor * 2r.  Candidates are tested
     in chunks of _CHUNK: one array pass against the centers placed before
-    the chunk, then the survivors in draw order against those accepted
-    within it, read from one array of their mutual distances.  Centers and
-    candidates_drawn equal those of testing every candidate on its own.
+    the chunk in the 3 x 3 bins around each candidate (a cell list, Allen &
+    Tildesley 1987), then the survivors in draw order against those
+    accepted within it, read from one array of their mutual distances.  A
+    pair takes the 9-shift stencil only when its shift-0 image is long
+    enough for another image to come closer.  Centers and candidates_drawn
+    equal those of testing every candidate on its own against every center.
     Raises GenerationError (carrying the count placed) when the budget runs
     out.
     """
@@ -171,6 +175,35 @@ def rsa_generate(desc: EnsembleDescriptor, seed: int | None = None) -> DiskConfi
         alpha = (d.real - beta * re2) / w1
         return d - np.floor(alpha + 0.5) * w1 - np.floor(beta + 0.5) * w2
 
+    # a shifted image of d is at least |s| - |d| long, so only a pair with
+    # |d| beyond reach can overlap in an image other than d itself
+    reach = cell.shortest_shift - min_dist - 1e-9
+
+    def overlaps(d):
+        """Whether d + s is shorter than min_dist for some stencil shift s."""
+        dist = np.abs(d)
+        hit = dist < min_dist
+        far = np.nonzero(dist > reach)
+        hit[far] = (np.abs(d[far][:, None] + shifts) < min_dist).any(axis=1)
+        return hit
+
+    # cell list: the placed centers sit in m1 x m2 bins of lattice
+    # coordinates, each at least min_dist wide at right angles to its sides
+    # (and at most about 4n bins), so a candidate is farther than min_dist,
+    # in every image, from any center outside the 3 x 3 bins around its own.
+    # A side of fewer than 3 bins is one bin.  Each bin's row of the table
+    # holds its centers, NaN in the empty slots (a NaN distance overlaps
+    # nothing), and grows by a column when a bin fills.
+    width = max(min_dist * (1.0 + 1e-6), 0.5 / math.sqrt(desc.n))
+    m1, m2 = (m if m >= 3 else 1 for m in (int(1.0 / (abs(w2) * width)), int(w2.imag / width)))
+    b1, b2 = np.divmod(np.arange(m1 * m2), m2)
+    o1, o2 = (np.arange(-1, 2) if m > 1 else np.zeros(1, dtype=int) for m in (m1, m2))
+    around = ((b1[:, None, None] + o1[:, None]) % m1 * m2
+              + (b2[:, None, None] + o2) % m2).reshape(m1 * m2, -1)
+    empty = complex(math.nan, math.nan)
+    table = np.full((m1 * m2, 1), empty)
+    counts = np.zeros(m1 * m2, dtype=int)
+
     while placed < desc.n:
         if cursor >= len(block):
             if drawn >= desc.attempt_budget:
@@ -179,22 +212,21 @@ def rsa_generate(desc: EnsembleDescriptor, seed: int | None = None) -> DiskConfi
                     f"{desc.attempt_budget} candidate draws",
                     placed=placed,
                 )
-            u = rng.random((_BLOCK, 2))
+            u = rng.random((_BLOCK, 2))[: desc.attempt_budget - drawn]
             block = (u[:, 0] - 0.5) * w1 + (u[:, 1] - 0.5) * w2
-            block = block[: desc.attempt_budget - drawn]
+            # each candidate's bin, from its draw
+            home = (np.minimum((u[:, 0] * m1).astype(int), m1 - 1) * m2
+                    + np.minimum((u[:, 1] * m2).astype(int), m2 - 1))
             cursor = 0
         chunk = block[cursor : cursor + _CHUNK]
+        bins = home[cursor : cursor + _CHUNK]
+        near = table[around[bins]].reshape(len(chunk), -1)
         cursor += len(chunk)
-        # the shift-0 image bounds the 9-shift minimum from above
-        d = images(accepted[:placed], chunk[:, None])
-        survivors = np.flatnonzero(np.abs(d).min(axis=1, initial=np.inf) >= min_dist)
-        d = d[survivors, :, None] + shifts
-        survivors = survivors[np.abs(d).min(axis=(1, 2), initial=np.inf) >= min_dist]
+        survivors = np.flatnonzero(~overlaps(images(near, chunk[:, None])).any(axis=1))
         # survivors in draw order, each tested against those accepted before
         # it: clear[j, i] is the test of survivor j against survivor i
         z = chunk[survivors]
-        d = images(z[None, :], z[:, None])[..., None] + shifts
-        clear = np.abs(d).min(axis=2) >= min_dist
+        clear = ~overlaps(images(z[None, :], z[:, None]))
         free = np.ones(len(z), dtype=bool)
         taken = len(chunk)
         for i, k in enumerate(survivors.tolist()):
@@ -202,6 +234,11 @@ def rsa_generate(desc: EnsembleDescriptor, seed: int | None = None) -> DiskConfi
                 continue
             accepted[placed] = z[i]
             placed += 1
+            b = bins[k]
+            if counts[b] == table.shape[1]:
+                table = np.hstack((table, np.full((len(table), 1), empty)))
+            table[b, counts[b]] = z[i]
+            counts[b] += 1
             if placed == desc.n:
                 taken = k + 1
                 break

@@ -158,16 +158,26 @@ class Cell:
         shifts.setflags(write=False)
         return shifts
 
+    @cached_property
+    def shortest_shift(self) -> float:
+        """Length of the shortest nonzero translate in the stencil."""
+        return float(np.abs(np.delete(self.stencil, 4)).min())
+
     def min_image(self, z) -> np.ndarray:
         """The lattice translate of z nearest to the origin.
 
         reduce() maps into the centered parallelogram, whose nearest lattice
-        point may still be a corner; one stencil step folds onto it.
+        point may still be a corner; one stencil step folds onto it.  A
+        reduced point shorter than half of every nonzero stencil shift, less
+        a rounding margin, is already nearest and skips the stencil.
         """
         zr, _, _ = self.reduce(z)
-        cand = zr[..., None] + self.stencil
-        idx = np.abs(cand).argmin(axis=-1)
-        return np.take_along_axis(cand, idx[..., None], axis=-1)[..., 0]
+        flat = zr.ravel()
+        out = flat + self.stencil[4]  # the shift-0 image, signed zeros as in the stencil
+        far = np.flatnonzero(np.abs(flat) >= 0.5 * self.shortest_shift * (1.0 - 1e-9))
+        cand = flat[far, None] + self.stencil
+        out[far] = cand[np.arange(len(far)), np.abs(cand).argmin(axis=1)]
+        return out.reshape(zr.shape)
 
     def lattice_distance(self, z) -> np.ndarray:
         """Distance from z to the nearest lattice point."""
@@ -285,9 +295,9 @@ def _eisenstein_stack(cell: Cell, n_lo: int, n_hi: int, zr, first_row: int = 0):
         vm = np.exp(-_TWO_PI_I * (x - tail * tau))
         tails = np.empty((len(orders), x.size), dtype=complex)
         for parity in (False, True):
-            tails[odd == parity] = _power_sums(
-                tail_table[odd == parity], tail_terms(vp, vm, parity), x.size
-            )
+            sel = odd == parity
+            if sel.any():
+                tails[sel] = _power_sums(tail_table[sel], tail_terms(vp, vm, parity), x.size)
         cot = 1.0 / np.tan(np.pi * w[central])
         for o, n in enumerate(orders):
             factor = (-_TWO_PI_I) ** n / math.factorial(n - 1)
@@ -337,6 +347,12 @@ def eisenstein(cell: Cell, n: int, z):
     doubly periodic.  Points within NEAR_SINGULARITY_RADIUS of a lattice
     point are refused; the kernel matrices take the regularized value S_n
     (lattice_sum) at z = 0.
+
+    Orders up to 122 are accepted, but above 31 the row through z loses
+    accuracy at mid-edge points of the cell, by cancellation in the cot
+    polynomial: against a 60-digit reference on the square cell at
+    z = 0.475+0.262i, |E_n - ref|*|z|^n is 1.4e-9 at n = 31, 7e-4 at n = 55
+    and 7e7 at n = 100.
     """
     val = eisenstein_stack(cell, n, n, z)[0]
     return complex(val) if val.ndim == 0 else val

@@ -16,7 +16,9 @@ of A_n as one structural sum per degree path of W (2^(n-2) terms for
 n >= 2), and the operator iterates W^p(1) split by r^2 grade, with the
 exact low-order fields they must reproduce.  The RSA reference is the
 placement rule tested one candidate at a time, which the chunked production
-loop must reproduce draw for draw.
+loop must reproduce draw for draw, and the minimal-image reference takes
+the 9-image stencil argmin of every point, which the production shortcut
+must reproduce bit for bit.
 """
 
 import math
@@ -442,3 +444,11 @@ def rsa_one_at_a_time(desc: EnsembleDescriptor, seed: int) -> DiskConfiguration:
     return DiskConfiguration(
         cell=cell, centers=accepted, radius=r, meta={"candidates_drawn": drawn}
     )
+
+
+def min_image_stencil(cell, z) -> np.ndarray:
+    """Cell.min_image with the 9-image argmin taken for every point."""
+    zr, _, _ = cell.reduce(z)
+    cand = zr[..., None] + cell.stencil
+    idx = np.abs(cand).argmin(axis=-1)
+    return np.take_along_axis(cand, idx[..., None], axis=-1)[..., 0]

@@ -19,7 +19,7 @@ from effcond import (
 )
 from effcond.geometry import configuration_from_dict
 
-from _oracles import rsa_one_at_a_time
+from _oracles import min_image_stencil, rsa_one_at_a_time
 
 
 class TestPeriodicReduce:
@@ -68,6 +68,73 @@ class TestPeriodicDistance:
                 dbc = cell.lattice_distance(b - c)
                 dac = cell.lattice_distance(a - c)
                 assert dac <= dab + dbc + 1e-12
+
+
+def _bits(z):
+    """The bit patterns of a complex array, so that -0.0 differs from 0.0."""
+    return np.atleast_1d(z).view(np.uint64)
+
+
+class TestMinImageAgainstStencil:
+    """Cell.min_image equals the full 9-image argmin, signed zeros included."""
+
+    @pytest.fixture(params=["square_cell", "sheared_cell", "hex_cell", "thin_cell"])
+    def cell(self, request):
+        return request.getfixturevalue(request.param)
+
+    def assert_same(self, cell, z):
+        got, want = cell.min_image(z), min_image_stencil(cell, z)
+        assert type(got) is type(want) and got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_on_and_inside_shortcut_radius(self, cell):
+        half = 0.5 * cell.shortest_shift
+        angles = np.exp(2j * np.pi * np.arange(720) / 720)
+        radii = [half * (1 - 1e-9), half * (1 - 2e-9), half * (1 - 1e-12),
+                 np.nextafter(half, 0), half, np.nextafter(half, 1), half * (1 + 1e-9)]
+        self.assert_same(cell, np.concatenate([r * angles for r in radii]))
+        # half of each stencil shift: a tie between two images
+        self.assert_same(cell, np.delete(cell.stencil, 4) / 2)
+
+    def test_edges_and_corners(self, cell):
+        w1, w2 = cell.omega1, cell.omega2
+        mid = np.array([w1, w2, w1 + w2, w1 - w2]) / 2
+        pts = np.concatenate([mid, -mid])
+        nudged = [np.nextafter(pts.real, t) + 1j * np.nextafter(pts.imag, s)
+                  for t in (-1, 1) for s in (-1, 1)]
+        self.assert_same(cell, np.concatenate([pts] + nudged))
+        t = np.linspace(-0.5, 0.5, 101)
+        edges = np.concatenate([t * w1 + s * w2 / 2 for s in (-1, 1)]
+                               + [s * w1 / 2 + t * w2 for s in (-1, 1)])
+        self.assert_same(cell, edges)
+
+    def test_signed_zeros(self, cell):
+        zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+        parts = [complex(a, 0.3) for a in (0.0, -0.0)] + [complex(0.3, b) for b in (0.0, -0.0)]
+        self.assert_same(cell, np.array(zeros + parts))
+        for z in zeros + parts:
+            self.assert_same(cell, z)
+
+    @pytest.mark.parametrize("z", [0.9j, 0.3, -0.45 + 0.45j, 1.7 - 2.2j])
+    def test_scalar(self, cell, z):
+        self.assert_same(cell, z)
+        got, want = cell.lattice_distance(z), np.abs(min_image_stencil(cell, z))
+        assert type(got) is type(want) and got == want
+
+    def test_random_points_and_shapes(self, cell):
+        rng = np.random.default_rng(8)
+        z = rng.normal(size=(40, 50)) * 2 + 1j * rng.normal(size=(40, 50)) * 2
+        self.assert_same(cell, z)
+        self.assert_same(cell, z[:0])
+
+    @pytest.mark.parametrize("omega2", [1j, np.exp(1j * np.pi / 3), 0.5 + 1j, 0.2j])
+    @pytest.mark.parametrize("nu", [0.3, 0.5])
+    def test_rsa_separations(self, omega2, nu):
+        desc = EnsembleDescriptor(n=64, nu=nu, trials=1, seed=4, cell_omega2=omega2)
+        config = rsa_generate(desc)
+        j, k = np.triu_indices(64, 1)
+        want = min_image_stencil(config.cell, config.centers[j] - config.centers[k])
+        assert np.array_equal(_bits(config.separations), _bits(want))
 
 
 class TestRsaGenerate:
@@ -164,6 +231,18 @@ class TestRsaChunksAgainstOneAtATime:
     def test_same_centers_and_draws(self, cell, n, nu, factor):
         desc = EnsembleDescriptor(
             n=n, nu=nu, trials=1, seed=n, cell_omega2=self.CELLS[cell],
+            exclusion_factor=factor, attempt_budget=50000,
+        )
+        assert _outcome(rsa_generate, desc) == _outcome(rsa_one_at_a_time, desc)
+
+    # few disks at the guard: bins as wide as the cell allows, and one bin
+    # holding every center where a side has fewer than 3 bins
+    @pytest.mark.parametrize("omega2", [np.exp(1j * np.pi / 3), 0.3 + 1.1j, 0.2j])
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    @pytest.mark.parametrize("factor", [1.0, 1.3])
+    def test_widest_and_fullest_bins(self, omega2, n, factor):
+        desc = EnsembleDescriptor(
+            n=n, nu=0.5, trials=1, seed=n, cell_omega2=omega2,
             exclusion_factor=factor, attempt_budget=50000,
         )
         assert _outcome(rsa_generate, desc) == _outcome(rsa_one_at_a_time, desc)
