@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ConvergenceError,
-    DependencyError,
     DomainError,
     EffcondError,
     GenerationError,
@@ -23,12 +22,7 @@ from .geometry import (
     save_configuration,
     trial_seed,
 )
-from .esums import (
-    MultiIndex,
-    esum,
-    esum_nn,
-    kernel_matrix,
-)
+from .esums import esum, esum_nn, kernel_matrix
 from .series import (
     ClusterCoefficients,
     EffectiveResult,
@@ -40,13 +34,7 @@ from .series import (
     lambda_pade,
     zeta1,
 )
-from .solver import (
-    SolveResult,
-    TaylorField,
-    apply_W,
-    constant_field,
-    solve_contrast,
-)
+from .solver import SolveResult, TaylorField, solve_contrast
 from .pipeline import (
     EnsembleStats,
     compare_methods,
@@ -59,7 +47,6 @@ __all__ = [
     "Cell",
     "ClusterCoefficients",
     "ConvergenceError",
-    "DependencyError",
     "DiskConfiguration",
     "DomainError",
     "EffcondError",
@@ -68,15 +55,12 @@ __all__ = [
     "EnsembleStats",
     "GenerationError",
     "InvalidCellError",
-    "MultiIndex",
     "NearSingularityError",
     "SolveResult",
     "TaylorField",
     "a13",
-    "apply_W",
     "cluster_coeffs",
     "compare_methods",
-    "constant_field",
     "eisenstein",
     "esum",
     "esum_nn",

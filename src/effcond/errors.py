@@ -21,14 +21,6 @@ class NearSingularityError(DomainError):
     """Evaluation point too close to a lattice point for direct evaluation."""
 
 
-class DependencyError(DomainError):
-    """A required input (e.g. an e_nn table entry) is missing."""
-
-    def __init__(self, message, missing=None):
-        super().__init__(message)
-        self.missing = missing
-
-
 class GenerationError(EffcondError, RuntimeError):
     """Random placement exhausted its attempt budget."""
 

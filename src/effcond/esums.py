@@ -3,9 +3,10 @@
 e_{m1...mq} chains the periodic kernels E_{m_j} over all (q+1)-tuples of
 disk centers, conjugating every second factor, and normalizes by
 N^(1 + (m1+...+mq)/2).  Coincident-center arguments use the regularized
-value E_n(0) := S_n throughout.  The fast path factorizes the nested sum
-into chained matrix-vector products over cached kernel matrices, O(q N^2)
-per index after an O(N^2) per-order matrix build.
+value E_n(0) := S_n throughout.  The nested sum is computed one way only:
+factorized into chained matrix-vector products over cached kernel matrices,
+O(q N^2) per index after an O(N^2) per-order matrix build.  The direct
+O(N^(q+1)) nested sum is the test oracle tests/_oracles.esum_reference.
 
 Structural sums depend on the centers and the cell only; the disk radius
 never enters (it returns downstream through the concentration).
@@ -18,7 +19,6 @@ degrees, weighted by step_weight, which the solver's W also uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,39 +28,17 @@ from .lattice import eisenstein_stack, lattice_sum
 from .serialize import dump_csv
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Multi-index (m1, ..., mq), entries >= 2."""
+def check_index(index) -> tuple:
+    """The multi-index (m1, ..., mq) as a tuple of ints, from an int or an iterable.
 
-    entries: tuple
-
-    def __post_init__(self):
-        entries = tuple(int(m) for m in self.entries)
-        if not entries:
-            raise DomainError("multi-index needs at least one entry")
-        if any(m < 2 for m in entries):
-            raise DomainError(f"multi-index entries must be >= 2, got {entries}")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def order(self) -> int:
-        return len(self.entries)
-
-    @property
-    def weight(self) -> float:
-        """Normalization exponent of N: 1 + (m1 + ... + mq)/2."""
-        return 1.0 + 0.5 * sum(self.entries)
-
-    def label(self) -> str:
-        return "-".join(str(m) for m in self.entries)
-
-
-def as_multi_index(index) -> MultiIndex:
-    if isinstance(index, MultiIndex):
-        return index
-    if isinstance(index, int):
-        return MultiIndex((index,))
-    return MultiIndex(tuple(index))
+    Raises DomainError if it is empty or an entry is below 2.
+    """
+    entries = (int(index),) if isinstance(index, int) else tuple(int(m) for m in index)
+    if not entries:
+        raise DomainError("multi-index needs at least one entry")
+    if any(m < 2 for m in entries):
+        raise DomainError(f"multi-index entries must be >= 2, got {entries}")
+    return entries
 
 
 def kernel_matrix(config: DiskConfiguration, n: int) -> np.ndarray:
@@ -118,16 +96,16 @@ def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 def esum(config: DiskConfiguration, index) -> complex:
     """Structural sum e_{m1...mq} via chained matrix-vector products."""
-    idx = as_multi_index(index)
+    entries = check_index(index)
     n_disks = config.n_disks
     vec = np.ones(n_disks, dtype=complex)
     # factor j (1-based) of the chain is conjugated iff j is even; apply
     # right to left so factor q acts first.
-    for j in range(idx.order, 0, -1):
-        mat = kernel_matrix(config, idx.entries[j - 1])
+    for j in range(len(entries), 0, -1):
+        mat = kernel_matrix(config, entries[j - 1])
         vec = _matvec(np.conj(mat) if j % 2 == 0 else mat, vec)
     total = np.sum(vec)
-    return complex(total / n_disks ** idx.weight)
+    return complex(total / n_disks ** (1.0 + 0.5 * sum(entries)))
 
 
 def esum_nn(config: DiskConfiguration, n: int) -> complex:
@@ -163,9 +141,7 @@ def check_series_order(order: int):
 
 
 def esums_csv(config_id: str, values: dict) -> str:
-    """CSV rows (config_id, index, Re e, Im e); index hyphen-joined."""
-    rows = [
-        (config_id, as_multi_index(idx).label(), v.real, v.imag)
-        for idx, v in values.items()
-    ]
+    """CSV rows (config_id, index, Re e, Im e); values maps index tuples to
+    sums, and each index is written hyphen-joined."""
+    rows = [(config_id, "-".join(map(str, idx)), v.real, v.imag) for idx, v in values.items()]
     return dump_csv(["config_id", "index", "re", "im"], rows)

@@ -111,7 +111,7 @@ class EnsembleDescriptor:
             raise DomainError(
                 f"nu = {self.nu:g} outside (0, {NU_GUARD}] RSA guard"
             )
-        if self.exclusion_factor < 1.0:
+        if not self.exclusion_factor >= 1.0:
             raise DomainError("exclusion_factor must be >= 1")
         if self.attempt_budget < 1:
             raise DomainError(

@@ -119,15 +119,6 @@ class Cell:
         return self.omega1 * self.omega2.imag
 
     @property
-    def min_period(self) -> float:
-        """Length of the shortest nonzero lattice vector."""
-        m = np.arange(-2, 3)
-        pts = m[:, None] * self.omega1 + m[None, :] * self.omega2
-        d = np.abs(pts)
-        d[2, 2] = np.inf
-        return float(d.min())
-
-    @property
     def near_rows(self) -> int:
         """M0, the smallest m >= 0 with (m + 1/2) Im(tau) >= 1/2.
 
@@ -178,10 +169,6 @@ class Cell:
         cand = flat[far, None] + self.stencil
         out[far] = cand[np.arange(len(far)), np.abs(cand).argmin(axis=1)]
         return out.reshape(zr.shape)
-
-    def lattice_distance(self, z) -> np.ndarray:
-        """Distance from z to the nearest lattice point."""
-        return np.abs(self.min_image(z))
 
 
 def make_cell(omega1: float, omega2: complex) -> Cell:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError, GenerationError
-from .esums import as_multi_index, check_series_order, esum, esum_nn, kernel_stack
+from .esums import check_index, check_series_order, esum, esum_nn, kernel_stack
 from .geometry import EnsembleDescriptor, rsa_generate, trial_seed
 from .serialize import dump_csv, dump_json
 from .series import (
@@ -75,9 +75,8 @@ def parse_quantity(token: str) -> QuantitySpec:
             if "-" in body
             else tuple(int(c) for c in body)
         )
-        idx = as_multi_index(entries)
-        return QuantitySpec(token=f"e{''.join(map(str, idx.entries))}",
-                            kind="esum", index=idx.entries)
+        idx = check_index(entries)
+        return QuantitySpec(token=f"e{''.join(map(str, idx))}", kind="esum", index=idx)
     parts = token.split(":")
     head = parts[0]
     if head == "lambda-solver":
@@ -208,14 +207,17 @@ def _cells(value) -> list:
 def run_ensemble(desc: EnsembleDescriptor, quantities) -> EnsembleStats:
     """Generate the ensemble and average the requested quantities.
 
-    `quantities` is a sequence of tokens or QuantitySpec instances.  Any
-    trial whose placement fails aborts the run (the error names the trial).
+    `quantities` is a sequence of tokens or QuantitySpec instances; two that
+    name one quantity (e332 and e3-3-2) raise DomainError.  Any trial whose
+    placement fails aborts the run (the error names the trial).
     """
     specs = [q if isinstance(q, QuantitySpec) else parse_quantity(q) for q in quantities]
     if not specs:
         raise DomainError("no quantities requested")
     columns: list[str] = []
     for spec in specs:
+        if spec.columns()[0] in columns:
+            raise DomainError(f"quantity {spec.token} is requested twice")
         columns.extend(spec.columns())
 
     seeds = []

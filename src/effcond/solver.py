@@ -49,18 +49,6 @@ class TaylorField:
     def degree(self) -> int:
         return self.coeffs.shape[1] - 1
 
-    def __call__(self, z):
-        """Evaluate the polynomial of the disk nearest to z in the periodic metric."""
-        offsets = self.config.cell.min_image(complex(z) - self.config.centers)
-        k = int(np.abs(offsets).argmin())
-        return complex(np.polyval(self.coeffs[k, ::-1], offsets[k]))
-
-
-def constant_field(config: DiskConfiguration, degree: int) -> TaylorField:
-    coeffs = np.zeros((config.n_disks, degree + 1), dtype=complex)
-    coeffs[:, 0] = 1.0
-    return TaylorField(config=config, coeffs=coeffs)
-
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -122,13 +110,6 @@ def w_image(config: DiskConfiguration, coeffs: np.ndarray) -> np.ndarray:
     g = (kernels @ np.conj(coeffs)).reshape(-1, n_disks, lp1)
     rows = g[index, :, np.arange(lp1)]  # (L+2, L+1, N)
     return np.einsum("jl,jlk->kj", weights, rows)
-
-
-def apply_W(config: DiskConfiguration, field: TaylorField) -> TaylorField:
-    """One application of the interaction operator (antilinear, no contrast)."""
-    if field.config is not config:
-        raise DomainError("field is attached to a different configuration")
-    return TaylorField(config=config, coeffs=w_image(config, field.coeffs)[:, :-1])
 
 
 def _lambda_pair(config: DiskConfiguration, rho: float, coeffs: np.ndarray):
@@ -234,7 +215,8 @@ def solve_contrast(
         raise DomainError("Taylor degree must be >= 0")
     # unit external flux: the additive normalization constant of the field
     # problem is exactly one
-    ones = constant_field(config, degree).coeffs
+    ones = np.zeros((config.n_disks, degree + 1), dtype=complex)
+    ones[:, 0] = 1.0
     if order is None:
         psi, image, residual, history = _krylov(config, rho, ones, tolerance, max_iterations)
     else:

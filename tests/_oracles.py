@@ -27,18 +27,12 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from effcond.errors import DependencyError, DomainError, GenerationError
-from effcond.esums import (
-    MultiIndex,
-    as_multi_index,
-    check_series_order,
-    kernel_matrix,
-    step_weight,
-)
+from effcond.errors import DomainError, GenerationError
+from effcond.esums import check_index, check_series_order, kernel_matrix, step_weight
 from effcond.geometry import DiskConfiguration, EnsembleDescriptor
 from effcond.lattice import eisenstein, lattice_sum
 from effcond.series import ClusterCoefficients
-from effcond.solver import DEFAULT_DEGREE, TaylorField, apply_W, constant_field
+from effcond.solver import DEFAULT_DEGREE, TaylorField, w_image
 
 
 def eisenstein_truncated(cell, n, z, m1_range, m2_range):
@@ -103,7 +97,7 @@ def eisenstein_regularized(cell, n: int, z):
     out = np.empty(zn.shape, dtype=complex)
     # inside the series region the Taylor expansion in lattice sums is both
     # fast and free of the pole-subtraction cancellation of the direct path
-    near = np.abs(zn) <= 0.35 * cell.min_period
+    near = np.abs(zn) <= 0.35 * cell.shortest_shift
     if np.any(near):
         zs = zn[near]
         acc = np.zeros(zs.shape, dtype=complex)
@@ -177,17 +171,17 @@ def lattice_sum_disk_sweep(cell, n, radii=(200.0, 400.0, 800.0)):
 
 def esum_reference(config, index):
     """Direct (q+1)-fold nested evaluation of e_{m1...mq}; O(N^(q+1))."""
-    idx = as_multi_index(index)
+    entries = check_index(index)
     n_disks = config.n_disks
-    mats = [kernel_matrix(config, m) for m in idx.entries]
+    mats = [kernel_matrix(config, m) for m in entries]
     total = 0.0 + 0.0j
-    for ks in np.ndindex(*([n_disks] * (idx.order + 1))):
+    for ks in np.ndindex(*([n_disks] * (len(entries) + 1))):
         term = 1.0 + 0.0j
         for j, mat in enumerate(mats, start=1):
             val = mat[ks[j - 1], ks[j]]
             term *= np.conj(val) if j % 2 == 0 else val
         total += term
-    return complex(total / n_disks ** idx.weight)
+    return complex(total / n_disks ** (1.0 + 0.5 * sum(entries)))
 
 
 def dense_operator(config, degree):
@@ -282,31 +276,25 @@ def series_terms(n: int) -> tuple:
 def required_indices(max_order: int) -> tuple:
     """Multi-indices needed by the series coefficients A_1..A_J, each once."""
     check_series_order(max_order)
-    return tuple(
-        MultiIndex(entries)
-        for n in range(1, max_order + 1)
-        for _, _, entries in series_terms(n)
-    )
+    return tuple(entries for n in range(1, max_order + 1)
+                 for _, _, entries in series_terms(n))
 
 
 def cluster_coeffs_table(esum_values: dict, rho: float, order: int) -> ClusterCoefficients:
     """A_1..A_order from a map of structural sums, one per term of series_terms.
 
     A_n = pi^(-n) * sum of prefactor * rho^power * e_entries.  Raises
-    DependencyError naming the first missing index.
+    DomainError naming the first missing index.
     """
     check_series_order(order)
-    lookup = {as_multi_index(idx).entries: complex(v) for idx, v in esum_values.items()}
+    lookup = {check_index(idx): complex(v) for idx, v in esum_values.items()}
     values = []
     for n in range(1, order + 1):
         acc = 0.0 + 0.0j
         for prefactor, rho_power, entries in series_terms(n):
             if entries not in lookup:
                 label = "-".join(str(m) for m in entries)
-                raise DependencyError(
-                    f"structural sum e_{label} required for A_{n} is missing",
-                    missing=label,
-                )
+                raise DomainError(f"structural sum e_{label} required for A_{n} is missing")
             acc += prefactor * (rho ** rho_power) * lookup[entries]
         values.append(acc / math.pi ** n)
     return ClusterCoefficients(order=order, values=tuple(values), rho=float(rho))
@@ -335,7 +323,7 @@ def cluster_parts(config: DiskConfiguration, degree: int) -> dict:
     m2 = kernel_matrix(config, 2)
     m3 = kernel_matrix(config, 3)
     ones = np.ones(n_disks, dtype=complex)
-    parts = {(0, 0): constant_field(config, degree).coeffs}
+    parts = {(0, 0): np.tile(np.eye(1, degree + 1, dtype=complex), (n_disks, 1))}  # psi = 1
     parts[(1, 1)] = r2 * _field_from_sources(config, ones, 2, degree)
     x2 = np.conj(m2) @ ones  # X_k = sum_k1 conj(E2(a_k - a_k1))
     parts[(2, 2)] = r2 ** 2 * _field_from_sources(config, x2, 2, degree)
@@ -380,7 +368,7 @@ def contrast_cluster_grades(
     each W application to a degree-l slice raises the grade by l + 1.  The
     grade-resolved blocks match cluster_parts exactly.
     """
-    state = {0: constant_field(config, degree).coeffs}
+    state = {0: np.tile(np.eye(1, degree + 1, dtype=complex), (config.n_disks, 1))}  # psi = 1
     out = {(0, 0): state[0]}
     for p in range(1, p_max + 1):
         nxt: dict[int, np.ndarray] = {}
@@ -391,7 +379,7 @@ def contrast_cluster_grades(
                     continue
                 sliced = np.zeros_like(coeffs)
                 sliced[:, l] = coeffs[:, l]
-                img = apply_W(config, TaylorField(config=config, coeffs=sliced)).coeffs
+                img = w_image(config, sliced)[:, :-1]
                 nxt[g_new] = nxt[g_new] + img if g_new in nxt else img
         state = nxt
         for grade, coeffs in state.items():

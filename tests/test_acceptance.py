@@ -84,7 +84,7 @@ def test_3_kernel_periodicity():
         while count < 100:
             a, b = rng.uniform(-0.45, 0.45, 2)
             z = a * cell.omega1 + b * cell.omega2
-            if cell.lattice_distance(z) < 0.2:
+            if np.abs(cell.min_image(z)) < 0.2:
                 continue
             count += 1
             e1 = eisenstein(cell, 1, z)
@@ -99,7 +99,7 @@ def test_3_kernel_periodicity():
             while count < 15:
                 a, b = rng.uniform(-0.45, 0.45, 2)
                 z = a * cell.omega1 + b * cell.omega2
-                if cell.lattice_distance(z) < 0.3:
+                if np.abs(cell.min_image(z)) < 0.3:
                     continue
                 count += 1
                 base = eisenstein(cell, n, z)

@@ -238,6 +238,21 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("tokens, repeated", [
+        ("e332,e3-3-2", "e332"),
+        ("zeta1,zeta1:12", "zeta1:12"),
+        ("lambda-series:0.8,lambda-series:0.8:6", "lambda-series:0.8:6"),
+    ])
+    def test_repeated_quantity_is_two(self, tmp_path, capsys, tokens, repeated):
+        # two tokens that name one quantity would write its columns twice
+        code, _, err = run_cli(
+            capsys, "mc", "--n", "4", "--nu", "0.1", "--trials", "1",
+            "--quantities", tokens, "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert f"quantity {repeated} is requested twice" in err
+        assert not (tmp_path / "x").exists()
+
     def test_kernel_order_beyond_series_is_two(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "mc", "--n", "4", "--nu", "0.1", "--trials", "1",

@@ -183,7 +183,7 @@ class TestEisenstein:
                 while done < 10:
                     a, b = rng.uniform(-0.45, 0.45, 2)
                     z = a * cell.omega1 + b * cell.omega2
-                    if cell.lattice_distance(z) < 0.3:
+                    if np.abs(cell.min_image(z)) < 0.3:
                         continue
                     done += 1
                     base = eisenstein(cell, n, z)

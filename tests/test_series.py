@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from effcond import (
-    DependencyError,
     DomainError,
     EnsembleDescriptor,
     a13,
@@ -27,7 +26,7 @@ from _oracles import COEFFICIENT_TABLE, cluster_coeffs_table, required_indices, 
 @pytest.fixture(scope="module")
 def rsa8_table():
     config = rsa_generate(EnsembleDescriptor(n=8, nu=0.2, trials=1, seed=33))
-    table = {idx.entries: esum(config, idx) for idx in required_indices(6)}
+    table = {idx: esum(config, idx) for idx in required_indices(6)}
     nn = {n: esum_nn(config, n) for n in range(2, 13)}
     return config, table, nn
 
@@ -42,7 +41,7 @@ class TestSeriesTerms:
         for n in range(1, 13):
             powers = [p for _, p, _ in series_terms(n)]
             assert powers == sorted(powers)
-        entries = [i.entries for i in required_indices(12)]
+        entries = required_indices(12)
         assert len(entries) == len(set(entries)) == 2 ** 11
 
 
@@ -54,7 +53,7 @@ class TestRecursionAgainstTable:
     def test_matches_closed_form_table(self, omega2):
         desc = EnsembleDescriptor(n=12, nu=0.3, trials=1, seed=41, cell_omega2=omega2)
         config = rsa_generate(desc)
-        table = {idx.entries: esum(config, idx) for idx in required_indices(10)}
+        table = {idx: esum(config, idx) for idx in required_indices(10)}
         for order in range(1, 11):
             for rho in (1.0, 0.8, -0.6):
                 got = cluster_coeffs(config, rho, order).values
@@ -79,10 +78,8 @@ class TestClusterCoeffs:
 
     def test_missing_index_named(self):
         # the table oracle names the structural sum it lacks
-        with pytest.raises(DependencyError) as err:
+        with pytest.raises(DomainError, match="e_2-2 required for A_2"):
             cluster_coeffs_table({(2,): 3.14}, rho=0.5, order=3)
-        assert "2-2" in str(err.value)
-        assert err.value.missing == "2-2"
 
     def test_order_range(self, rsa8_table):
         config, _, _ = rsa8_table
@@ -205,37 +202,37 @@ class TestLambdaCluster:
 
 class TestLambdaContrast:
     def test_zero_contrast(self, rsa8_table):
-        _, _, nn = rsa8_table
-        result = lambda_contrast(0.25, nn, 0.0)
+        config, _, nn = rsa8_table
+        result = lambda_contrast(0.25, nn, 0.0, e2=esum(config, (2,)))
         assert result.lambda11 == 1.0
         assert result.lambda12 == 0.0
 
     def test_isotropic_rho2_coefficient(self, rsa8_table):
-        # in the ensemble form the rho^2 coefficient is exactly 2 nu^2
+        # at the ensemble mean e2 = pi the rho^2 coefficient is exactly 2 nu^2
         _, _, nn = rsa8_table
         nu = 0.22
         rhos = np.linspace(-0.4, 0.4, 9)
         values = [
             complex(r.lambda11, -r.lambda12)
-            for r in (lambda_contrast(nu, nn, rho, 8) for rho in rhos)
+            for r in (lambda_contrast(nu, nn, rho, 8, e2=math.pi) for rho in rhos)
         ]
         coeffs = np.polynomial.polynomial.polyfit(rhos, values, 3)
         assert coeffs[2].real == pytest.approx(2 * nu ** 2, rel=1e-10)
 
     def test_truncation_diagnostic_reported(self, rsa8_table):
         _, _, nn = rsa8_table
-        result = lambda_contrast(0.2, nn, 0.5, 6)
+        result = lambda_contrast(0.2, nn, 0.5, 6, e2=math.pi)
         assert "last_tail_term" in result.diagnostics
         assert result.diagnostics["last_tail_term"] >= 0.0
 
     def test_nmax_domain(self, rsa8_table):
         _, _, nn = rsa8_table
         with pytest.raises(DomainError):
-            lambda_contrast(0.2, nn, 0.5, 1)
+            lambda_contrast(0.2, nn, 0.5, 1, e2=math.pi)
 
     def test_missing_order_named(self):
-        with pytest.raises(DependencyError):
-            lambda_contrast(0.2, {2: math.pi}, 0.5, 3)
+        with pytest.raises(DomainError, match="e_33 required"):
+            lambda_contrast(0.2, {2: math.pi}, 0.5, 3, e2=math.pi)
 
 
 class TestCrossExpansionConsistency:
