@@ -17,6 +17,7 @@ from .geometry import EnsembleDescriptor, load_configuration, save_configuration
 from .pipeline import (
     DEFAULT_CONTRAST_NMAX,
     QuantitySpec,
+    _descriptor_dict,
     compare_csv,
     compare_methods,
     evaluate,
@@ -66,17 +67,7 @@ def cmd_gen(args) -> int:
         save_configuration(config, path)
         paths.append(path.name)
         seeds.append(seed)
-    manifest = {
-        "n": desc.n,
-        "nu": desc.nu,
-        "trials": desc.trials,
-        "seed": desc.seed,
-        "cell": {"omega1": desc.cell_omega1,
-                 "omega2": [desc.cell_omega2.real, desc.cell_omega2.imag]},
-        "generator": "rsa",
-        "trial_seeds": seeds,
-        "configs": paths,
-    }
+    manifest = {**_descriptor_dict(desc), "trial_seeds": seeds, "configs": paths}
     (out / "manifest.json").write_text(dump_json(manifest))
     print(f"wrote {len(paths)} configurations to {out}")
     return 0

@@ -162,25 +162,16 @@ def rsa_generate(desc: EnsembleDescriptor, seed: int | None = None) -> DiskConfi
     drawn = 0
     block = np.empty(0, dtype=complex)
     cursor = 0
-    # minimal images inline, in the arithmetic of the one-at-a-time rule:
-    # through Cell.reduce and Cell.min_image a configuration at N = 64 took
-    # 2.6 ms against 1.9 (nu = 0.3) and 3.9 against 2.9 (nu = 0.45), 2 CPUs
     shifts = cell.stencil
-    inv_im = 1.0 / cell.omega2.imag
-    re2, w1, w2 = cell.omega2.real, cell.omega1, cell.omega2
+    w1, w2 = cell.omega1, cell.omega2
 
-    def images(centers, z):
-        d = centers - z
-        beta = d.imag * inv_im
-        alpha = (d.real - beta * re2) / w1
-        return d - np.floor(alpha + 0.5) * w1 - np.floor(beta + 0.5) * w2
-
-    # a shifted image of d is at least |s| - |d| long, so only a pair with
-    # |d| beyond reach can overlap in an image other than d itself
+    # a shifted image of the reduced d is at least |s| - |d| long, so only a
+    # pair with |d| beyond reach can overlap in an image other than d itself
     reach = cell.shortest_shift - min_dist - 1e-9
 
     def overlaps(d):
-        """Whether d + s is shorter than min_dist for some stencil shift s."""
+        """Whether some lattice image of the difference d is shorter than min_dist."""
+        d = cell.reduce(d)[0]
         dist = np.abs(d)
         hit = dist < min_dist
         far = np.nonzero(dist > reach)
@@ -222,11 +213,11 @@ def rsa_generate(desc: EnsembleDescriptor, seed: int | None = None) -> DiskConfi
         bins = home[cursor : cursor + _CHUNK]
         near = table[around[bins]].reshape(len(chunk), -1)
         cursor += len(chunk)
-        survivors = np.flatnonzero(~overlaps(images(near, chunk[:, None])).any(axis=1))
+        survivors = np.flatnonzero(~overlaps(near - chunk[:, None]).any(axis=1))
         # survivors in draw order, each tested against those accepted before
         # it: clear[j, i] is the test of survivor j against survivor i
         z = chunk[survivors]
-        clear = ~overlaps(images(z[None, :], z[:, None]))
+        clear = ~overlaps(z[None, :] - z[:, None])
         free = np.ones(len(z), dtype=bool)
         taken = len(chunk)
         for i, k in enumerate(survivors.tolist()):

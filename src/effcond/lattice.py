@@ -131,7 +131,8 @@ class Cell:
         """Representative of z in the fundamental parallelogram.
 
         Returns (z_reduced, k1, k2) with z = z_reduced + k1*omega1 + k2*omega2
-        and lattice coordinates of z_reduced in [-1/2, 1/2).
+        and lattice coordinates of z_reduced in [-1/2, 1/2); k1 and k2 are
+        integer-valued floats, NaN where z is.
         """
         z = np.asarray(z, dtype=complex)
         beta = z.imag / self.omega2.imag
@@ -139,7 +140,7 @@ class Cell:
         k1 = np.floor(alpha + 0.5)
         k2 = np.floor(beta + 0.5)
         zr = z - k1 * self.omega1 - k2 * self.omega2
-        return zr, k1.astype(int), k2.astype(int)
+        return zr, k1, k2
 
     @cached_property
     def stencil(self) -> np.ndarray:

@@ -165,7 +165,7 @@ def evaluate(config, specs, nu: float):
     """Values of the quantities in specs on one configuration.
 
     One kernel pass reaches the highest order any spec reads (series order
-    J reads E_J, the solver E_{2L+3} at its default degree L).  zeta1 /
+    J reads E_J, the solver E_{2L+2} at its default degree L).  zeta1 /
     lambda_contrast read one e_nn table, built to the largest cutoff asked for.  Returns a
     complex per esum, an EffectiveResult per lambda kind and a float per zeta1.
     """
@@ -208,16 +208,20 @@ def run_ensemble(desc: EnsembleDescriptor, quantities) -> EnsembleStats:
     """Generate the ensemble and average the requested quantities.
 
     `quantities` is a sequence of tokens or QuantitySpec instances; two that
-    name one quantity (e332 and e3-3-2) raise DomainError.  Any trial whose
-    placement fails aborts the run (the error names the trial).
+    name one quantity (e332 and e3-3-2, lambda-solver:1 and lambda-solver:1.0)
+    raise DomainError.  Any trial whose placement fails aborts the run (the
+    error names the trial).
     """
     specs = [q if isinstance(q, QuantitySpec) else parse_quantity(q) for q in quantities]
     if not specs:
         raise DomainError("no quantities requested")
     columns: list[str] = []
+    seen = set()
     for spec in specs:
-        if spec.columns()[0] in columns:
+        key = (spec.kind, spec.index, spec.rho, spec.order, spec.n_max)
+        if key in seen:
             raise DomainError(f"quantity {spec.token} is requested twice")
+        seen.add(key)
         columns.extend(spec.columns())
 
     seeds = []

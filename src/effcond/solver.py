@@ -7,8 +7,9 @@ around each center a_k with coefficient of (z - a_k)^j equal to
 
     (-1)^j * C(l+j+1, j) * E_{l+j+2}(a_k - a_m),
 
-coincident arguments regularized to lattice sums.  W is applied matrix-free:
-one GEMM of the configuration's kernel stack E_2..E_{2L+3} (esums.kernel_stack,
+coincident arguments regularized to lattice sums.  Truncated at Taylor
+degree L, W maps degree <= L to degree <= L.  It is applied matrix-free:
+one GEMM of the configuration's kernel stack E_2..E_{2L+2} (esums.kernel_stack,
 the array the structural sums also read) against conj(psi), then a weighted
 gather of the entries with s = j + l.  W(psi) = A*conj(psi) is
 antilinear, so for real rho the fixed point psi = 1 + rho*W(psi) solves the
@@ -59,7 +60,6 @@ class SolveResult:
     residual: float
     residual_history: list
     converged: bool
-    truncation_tail: float
 
     def effective(self) -> EffectiveResult:
         return EffectiveResult(
@@ -69,38 +69,37 @@ class SolveResult:
             diagnostics={
                 "iterations": self.iterations,
                 "residual": self.residual,
-                "truncation_tail": self.truncation_tail,
             },
         )
 
 
 @lru_cache(maxsize=8)
 def _gather(degree: int, radius: float):
-    """Weights step_weight(j, l) r^(2l+2) for j <= L+1, l <= L and the index s = j + l.
+    """Weights step_weight(j, l) r^(2l+2) for j, l <= L and the index s = j + l.
 
-    Row j = L+1 is the degree dropped by the truncation.  A solve applies W
-    some 50 times on one radius, so the table is built once per (L, r).
+    A solve applies W some 50 times on one radius, so the table is built
+    once per (L, r).
     """
     lp1 = degree + 1
     steps = np.array(
-        [[step_weight(j, l) for l in range(lp1)] for j in range(lp1 + 1)], dtype=float
+        [[step_weight(j, l) for l in range(lp1)] for j in range(lp1)], dtype=float
     )
     weights = steps * np.array([radius ** (2 * l + 2) for l in range(lp1)])
-    index = np.add.outer(np.arange(lp1 + 1), np.arange(lp1))
+    index = np.add.outer(np.arange(lp1), np.arange(lp1))
     weights.setflags(write=False)
     index.setflags(write=False)
     return weights, index
 
 
 def kernel_top(degree: int) -> int:
-    """Highest kernel order W reads at Taylor degree L: E_{2L+3}."""
-    return 2 * degree + 3
+    """Highest kernel order W reads at Taylor degree L: E_{2L+2}."""
+    return 2 * degree + 2
 
 
 def w_image(config: DiskConfiguration, coeffs: np.ndarray) -> np.ndarray:
-    """W(coeffs) with the dropped degree-(L+1) row as an extra column.
+    """W(coeffs), truncated at the degree L of coeffs: an (N, L+1) array.
 
-    One GEMM of the kernel stack E_2..E_{2L+3}, viewed as ((2L+2)N, N), gives
+    One GEMM of the kernel stack E_2..E_{2L+2}, viewed as ((2L+1)N, N), gives
     g[s, k, l] = sum_m E_{s+2}(a_k - a_m) conj(c[m, l]); the degree-j
     coefficient at disk k is sum_l step_weight(j, l) r^(2l+2) g[j+l, k, l].
     """
@@ -108,7 +107,7 @@ def w_image(config: DiskConfiguration, coeffs: np.ndarray) -> np.ndarray:
     weights, index = _gather(lp1 - 1, config.radius)
     kernels = kernel_stack(config, kernel_top(lp1 - 1)).reshape(-1, n_disks)
     g = (kernels @ np.conj(coeffs)).reshape(-1, n_disks, lp1)
-    rows = g[index, :, np.arange(lp1)]  # (L+2, L+1, N)
+    rows = g[index, :, np.arange(lp1)]  # (L+1, L+1, N)
     return np.einsum("jl,jlk->kj", weights, rows)
 
 
@@ -133,18 +132,15 @@ def _krylov(config: DiskConfiguration, rho: float, ones, tolerance, max_iteratio
     Givens-reduced Hessenberg grow one step at a time.  Once the Krylov
     residual estimate reaches the tolerance (at a breakdown h[k+1, k] = 0 it
     is zero: the candidate is exact), the candidate is accepted only if its
-    true fixed-point residual does.  Returns psi, its W image, that residual
-    and the estimates, one per iteration.
+    true fixed-point residual does.  Returns psi, that residual and the
+    estimates, one per iteration.
     """
     scale = config.radius ** np.arange(ones.shape[1])
 
     def psi_of(x):
         return x.reshape(ones.shape) / scale
 
-    def apply(c):
-        return w_image(config, c)[:, :-1]
-
-    b = ((ones + rho * apply(ones)) * scale).ravel()
+    b = ((ones + rho * w_image(config, ones)) * scale).ravel()
     basis = [b / np.linalg.norm(b)]
     hess = np.zeros((0, 0), dtype=complex)  # upper triangular after rotations
     rotations: list[np.ndarray] = []
@@ -152,7 +148,7 @@ def _krylov(config: DiskConfiguration, rho: float, ones, tolerance, max_iteratio
     history: list[float] = []
     while len(history) < max_iterations:
         psi = psi_of(basis[-1])
-        w = ((psi - rho * rho * apply(apply(psi))) * scale).ravel()
+        w = ((psi - rho * rho * w_image(config, w_image(config, psi))) * scale).ravel()
         col = np.empty(len(basis) + 1, dtype=complex)
         for i, v in enumerate(basis):
             col[i] = np.vdot(v, w)
@@ -172,10 +168,9 @@ def _krylov(config: DiskConfiguration, rho: float, ones, tolerance, max_iteratio
         history.append(float(abs(g[-1])))
         if history[-1] <= tolerance:
             psi = psi_of(np.linalg.solve(hess, g[:-1]) @ np.array(basis))
-            image = w_image(config, psi)
-            residual = _scaled_max(psi - ones - rho * image[:, :-1], config.radius)
+            residual = _scaled_max(psi - ones - rho * w_image(config, psi), config.radius)
             if residual <= tolerance:
-                return psi, image, residual, history
+                return psi, residual, history
         if h_next == 0.0:
             break
         basis.append(w / h_next)
@@ -218,20 +213,17 @@ def solve_contrast(
     ones = np.zeros((config.n_disks, degree + 1), dtype=complex)
     ones[:, 0] = 1.0
     if order is None:
-        psi, image, residual, history = _krylov(config, rho, ones, tolerance, max_iterations)
+        psi, residual, history = _krylov(config, rho, ones, tolerance, max_iterations)
     else:
         psi, step, history = ones, ones, []
         for _ in range(order):
             # rho^p W^p(1): W is antilinear, rho real
-            step = rho * w_image(config, step)[:, :-1]
+            step = rho * w_image(config, step)
             psi = psi + step
             history.append(_scaled_max(step, config.radius))
         residual = history[-1] if history else 0.0
-        image = w_image(config, psi)
 
     lam11, lam12 = _lambda_pair(config, rho, psi)
-    # dropped degree-(L+1) mass of the last W image, disk-scaled
-    tail = float(np.abs(image[:, -1]).max()) * config.radius ** (degree + 1)
     return SolveResult(
         field=TaylorField(config=config, coeffs=psi),
         lambda11=lam11,
@@ -240,5 +232,4 @@ def solve_contrast(
         residual=residual,
         residual_history=history,
         converged=True,
-        truncation_tail=abs(rho) * tail,
     )

@@ -379,7 +379,7 @@ def contrast_cluster_grades(
                     continue
                 sliced = np.zeros_like(coeffs)
                 sliced[:, l] = coeffs[:, l]
-                img = w_image(config, sliced)[:, :-1]
+                img = w_image(config, sliced)
                 nxt[g_new] = nxt[g_new] + img if g_new in nxt else img
         state = nxt
         for grade, coeffs in state.items():

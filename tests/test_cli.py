@@ -135,7 +135,7 @@ class TestKernelPasses:
         (["lambda", "--rho", "0.8", "--method", "contrast"], 12),
         (["lambda", "--rho", "0.8", "--method", "cluster", "--order", "12"], 12),
         (["esum", "--index", "2", "--index", "3-3-2", "--index", "12-12"], 12),
-        (["lambda", "--rho", "0.8", "--method", "solver"], 31),
+        (["lambda", "--rho", "0.8", "--method", "solver"], 30),
         (["lambda", "--rho", "0.8", "--method", "dilute"], None),  # closed forms
         (["lambda", "--rho", "0.8", "--method", "pade"], None),
     ])
@@ -242,6 +242,9 @@ class TestExitCodes:
         ("e332,e3-3-2", "e332"),
         ("zeta1,zeta1:12", "zeta1:12"),
         ("lambda-series:0.8,lambda-series:0.8:6", "lambda-series:0.8:6"),
+        # the same rho typed two ways
+        ("lambda-solver:1,lambda-solver:1.0", "lambda-solver:1.0"),
+        ("lambda-series:1:6,lambda-series:1.0:6", "lambda-series:1.0:6"),
     ])
     def test_repeated_quantity_is_two(self, tmp_path, capsys, tokens, repeated):
         # two tokens that name one quantity would write its columns twice

@@ -136,8 +136,8 @@ class TestRunEnsemble:
         run_ensemble(desc, ["lambda-series:0.8:8"])  # order J reads E_2..E_J
         assert kernel_passes == [(2, 8)] * desc.trials
         kernel_passes.clear()
-        run_ensemble(desc, ["e2", "lambda-solver:1.0"])  # degree 14 reads E_2..E_31
-        assert kernel_passes == [(2, 31)] * desc.trials
+        run_ensemble(desc, ["e2", "lambda-solver:1.0"])  # degree 14 reads E_2..E_30
+        assert kernel_passes == [(2, 30)] * desc.trials
 
     def test_one_min_image_pass_per_trial(self, min_image_points):
         # N(N-1)/2 pair separations on construction; the kernel build's
@@ -235,7 +235,7 @@ class TestCompareMethods:
         # dilute and Pade are closed forms and build no kernels of their own
         desc = EnsembleDescriptor(n=8, nu=0.2, trials=3, seed=5)
         compare_methods(desc, rho=1.0)
-        assert kernel_passes == [(2, 31)] * desc.trials
+        assert kernel_passes == [(2, 30)] * desc.trials
 
     def test_csv_emission(self):
         desc = EnsembleDescriptor(n=4, nu=0.1, trials=2, seed=3)

@@ -64,7 +64,7 @@ class TestApplyW:
 
 
 class TestMatrixFreeOperator:
-    def test_matches_dense_oracle_with_tail_row(self):
+    def test_matches_dense_oracle_to_degree_L(self):
         config = rsa_generate(EnsembleDescriptor(n=64, nu=0.45, trials=1, seed=3))
         degree = 14
         rng = np.random.default_rng(8)
@@ -72,7 +72,9 @@ class TestMatrixFreeOperator:
         coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         dense = dense_operator(config, degree)
         want = (dense @ np.conj(coeffs).ravel()).reshape(config.n_disks, degree + 2)
+        want = want[:, : degree + 1]  # the oracle's last column is degree L+1
         got = w_image(config, coeffs)
+        assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -91,7 +93,7 @@ class TestKrylovSolve:
         psi = res.field
         ones = np.tile(np.eye(1, psi.degree + 1, dtype=complex), (rsa6.n_disks, 1))
         scale = rsa6.radius ** np.arange(psi.degree + 1)
-        delta = psi.coeffs - ones - rho * w_image(rsa6, psi.coeffs)[:, :-1]
+        delta = psi.coeffs - ones - rho * w_image(rsa6, psi.coeffs)
         recomputed = (np.abs(delta) * scale).max()
         assert res.residual == pytest.approx(recomputed, rel=1e-12)
         assert res.residual <= 1e-13
@@ -133,6 +135,18 @@ class TestSolverControls:
         res = solve_contrast(rsa6, 0.5, order=3)
         assert res.field.coeffs.shape == (rsa6.n_disks, 9)
 
+    @pytest.mark.parametrize("order", [0, 1, 5])
+    def test_order_p_applies_w_p_times(self, rsa6, monkeypatch, order):
+        calls = []
+
+        def counting(config, coeffs):
+            calls.append(coeffs.shape)
+            return w_image(config, coeffs)
+
+        monkeypatch.setattr(effcond.solver, "w_image", counting)
+        solve_contrast(rsa6, 0.7, order=order)
+        assert len(calls) == order
+
     def test_controls_are_keyword_only(self, rsa6):
         with pytest.raises(TypeError):
             solve_contrast(rsa6, 0.5, 14)
@@ -153,7 +167,7 @@ class TestClusterGradeEquivalence:
         # W^2(1) splits exactly into its grade components
         degree = 6
         ones = np.tile(np.eye(1, degree + 1, dtype=complex), (rsa6.n_disks, 1))  # psi = 1
-        g2 = w_image(rsa6, w_image(rsa6, ones)[:, :-1])[:, :-1]
+        g2 = w_image(rsa6, w_image(rsa6, ones))
         grades = contrast_cluster_grades(rsa6, p_max=2, grade_max=degree + 2, degree=degree)
         total = sum(v for (p, g), v in grades.items() if p == 2)
         assert np.allclose(total, g2, rtol=1e-12, atol=1e-15)
@@ -260,7 +274,7 @@ class TestSolveContrast:
 
     def test_solver_and_esums_share_one_kernel_array(self, monkeypatch):
         config = rsa_generate(EnsembleDescriptor(n=64, nu=0.45, trials=1, seed=3))
-        kernel_matrix(config, 31)  # E_2..E_{2L+3} for the default L = 14
+        kernel_matrix(config, 30)  # E_2..E_{2L+2} for the default L = 14
         views = []
 
         def recording(cfg, n):
@@ -278,7 +292,7 @@ class TestSolveContrast:
         esum(config, (2, 5, 3))
         arrays = {k for k, v in vars(config).items() if isinstance(v, np.ndarray)}
         assert arrays == {"centers", "separations", "_kernels"}
-        assert config._kernels.shape == (30, 64, 64)
+        assert config._kernels.shape == (29, 64, 64)
         assert views and all(v.base is config._kernels for v in views)
         assert np.shares_memory(views[-1], kernel_matrix(config, 5))
         # the solve copies no kernels: its whole working set stays below them
@@ -343,10 +357,6 @@ class TestSolveContrast:
             - complex(series.lambda11, -series.lambda12)
         )
         assert diff < 50 * nu ** 7
-
-    def test_truncation_tail_reported(self, rsa6):
-        res = solve_contrast(rsa6, 0.7)
-        assert res.truncation_tail >= 0.0
 
     def test_effective_wrapper(self, rsa6):
         res = solve_contrast(rsa6, 0.5)
