@@ -128,7 +128,9 @@ def step_weight(j: int, l: int) -> int:
 
 
 #: Highest concentration-series order J.  Order J >= 2 reads the kernels up
-#: to E_J; raising the cap waits on the accuracy of the high kernel orders.
+#: to E_J.  Compact cells take E_n from the Weierstrass recurrence, accurate
+#: to n = 100; on elongated cells the rows lose accuracy above n = 31, and
+#: raising the cap waits on those (lattice.eisenstein).
 MAX_SERIES_ORDER = 12
 
 

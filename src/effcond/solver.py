@@ -128,8 +128,10 @@ def _scaled_max(delta: np.ndarray, radius: float) -> float:
 def _krylov(config: DiskConfiguration, rho: float, ones, tolerance, max_iterations):
     """GMRES on (I - rho^2 W W) psi = 1 + rho W(1) in x_l = psi_l r^l.
 
-    Unrestarted Arnoldi with modified Gram-Schmidt; the basis and the
-    Givens-reduced Hessenberg grow one step at a time.  Once the Krylov
+    Unrestarted Arnoldi with modified Gram-Schmidt.  The basis grows one
+    vector at a time; the rotated right-hand side is preallocated, and the
+    columns of the Givens-reduced Hessenberg are kept as they come and set
+    into the triangular matrix only for a candidate.  Once the Krylov
     residual estimate reaches the tolerance (at a breakdown h[k+1, k] = 0 it
     is zero: the candidate is exact), the candidate is accepted only if its
     true fixed-point residual does.  Returns psi, that residual and the
@@ -142,14 +144,15 @@ def _krylov(config: DiskConfiguration, rho: float, ones, tolerance, max_iteratio
 
     b = ((ones + rho * w_image(config, ones)) * scale).ravel()
     basis = [b / np.linalg.norm(b)]
-    hess = np.zeros((0, 0), dtype=complex)  # upper triangular after rotations
+    columns: list[np.ndarray] = []  # of the Hessenberg, rotated: upper triangular
     rotations: list[np.ndarray] = []
-    g = np.array([np.linalg.norm(b)], dtype=complex)  # rotated beta*e1
+    g = np.zeros(max(max_iterations, 0) + 1, dtype=complex)  # rotated beta*e1
+    g[0] = np.linalg.norm(b)
     history: list[float] = []
-    while len(history) < max_iterations:
-        psi = psi_of(basis[-1])
+    for k in range(max_iterations):
+        psi = psi_of(basis[k])
         w = ((psi - rho * rho * w_image(config, w_image(config, psi))) * scale).ravel()
-        col = np.empty(len(basis) + 1, dtype=complex)
+        col = np.empty(k + 2, dtype=complex)
         for i, v in enumerate(basis):
             col[i] = np.vdot(v, w)
             w -= col[i] * v
@@ -161,13 +164,14 @@ def _krylov(config: DiskConfiguration, rho: float, ones, tolerance, max_iteratio
         c, s = abs(a), phase * h_next  # zeroes h_next below the diagonal
         rotations.append(np.array([[c, s], [-np.conj(s), c]]) / math.hypot(c, h_next))
         col[-2:] = rotations[-1] @ col[-2:]
-        hess = np.pad(hess, ((0, 1), (0, 1)))
-        hess[:, -1] = col[:-1]
-        g = np.append(g, 0.0)
-        g[-2:] = rotations[-1] @ g[-2:]
-        history.append(float(abs(g[-1])))
+        columns.append(col[:-1])
+        g[k : k + 2] = rotations[-1] @ g[k : k + 2]
+        history.append(float(abs(g[k + 1])))
         if history[-1] <= tolerance:
-            psi = psi_of(np.linalg.solve(hess, g[:-1]) @ np.array(basis))
+            hess = np.zeros((k + 1, k + 1), dtype=complex)
+            for j, column in enumerate(columns):
+                hess[: j + 1, j] = column
+            psi = psi_of(np.linalg.solve(hess, g[: k + 1]) @ np.array(basis))
             residual = _scaled_max(psi - ones - rho * w_image(config, psi), config.radius)
             if residual <= tolerance:
                 return psi, residual, history

@@ -244,6 +244,37 @@ class TestKernelOracle:
             for kind, err in self.worst_errors(cell, n).items():
                 assert err <= self.NEAR_ROW_BOUNDS[name][kind][n]
 
+    # 4x the worst pole-scaled error of the Weierstrass recurrence over the
+    # weak points below on the three compact cells (5 to 8 points per cell)
+    #     n     12       20       31       55
+    #   worst 4.1e-15  1.1e-14  9.3e-15  1.6e-14
+    # The row through z reached 2.7e-13, 1.4e-10, 4.9e-7 and 28 there.
+    WEAK_POINT_BOUNDS = {12: 1.6e-14, 20: 4.5e-14, 31: 3.7e-14, 55: 6.4e-14}
+
+    @staticmethod
+    def weak_points(cell):
+        """Where the row through z cancels: |Im w| in [0.30, 0.35), w = z/omega1,
+        and the point farthest from the lattice, the circumcenter of the
+        acute triangle 0, omega1, omega2."""
+        a, b = cell.omega1, cell.omega2
+        points = [w * a for w in (0.5 + 0.3j, 0.5 + 0.345j, 0.3 + 0.33j, 0.45 - 0.31j)]
+        points.append(a * b * (np.conj(a) - np.conj(b)) / (np.conj(a) * b - a * np.conj(b)))
+        return np.array(points)
+
+    @pytest.mark.parametrize("n", [12, 20, 31, 55])
+    def test_compact_cells_match_mpmath_at_weak_points(self, n, square_cell, hex_cell,
+                                                       sheared_cell):
+        square_extra = [0.475 + 0.262j, 0.4972 + 0.3461j]  # an RSA separation, second
+        for cell in (square_cell, hex_cell, sheared_cell):
+            assert cell.compact
+            points = self.weak_points(cell)
+            if cell is square_cell:
+                points = np.append(points, square_extra)
+            vals = eisenstein_stack(cell, n, n, points)[0]
+            for z, val in zip(points, vals):
+                ref = eisenstein_mpmath(cell, n, z, dps=30)
+                assert abs(val - ref) * np.abs(cell.min_image(z)) ** n <= self.WEAK_POINT_BOUNDS[n]
+
 
 class TestKernelStack:
     """Kernels are bitwise independent of how the stack was built."""
@@ -273,7 +304,7 @@ class TestKernelStack:
             upper = kernel_matrix(config, n)[np.triu_indices(config.n_disks, 1)]
             assert np.array_equal(upper, eisenstein(config.cell, n, sep))
 
-    def test_batch_matches_scalar_calls(self, sheared_cell, thin_cell):
+    def test_batch_matches_scalar_calls(self, sheared_cell, hex_cell, thin_cell):
         config = self.fresh()
         sep = config.separations
         assert sep.size == 2016
@@ -281,8 +312,9 @@ class TestKernelStack:
             batch = eisenstein(config.cell, n, sep)
             scalar = np.array([eisenstein(config.cell, n, complex(z)) for z in sep])
             assert np.array_equal(batch, scalar)
-        # every order of a stack, also where rows 1..M0 are summed one by one
-        for cell in (config.cell, sheared_cell, thin_cell):
+        # every order of a stack, also where rows 1..M0 are summed one by one,
+        # with (hex) and without (thin) the recurrence above E_3
+        for cell in (config.cell, sheared_cell, hex_cell, thin_cell):
             batch = eisenstein_stack(cell, 2, 31, sep)
             scalar = [eisenstein_stack(cell, 2, 31, complex(z)) for z in sep]
             assert np.array_equal(batch, np.stack(scalar, axis=1))

@@ -13,6 +13,7 @@ from effcond import (
     make_cell,
 )
 from effcond.lattice import (
+    _eisenstein_stack,
     _lattice_sum_rows,
     _zeta_even,
     eisenstein_stack,
@@ -58,6 +59,18 @@ class TestMakeCell:
     def test_aspect_guard(self, w2):
         with pytest.raises(InvalidCellError):
             make_cell(1.0, w2)
+
+    @pytest.mark.parametrize("w2, compact", [
+        (1j, True), (np.exp(1j * np.pi / 3), True), (0.5 + 1j, True), (0.6j, True),
+        (1.5 + 1j, True),  # the sheared lattice again, another basis
+        (0.5j, False), (0.2j, False), (5j, False),
+        (2.0 + 0.5j, False),  # the aspect-0.5 lattice again
+    ])
+    def test_compact_cells(self, w2, compact):
+        """Covering radius R at most the shortest period h: R/h is 0.71 on
+        the square, 0.58 hexagonal, 0.62 at 0.5+1i, 0.97 at aspect 0.6 and
+        1.12 at 0.5."""
+        assert make_cell(1.0, w2).compact is compact
 
 
 class TestLatticeSums:
@@ -243,6 +256,16 @@ class TestEisenstein:
         for n in (10, 16, 30):
             ref = eisenstein_truncated(cell, n, z, 300, 25)
             assert abs(eisenstein(cell, n, z) - ref) <= 1e-11 * abs(ref)
+
+    def test_rows_supply_what_the_recurrence_does_not(self, square_cell, thin_cell):
+        """E_1..E_3 of a compact cell and every order of an elongated one are
+        the row sums, bitwise."""
+        z = np.array([0.31 + 0.12j, -0.4 + 0.33j, 0.05 - 0.45j])
+        assert np.array_equal(eisenstein_stack(square_cell, 1, 12, z)[:3],
+                              _eisenstein_stack(square_cell, 1, 3, z))
+        zr = thin_cell.reduce(z)[0]
+        assert np.array_equal(eisenstein_stack(thin_cell, 2, 12, z),
+                              _eisenstein_stack(thin_cell, 2, 12, zr))
 
     def test_vectorized_matches_scalar(self, sheared_cell):
         cell = sheared_cell
