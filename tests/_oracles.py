@@ -18,7 +18,8 @@ exact low-order fields they must reproduce.  The RSA reference is the
 placement rule tested one candidate at a time, which the chunked production
 loop must reproduce draw for draw, and the minimal-image reference takes
 the 9-image stencil argmin of every point, which the production shortcut
-must reproduce bit for bit.
+must reproduce bit for bit.  The Krylov reference is GMRES with modified
+Gram-Schmidt on the production W, which the solver's loop must match.
 """
 
 import math
@@ -27,7 +28,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from effcond.errors import DomainError, GenerationError
+from effcond.errors import ConvergenceError, DomainError, GenerationError
 from effcond.esums import check_index, check_series_order, kernel_matrix, step_weight
 from effcond.geometry import DiskConfiguration, EnsembleDescriptor
 from effcond.lattice import eisenstein, lattice_sum
@@ -386,6 +387,65 @@ def contrast_cluster_grades(
             out[(p, grade)] = coeffs
     return out
 
+
+
+def krylov_mgs(config: DiskConfiguration, rho: float, degree: int = DEFAULT_DEGREE,
+               tolerance: float = 1e-12, max_iterations: int = 200):
+    """GMRES on (I - rho^2 W W) psi = 1 + rho W(1), the reference loop.
+
+    Unrestarted Arnoldi with modified Gram-Schmidt, one vector at a time,
+    and the Givens rotations as 2x2 products, on the production W; the
+    stopping and acceptance rules are solver.solve_contrast's.  Returns
+    psi, the fixed-point residual and the Krylov residual estimates.
+    """
+    ones = np.zeros((config.n_disks, degree + 1), dtype=complex)
+    ones[:, 0] = 1.0
+    scale = config.radius ** np.arange(degree + 1)
+
+    def psi_of(x):
+        return x.reshape(ones.shape) / scale
+
+    b = ((ones + rho * w_image(config, ones)) * scale).ravel()
+    basis = [b / np.linalg.norm(b)]
+    columns: list[np.ndarray] = []  # of the Hessenberg, rotated: upper triangular
+    rotations: list[np.ndarray] = []
+    g = np.zeros(max(max_iterations, 0) + 1, dtype=complex)  # rotated beta*e1
+    g[0] = np.linalg.norm(b)
+    history: list[float] = []
+    for k in range(max_iterations):
+        psi = psi_of(basis[k])
+        w = ((psi - rho * rho * w_image(config, w_image(config, psi))) * scale).ravel()
+        col = np.empty(k + 2, dtype=complex)
+        for i, v in enumerate(basis):
+            col[i] = np.vdot(v, w)
+            w -= col[i] * v
+        col[-1] = h_next = np.linalg.norm(w)
+        for i, rot in enumerate(rotations):
+            col[i : i + 2] = rot @ col[i : i + 2]
+        a = col[-2]
+        phase = a / abs(a) if a else 1.0
+        c, s = abs(a), phase * h_next  # zeroes h_next below the diagonal
+        rotations.append(np.array([[c, s], [-np.conj(s), c]]) / math.hypot(c, h_next))
+        col[-2:] = rotations[-1] @ col[-2:]
+        columns.append(col[:-1])
+        g[k : k + 2] = rotations[-1] @ g[k : k + 2]
+        history.append(float(abs(g[k + 1])))
+        if history[-1] <= tolerance:
+            hess = np.zeros((k + 1, k + 1), dtype=complex)
+            for j, column in enumerate(columns):
+                hess[: j + 1, j] = column
+            psi = psi_of(np.linalg.solve(hess, g[: k + 1]) @ np.array(basis))
+            delta = psi - ones - rho * w_image(config, psi)
+            residual = float((np.abs(delta) * scale).max())
+            if residual <= tolerance:
+                return psi, residual, history
+        if h_next == 0.0:
+            break
+        basis.append(w / h_next)
+    raise ConvergenceError(
+        f"no convergence to {tolerance:g} within {len(history)} Krylov iterations",
+        residual_history=history,
+    )
 
 
 def rsa_one_at_a_time(desc: EnsembleDescriptor, seed: int) -> DiskConfiguration:

@@ -29,6 +29,7 @@ from _oracles import (
     cluster_terms_exact,
     contrast_cluster_grades,
     dense_operator,
+    krylov_mgs,
 )
 
 
@@ -64,9 +65,10 @@ class TestApplyW:
 
 
 class TestMatrixFreeOperator:
-    def test_matches_dense_oracle_to_degree_L(self):
+    # degree 0 is one column read as one window of one order; 14 is the default
+    @pytest.mark.parametrize("degree", [0, 1, 6, 14])
+    def test_matches_dense_oracle_to_degree_L(self, degree):
         config = rsa_generate(EnsembleDescriptor(n=64, nu=0.45, trials=1, seed=3))
-        degree = 14
         rng = np.random.default_rng(8)
         shape = (config.n_disks, degree + 1)
         coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -105,6 +107,23 @@ class TestKrylovSolve:
         assert res.residual <= 1e-15
         ones = np.tile(np.eye(1, 15, dtype=complex), (rsa6.n_disks, 1))  # psi = 1
         assert np.abs(res.field.coeffs - ones).max() <= 1e-15
+
+    @pytest.mark.parametrize("omega2", [1j, np.exp(1j * np.pi / 3), 0.5 + 1j],
+                             ids=["square", "hexagonal", "sheared"])
+    @pytest.mark.parametrize("nu", [0.3, 0.5])
+    def test_matches_modified_gram_schmidt_reference(self, omega2, nu):
+        desc = EnsembleDescriptor(n=64, nu=nu, trials=1, seed=12, cell_omega2=omega2)
+        config = rsa_generate(desc)
+        for rho in (1.0, -1.0, 0.5):
+            res = solve_contrast(config, rho)
+            psi, _, history = krylov_mgs(config, rho)
+            lam = 1.0 + 2.0 * rho * config.nu * complex(np.mean(psi[:, 0]))
+            assert res.lambda11 == pytest.approx(lam.real, abs=1e-13)
+            assert res.lambda12 == pytest.approx(-lam.imag, abs=1e-13)
+            assert abs(res.iterations - len(history)) <= 1
+            if nu == 0.5 and rho != 0.5:
+                # past 16 iterations the solver's basis array has doubled
+                assert res.iterations > 16
 
     @pytest.mark.parametrize("degree", [0, 14])
     def test_single_disk_exhausts_krylov_space(self, square_cell, degree):
@@ -249,7 +268,7 @@ class TestSolveContrast:
     def test_slow_contraction_converges_within_default_budget(self):
         # a dense RSA trial (nu = 0.45, N = 64) whose successive
         # approximations contract by ~0.943 per step at rho = 1 and need 444
-        # steps to reach 1e-12; GMRES needs 29 Krylov iterations
+        # steps to reach 1e-12; GMRES needs 27 Krylov iterations
         desc = EnsembleDescriptor(n=64, nu=0.45, trials=2, seed=1080031)
         config = rsa_generate(desc, seed=trial_seed(desc.seed, 1))
         res = solve_contrast(config, 1.0)
