@@ -128,9 +128,8 @@ def step_weight(j: int, l: int) -> int:
 
 
 #: Highest concentration-series order J.  Order J >= 2 reads the kernels up
-#: to E_J.  Compact cells take E_n from the Weierstrass recurrence, accurate
-#: to n = 100; on elongated cells the rows lose accuracy above n = 31, and
-#: raising the cap waits on those (lattice.eisenstein).
+#: to E_J; every cell takes those from the Weierstrass recurrence (lattice),
+#: so the kernels no longer block raising the cap.
 MAX_SERIES_ORDER = 12
 
 

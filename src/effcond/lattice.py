@@ -28,23 +28,20 @@ limits of n = 1 cancel between the sides.
 A range of orders is one stack: cot(pi*w), or u and its powers, are computed
 once per point for all orders.  Each series' term count is fixed by the
 order and the |u| bound of its rows, never by the batch, and every step is
-elementwise in the points.  Orders whose series would need more than 400
-terms, or weights k^(n-1) beyond a double, are refused (n >= 123).
+elementwise in the points.  The rows supply only E_1..E_3 and S_2..S_6.
 Kernel matrices mirror the upper triangle: E_n(-z) = (-1)^n E_n(z).
 
-On compact cells, whose covering radius R (the circumradius of the acute
-lattice triangle) is at most the shortest period h, orders n >= 4 come from
-the Weierstrass recurrence instead: wp = E_2 - S_2 satisfies
-wp'' = 6 wp^2 - g2/2 with g2 = 60 S_4 (Weil 1976; Abramowitz & Stegun 18),
-which gives E_4 = wp^2 - 5 S_4 and every higher order as a weighted sum of
-products of lower ones, the z-dependent twin of the S_n recurrence below.
-The rows still supply E_1..E_3.  Compact are the square, hexagonal and
-0.5+1i cells and the rectangles of aspect 1/sqrt(3) to sqrt(3).  At the
-rows' weak points there (|Im w| in [0.30, 0.35), the points farthest from
-the lattice), the pole-scaled error |E_n - ref|*|z|^n against mpmath is at
-most 1.6e-14 for n <= 55 and 3.5e-14 at n = 100.  On elongated cells the
-recurrence loses about (R/h)^n (1.3e-10 at aspect 0.2, n = 12, against
-2.8e-14 for the rows), so they keep the rows for every order.
+Orders n >= 4 come from the Weierstrass recurrence: wp = E_2 - S_2
+satisfies wp'' = 6 wp^2 - g2/2 with g2 = 60 S_4 (Weil 1976; Abramowitz &
+Stegun 18), which gives E_4 = wp^2 - 5 S_4 and every higher order as a
+weighted sum of products of lower ones, the z-dependent twin of the S_n
+recurrence below.  It loses about (R/h)^n, R the covering radius and h the
+shortest period, so it runs on compact cells (R <= h: the square,
+hexagonal and 0.5+1i cells, rectangles of aspect 1/sqrt(3) to sqrt(3)),
+and an elongated cell sums it over the cosets of a compact sublattice
+(Cell.cosets).  Where the rows are weakest, its pole-scaled error
+|E_n - ref|*|z|^n against mpmath is at most 2.6e-14 for n <= 55 on the
+tested cells (the rows: 28).  Orders above MAX_KERNEL_ORDER are refused.
 
 Lattice sums S_n = E_n-minus-pole at 0 have one cached path: lattice_sum
 fills the even orders of a cell in ascending order, S_2, S_4, S_6 from the
@@ -60,6 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+import itertools
 import math
 
 import numpy as np
@@ -73,15 +71,13 @@ ASPECT_RANGE = (0.2, 5.0)
 #: Distance (in cell units) below which direct E_n evaluation is refused.
 NEAR_SINGULARITY_RADIUS = 1e-9
 
-# Rows switch from the cot form to the exponential series at this |Im w|,
-# so the u-series of a near row has |u| at most _NEAR_U.
+# Rows switch from the cot form to the exponential series at this |Im w|.
 _IM_SWITCH = 0.35
-_NEAR_U = math.exp(-2.0 * math.pi * _IM_SWITCH)
 
 _TWO_PI_I = 2j * math.pi
 
-# Longest u-series; orders whose series would need more are refused.
-_MAX_TERMS = 400
+#: Highest kernel order E_n that eisenstein_stack accepts.
+MAX_KERNEL_ORDER = 122
 
 # pi to 50 digits; (2*pi)^n then errs by about n*1e-50, far below a double
 _PI = Fraction("3.14159265358979323846264338327950288419716939937510")
@@ -108,10 +104,10 @@ def _cot_poly(n: int) -> np.ndarray:
 def _exp_terms(n: int, u_max: float) -> int:
     """Series length; its last term k^(n-1) u^k is below 1e-18 of the first."""
     log_u = math.log(max(u_max, 1e-300))
-    for k in range(8, _MAX_TERMS + 1, 4):
-        if (n - 1) * math.log(k) + (k - 1) * log_u <= math.log(1e-18):
-            return k
-    raise DomainError(f"kernel order {n} needs more than {_MAX_TERMS} series terms")
+    k = 8
+    while (n - 1) * math.log(k) + (k - 1) * log_u > math.log(1e-18):
+        k += 4
+    return k
 
 
 @dataclass(frozen=True)
@@ -192,6 +188,28 @@ class Cell:
         covering = abs(a) * abs(b) * abs(b - a) / (2.0 * abs((a.conjugate() * b).imag))
         return covering <= abs(a)
 
+    @cached_property
+    def cosets(self):
+        """(k, a, sub) on an elongated cell, None on a compact one.
+
+        a is the shorter of omega1 and omega2 reduced by omega1.  Scaling it by
+        the least k that makes the sublattice compact, then the sublattice by
+        1/c, c = sqrt(k), gives the unit-area cell sub, whose rows run along
+        omega1 too: E_n(z) = sum_(j<k) c^-n E_n^sub((z + j*a)/c) for n >= 2.
+        """
+        if self.compact:
+            return None
+        w1 = self.omega1
+        w2 = self.omega2 - round(self.omega2.real / w1) * w1
+        for k in itertools.count(2):
+            c = math.sqrt(k)
+            if abs(w2) < w1:
+                a, sub = w2, Cell(w1 / c, (k * w2 - round(k * w2.real / w1) * w1) / c)
+            else:
+                a, sub = w1, Cell(k * w1 / c, w2 / c)
+            if sub.compact:
+                return k, a, sub
+
     def min_image(self, z) -> np.ndarray:
         """The lattice translate of z nearest to the origin.
 
@@ -245,12 +263,7 @@ def _series_table(n_lo: int, n_hi: int, u_max: float) -> np.ndarray:
     table = np.zeros((len(counts), max(counts)))
     for i, count in enumerate(counts):
         n = int(n_lo) + i  # a numpy integer power would overflow silently
-        try:
-            table[i, :count] = [float(k ** (n - 1)) for k in range(1, count + 1)]
-        except OverflowError:
-            raise DomainError(
-                f"kernel order {n}: series weight {count}^{n - 1} overflows a double"
-            ) from None
+        table[i, :count] = [float(k ** (n - 1)) for k in range(1, count + 1)]
     table.setflags(write=False)
     return table
 
@@ -295,7 +308,7 @@ def _eisenstein_stack(cell: Cell, n_lo: int, n_hi: int, zr, first_row: int = 0):
                      for s in ((1, -1) if m else (1,))], dtype=float)
     # far points of a near row have |Im w| >= _IM_SWITCH; the tail rows
     # |m| >= tail have |u| <= exp(-2 pi (tail - 1/2) Im tau) <= exp(-pi)
-    near_table = _series_table(n_lo, n_hi, _NEAR_U)
+    near_table = _series_table(n_lo, n_hi, math.exp(-2.0 * math.pi * _IM_SWITCH))
     tail_table = _series_table(n_lo, n_hi, math.exp(-2.0 * math.pi * (tail - 0.5) * tau.imag))
     # sum over m >= tail of q^(k(m - tail)), q = exp(2 pi i tau)
     lambert = 1.0 / (1.0 - np.exp(_TWO_PI_I * tau * np.arange(1, tail_table.shape[1] + 1)))
@@ -352,7 +365,6 @@ def _weierstrass_stack(cell: Cell, n_lo: int, n_hi: int, zr):
     each product is elementwise on the flat points, out of place, so none
     depends on the batch.
     """
-    _series_table(n_hi, n_hi, _NEAR_U)  # the rows' order limit holds here too
     lo = min(n_lo, 2)
     flat = np.ravel(zr)
     rows = _eisenstein_stack(cell, lo, 3, flat)
@@ -376,13 +388,27 @@ def _weierstrass_stack(cell: Cell, n_lo: int, n_hi: int, zr):
     return out.reshape((n_hi - n_lo + 1,) + np.shape(zr))
 
 
+def _coset_stack(cell: Cell, n_lo: int, n_hi: int, zr):
+    """E_n(zr), n = n_lo..n_hi, n_hi >= 4, on an elongated cell: rows up to
+    E_3, then the cosets' recurrent stacks summed in ascending j, out of place."""
+    k, a, sub = cell.cosets
+    c, lo, flat = math.sqrt(k), max(n_lo, 4), np.ravel(zr)
+    high = sum(_weierstrass_stack(sub, lo, n_hi, sub.reduce((flat + j * a) / c)[0])
+               for j in range(k))
+    out = high * np.array([c ** -n for n in range(lo, n_hi + 1)])[:, None]
+    if n_lo < 4:
+        out = np.concatenate([_eisenstein_stack(cell, n_lo, 3, flat), out])
+    return out.reshape((n_hi - n_lo + 1,) + np.shape(zr))
+
+
 def eisenstein_stack(cell: Cell, n_lo: int, n_hi: int, z) -> np.ndarray:
     """E_n(z) for n = n_lo..n_hi stacked on axis 0, for an array z.
 
-    Points within NEAR_SINGULARITY_RADIUS of a lattice point are refused.
+    Points within NEAR_SINGULARITY_RADIUS of a lattice point and orders
+    above MAX_KERNEL_ORDER are refused.
     """
-    if n_lo < 1:
-        raise DomainError(f"kernel order must be >= 1, got {n_lo}")
+    if n_lo < 1 or n_hi > MAX_KERNEL_ORDER:
+        raise DomainError(f"kernel order must be in 1..{MAX_KERNEL_ORDER}, got {n_lo}..{n_hi}")
     zr, _, k2 = cell.reduce(z)
     # every nonzero lattice point lies at least half a cell height outside
     # the centred parallelogram, so zr is within R of a lattice point
@@ -393,10 +419,12 @@ def eisenstein_stack(cell: Cell, n_lo: int, n_hi: int, z) -> np.ndarray:
         raise NearSingularityError(
             f"z = {bad} within {NEAR_SINGULARITY_RADIUS:g} of a lattice point"
         )
-    if cell.compact and n_hi >= 4:
+    if n_hi < 4:
+        out = _eisenstein_stack(cell, n_lo, n_hi, zr)
+    elif cell.cosets is None:
         out = _weierstrass_stack(cell, n_lo, n_hi, zr)
     else:
-        out = _eisenstein_stack(cell, n_lo, n_hi, zr)
+        out = _coset_stack(cell, n_lo, n_hi, zr)
     if n_lo == 1:
         out[0] -= k2 * (_TWO_PI_I / cell.omega1)
     return out
@@ -407,17 +435,8 @@ def eisenstein(cell: Cell, n: int, z):
 
     n = 1 is quasi-periodic (jump -2*pi*i/omega1 across omega2), n >= 2 is
     doubly periodic.  Points within NEAR_SINGULARITY_RADIUS of a lattice
-    point are refused; the kernel matrices take the regularized value S_n
-    (lattice_sum) at z = 0.
-
-    Orders up to 122 are accepted.  On compact cells (Cell.compact) orders
-    n >= 4 come from the Weierstrass recurrence, whose pole-scaled error
-    |E_n - ref|*|z|^n stays at most 3.5e-14 to n = 100 at the points where
-    the rows are weakest.  On elongated cells every order is a row sum, and
-    above 31 the row through z loses accuracy at mid-edge points of the
-    cell, by cancellation in the cot polynomial: against a 60-digit
-    reference, the rows of the square cell at z = 0.475+0.262i gave
-    1.4e-9 at n = 31, 7e-4 at n = 55 and 7e7 at n = 100.
+    point and orders above MAX_KERNEL_ORDER are refused; the kernel matrices
+    take the regularized value S_n (lattice_sum) at z = 0.
     """
     val = eisenstein_stack(cell, n, n, z)[0]
     return complex(val) if val.ndim == 0 else val

@@ -12,7 +12,9 @@ from effcond import (
     lattice_sum,
     make_cell,
 )
+import effcond.lattice
 from effcond.lattice import (
+    Cell,
     _eisenstein_stack,
     _lattice_sum_rows,
     _zeta_even,
@@ -60,17 +62,30 @@ class TestMakeCell:
         with pytest.raises(InvalidCellError):
             make_cell(1.0, w2)
 
-    @pytest.mark.parametrize("w2, compact", [
-        (1j, True), (np.exp(1j * np.pi / 3), True), (0.5 + 1j, True), (0.6j, True),
-        (1.5 + 1j, True),  # the sheared lattice again, another basis
-        (0.5j, False), (0.2j, False), (5j, False),
-        (2.0 + 0.5j, False),  # the aspect-0.5 lattice again
-    ])
-    def test_compact_cells(self, w2, compact):
+    CELLS = [
+        (1j, True, None), (np.exp(1j * np.pi / 3), True, None), (0.5 + 1j, True, None),
+        (0.6j, True, None),
+        (1.5 + 1j, True, None),  # the sheared lattice again, another basis
+        (0.5j, False, 2), (0.2j, False, 3), (5j, False, 3),
+        (2.0 + 0.5j, False, 2),  # the aspect-0.5 lattice again
+    ]
+
+    @pytest.mark.parametrize("w2, compact, cosets", CELLS,
+                             ids=[f"{w2}-{compact}" for w2, compact, _ in CELLS])
+    def test_compact_cells(self, w2, compact, cosets):
         """Covering radius R at most the shortest period h: R/h is 0.71 on
         the square, 0.58 hexagonal, 0.62 at 0.5+1i, 0.97 at aspect 0.6 and
-        1.12 at 0.5."""
-        assert make_cell(1.0, w2).compact is compact
+        1.12 at 0.5.  An elongated cell has a compact unit-area sublattice
+        cell of index k, the coset count."""
+        cell = make_cell(1.0, w2)
+        assert cell.compact is compact
+        if cosets is None:
+            assert cell.cosets is None
+        else:
+            k, shift, sub = cell.cosets
+            assert k == cosets and sub.compact
+            assert abs(shift) <= cell.shortest_shift  # the shortest period
+            assert sub.area == pytest.approx(1.0, abs=1e-14)
 
 
 class TestLatticeSums:
@@ -258,14 +273,39 @@ class TestEisenstein:
             assert abs(eisenstein(cell, n, z) - ref) <= 1e-11 * abs(ref)
 
     def test_rows_supply_what_the_recurrence_does_not(self, square_cell, thin_cell):
-        """E_1..E_3 of a compact cell and every order of an elongated one are
-        the row sums, bitwise."""
+        """E_1..E_3 of compact and elongated cells are the row sums, bitwise."""
         z = np.array([0.31 + 0.12j, -0.4 + 0.33j, 0.05 - 0.45j])
-        assert np.array_equal(eisenstein_stack(square_cell, 1, 12, z)[:3],
-                              _eisenstein_stack(square_cell, 1, 3, z))
-        zr = thin_cell.reduce(z)[0]
-        assert np.array_equal(eisenstein_stack(thin_cell, 2, 12, z),
-                              _eisenstein_stack(thin_cell, 2, 12, zr))
+        for cell in (square_cell, thin_cell, make_cell(1.0, 5j)):
+            zr = cell.reduce(z)[0]  # inside the cell, E_1 takes no jump
+            assert np.array_equal(eisenstein_stack(cell, 1, 12, zr)[:3],
+                                  _eisenstein_stack(cell, 1, 3, zr))
+
+    def test_rows_read_orders_up_to_six(self, monkeypatch):
+        """Orders n >= 4 come from the recurrence, directly or over the cosets
+        of a compact sublattice, so the rows serve only E_1..E_3 and S_2..S_6."""
+        calls = []
+
+        def recording(cell, n_lo, n_hi, zr, first_row=0):
+            calls.append((n_lo, n_hi))
+            return _eisenstein_stack(cell, n_lo, n_hi, zr, first_row)
+
+        monkeypatch.setattr(effcond.lattice, "_eisenstein_stack", recording)
+        z = np.array([0.31 + 0.12j, -0.4 + 0.33j, 0.05 - 0.45j])
+        for w2 in (1j, 0.2j, 5j):
+            unit = make_cell(1.0, w2)
+            cell = Cell(unit.omega1, unit.omega2)  # nothing cached yet
+            eisenstein_stack(cell, 1, 31, z)
+            lattice_sum(cell, 40)
+        assert (1, 3) in calls and (6, 6) in calls
+        assert max(n_hi for _, n_hi in calls) <= 6
+
+    def test_order_cap(self, square_cell, thin_cell):
+        """MAX_KERNEL_ORDER = 122 is accepted and finite, 123 is refused."""
+        for cell in (square_cell, thin_cell):
+            z = 0.31 * cell.omega1 + 0.27 * cell.omega2
+            assert np.isfinite(eisenstein(cell, 122, z))
+            with pytest.raises(DomainError, match="kernel order"):
+                eisenstein(cell, 123, z)
 
     def test_vectorized_matches_scalar(self, sheared_cell):
         cell = sheared_cell
