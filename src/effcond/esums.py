@@ -45,24 +45,19 @@ def kernel_matrix(config: DiskConfiguration, n: int) -> np.ndarray:
     """(N, N) matrix E_n(a_j - a_k) with the regularized diagonal S_n.
 
     The configuration keeps E_2..E_n as one read-only (n-1, N, N) array.
-    Asking for a higher order builds only the missing orders, in one pass
+    Asking for a higher order rebuilds the whole stack E_2..E_n in one pass
     over the configuration's stored pair separations, which fill the upper
     triangle (the lower triangle follows from E_n(-z) = (-1)^n E_n(z)), and
-    replaces the array by a longer one.  Returns a view; rows may be
-    consumed concurrently.
+    replaces the array.  Returns a view; rows may be consumed concurrently.
     """
     if n < 2:
         raise DomainError(f"kernel order must be >= 2, got {n}")
-    old = config._kernels
-    n_lo = 2 if old is None else len(old) + 2  # orders 2..n_lo-1 are built
-    if n >= n_lo:
+    if config._kernels is None or len(config._kernels) < n - 1:
         n_disks = config.n_disks
         upper = np.triu_indices(n_disks, 1)
-        vals = eisenstein_stack(config.cell, n_lo, n, config.separations)
+        vals = eisenstein_stack(config.cell, 2, n, config.separations)
         stack = np.empty((n - 1, n_disks, n_disks), dtype=complex)
-        if old is not None:
-            stack[: n_lo - 2] = old
-        for order, mat, v in zip(range(n_lo, n + 1), stack[n_lo - 2 :], vals):
+        for order, mat, v in zip(range(2, n + 1), stack, vals):
             mat[upper] = v
             mat[upper[::-1]] = v if order % 2 == 0 else -v
             mat[np.diag_indices(n_disks)] = lattice_sum(config.cell, order)

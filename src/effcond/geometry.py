@@ -165,13 +165,13 @@ def rsa_generate(desc: EnsembleDescriptor, seed: int | None = None) -> DiskConfi
     shifts = cell.stencil
     w1, w2 = cell.omega1, cell.omega2
 
-    # a shifted image of the reduced d is at least |s| - |d| long, so only a
+    # a shifted image of the folded d is at least |s| - |d| long, so only a
     # pair with |d| beyond reach can overlap in an image other than d itself
     reach = cell.shortest_shift - min_dist - 1e-9
 
     def overlaps(d):
         """Whether some lattice image of the difference d is shorter than min_dist."""
-        d = cell.reduce(d)[0]
+        d = cell.fold(d)
         dist = np.abs(d)
         hit = dist < min_dist
         far = np.nonzero(dist > reach)

@@ -28,20 +28,24 @@ limits of n = 1 cancel between the sides.
 A range of orders is one stack: cot(pi*w), or u and its powers, are computed
 once per point for all orders.  Each series' term count is fixed by the
 order and the |u| bound of its rows, never by the batch, and every step is
-elementwise in the points.  The rows supply only E_1..E_3 and S_2..S_6.
-Kernel matrices mirror the upper triangle: E_n(-z) = (-1)^n E_n(z).
+elementwise in the points.  The rows supply only E_1, the E_2 and E_3 of
+compact cells, and S_2..S_6.  Kernel matrices mirror the upper triangle:
+E_n(-z) = (-1)^n E_n(z).
 
-Orders n >= 4 come from the Weierstrass recurrence: wp = E_2 - S_2
+Every order n >= 2 has one path, the Weierstrass recurrence summed over
+the cosets of a compact sublattice (Cell.cosets).  wp = E_2 - S_2
 satisfies wp'' = 6 wp^2 - g2/2 with g2 = 60 S_4 (Weil 1976; Abramowitz &
 Stegun 18), which gives E_4 = wp^2 - 5 S_4 and every higher order as a
 weighted sum of products of lower ones, the z-dependent twin of the S_n
 recurrence below.  It loses about (R/h)^n, R the covering radius and h the
-shortest period, so it runs on compact cells (R <= h: the square,
-hexagonal and 0.5+1i cells, rectangles of aspect 1/sqrt(3) to sqrt(3)),
-and an elongated cell sums it over the cosets of a compact sublattice
-(Cell.cosets).  Where the rows are weakest, its pole-scaled error
-|E_n - ref|*|z|^n against mpmath is at most 2.6e-14 for n <= 55 on the
-tested cells (the rows: 28).  Orders above MAX_KERNEL_ORDER are refused.
+shortest period, so it runs only on compact cells (R <= h: the square,
+hexagonal and 0.5+1i cells, rectangles of aspect 1/sqrt(3) to sqrt(3)).
+A compact cell is its own single coset; an elongated cell is k cosets of
+a compact sublattice, scaled to unit area.  E_1, quasi-periodic, is the
+cell's own row sum plus its jump.  Where the rows are weakest, the
+pole-scaled error |E_n - ref|*|z|^n against mpmath is at most 2.6e-14 for
+n <= 55 on the tested cells (the rows: 28).  Orders above
+MAX_KERNEL_ORDER are refused.
 
 Lattice sums S_n = E_n-minus-pole at 0 have one cached path: lattice_sum
 fills the even orders of a cell in ascending order, S_2, S_4, S_6 from the
@@ -155,10 +159,40 @@ class Cell:
         return zr, k1, k2
 
     @cached_property
+    def _gauss_basis(self) -> tuple:
+        """A Gauss-reduced basis (a, b), |a| <= |b|, with Re(b conj(a)) >= 0.
+
+        a, b and b - a are then the shortest lattice vectors up to sign and
+        span the acute lattice triangle.
+        """
+        a, b = complex(self.omega1), self.omega2
+        if abs(b) < abs(a):
+            a, b = b, a
+        while True:
+            b -= round((b * a.conjugate()).real / abs(a) ** 2) * a
+            if abs(b) >= abs(a):
+                break
+            a, b = b, a
+        if (b * a.conjugate()).real < 0:
+            b = -b
+        return a, b
+
+    @cached_property
+    def _image_basis(self):
+        """None where the stencil of (omega1, omega2) holds a, b and b - a of
+        the Gauss-reduced basis, else (a, b): the basis whose 9-shift stencil
+        holds the nearest image of every point of its centred parallelogram."""
+        a, b = self._gauss_basis
+        _, k1, k2 = self.reduce(np.array([a, b, b - a]))
+        return None if max(np.abs(k1).max(), np.abs(k2).max()) <= 1 else (a, b)
+
+    @cached_property
     def stencil(self) -> np.ndarray:
-        """The 9 translates m1*omega1 + m2*omega2 with |m1|, |m2| <= 1."""
+        """The 9 translates m1*a + m2*b with |m1|, |m2| <= 1, (a, b) the image
+        basis: (omega1, omega2) where its own stencil holds the nearest image."""
+        a, b = self._image_basis or (self.omega1, self.omega2)
         m = np.arange(-1, 2)
-        shifts = (m[:, None] * self.omega1 + m[None, :] * self.omega2).ravel()
+        shifts = (m[:, None] * a + m[None, :] * b).ravel()
         shifts.setflags(write=False)
         return shifts
 
@@ -171,34 +205,26 @@ class Cell:
     def compact(self) -> bool:
         """Whether the covering radius R is at most the shortest period h.
 
-        R is the circumradius of the acute lattice triangle, spanned by a
-        Gauss-reduced basis a, b with Re(b conj(a)) >= 0.  On these cells
-        eisenstein_stack takes orders n >= 4 from the Weierstrass recurrence.
+        R is the circumradius of the acute lattice triangle, spanned by the
+        Gauss-reduced basis.  On these cells the Weierstrass recurrence is
+        accurate for every order, so they are their own single coset.
         """
-        a, b = complex(self.omega1), self.omega2
-        if abs(b) < abs(a):
-            a, b = b, a
-        while True:
-            b -= round((b * a.conjugate()).real / abs(a) ** 2) * a
-            if abs(b) >= abs(a):
-                break
-            a, b = b, a
-        if (b * a.conjugate()).real < 0:
-            b = -b
+        a, b = self._gauss_basis
         covering = abs(a) * abs(b) * abs(b - a) / (2.0 * abs((a.conjugate() * b).imag))
         return covering <= abs(a)
 
     @cached_property
     def cosets(self):
-        """(k, a, sub) on an elongated cell, None on a compact one.
+        """(k, a, sub): the cell as k cosets of a compact sublattice.
 
-        a is the shorter of omega1 and omega2 reduced by omega1.  Scaling it by
-        the least k that makes the sublattice compact, then the sublattice by
-        1/c, c = sqrt(k), gives the unit-area cell sub, whose rows run along
-        omega1 too: E_n(z) = sum_(j<k) c^-n E_n^sub((z + j*a)/c) for n >= 2.
+        (1, 0, cell) on a compact cell.  Else a is the shorter of omega1 and
+        omega2 reduced by omega1; scaling it by the least k that makes the
+        sublattice compact, then the sublattice by 1/c, c = sqrt(k), gives
+        the unit-area cell sub, whose rows run along omega1 too:
+        E_n(z) = sum_(j<k) c^-n E_n^sub((z + j*a)/c) for n >= 2.
         """
         if self.compact:
-            return None
+            return 1, 0, self
         w1 = self.omega1
         w2 = self.omega2 - round(self.omega2.real / w1) * w1
         for k in itertools.count(2):
@@ -210,15 +236,27 @@ class Cell:
             if sub.compact:
                 return k, a, sub
 
+    def fold(self, z) -> np.ndarray:
+        """z less the lattice point of its rounded coordinates in the image
+        basis: reduce(z)[0] where that basis is (omega1, omega2)."""
+        if self._image_basis is None:
+            return self.reduce(z)[0]
+        a, b = self._image_basis
+        z = np.asarray(z, dtype=complex)
+        beta = (z * a.conjugate()).imag / (b * a.conjugate()).imag
+        alpha = ((z - beta * b) * a.conjugate()).real / abs(a) ** 2
+        return z - np.floor(alpha + 0.5) * a - np.floor(beta + 0.5) * b
+
     def min_image(self, z) -> np.ndarray:
         """The lattice translate of z nearest to the origin.
 
-        reduce() maps into the centered parallelogram, whose nearest lattice
-        point may still be a corner; one stencil step folds onto it.  A
-        reduced point shorter than half of every nonzero stencil shift, less
-        a rounding margin, is already nearest and skips the stencil.
+        fold() maps into the centred parallelogram of the image basis, whose
+        nearest lattice point may still be a corner; one stencil step folds
+        onto it.  A folded point shorter than half of every nonzero stencil
+        shift, less a rounding margin, is already nearest and skips the
+        stencil.
         """
-        zr, _, _ = self.reduce(z)
+        zr = self.fold(z)
         flat = zr.ravel()
         out = flat + self.stencil[4]  # the shift-0 image, signed zeros as in the stencil
         far = np.flatnonzero(np.abs(flat) >= 0.5 * self.shortest_shift * (1.0 - 1e-9))
@@ -355,22 +393,20 @@ def _eisenstein_stack(cell: Cell, n_lo: int, n_hi: int, zr, first_row: int = 0):
     return out.reshape((len(orders),) + np.shape(zr))
 
 
-def _weierstrass_stack(cell: Cell, n_lo: int, n_hi: int, zr):
-    """E_n(zr), n = n_lo..n_hi, n_hi >= 4: rows up to E_3, the rest from wp.
+def _weierstrass_stack(cell: Cell, n_hi: int, zr):
+    """E_n(zr), n = 2..n_hi, on flat points: rows for E_2 and E_3, wp above.
 
     With wp = E_2 - S_2, wp'' = 6 wp^2 - 30 S_4 gives E_4 = wp^2 - 5 S_4 and,
     in f_j = (j+1) e_(j+2) (e_2 = wp, e_n = E_n above),
-    E_(k+4) = 6/((k+1)(k+2)(k+3)) * sum_(j=0..k) f_j f_(k-j).  Orders below
-    n_lo are computed but not kept, so no value depends on the order range;
-    each product is elementwise on the flat points, out of place, so none
-    depends on the batch.
+    E_(k+4) = 6/((k+1)(k+2)(k+3)) * sum_(j=0..k) f_j f_(k-j).  Each product
+    is elementwise, out of place, so no value depends on the batch or on n_hi.
     """
-    lo = min(n_lo, 2)
-    flat = np.ravel(zr)
-    rows = _eisenstein_stack(cell, lo, 3, flat)
-    out = np.empty((n_hi - n_lo + 1, flat.size), dtype=complex)
-    out[: max(0, 4 - n_lo)] = rows[n_lo - lo :]
-    f = [rows[2 - lo] - lattice_sum(cell, 2), 2 * rows[3 - lo]]
+    rows = _eisenstein_stack(cell, 2, min(n_hi, 3), zr)
+    if n_hi < 4:
+        return rows
+    out = np.empty((n_hi - 1, zr.size), dtype=complex)
+    out[:2] = rows
+    f = [rows[0] - lattice_sum(cell, 2), 2 * rows[1]]
     e = f[0] * f[0] - 5.0 * lattice_sum(cell, 4)
     for n in range(4, n_hi + 1):
         if n > 4:
@@ -382,32 +418,22 @@ def _weierstrass_stack(cell: Cell, n_lo: int, n_hi: int, zr):
             if k % 2 == 0:
                 acc = acc + f[k // 2] * f[k // 2]
             e = acc * (6.0 / ((k + 1) * (k + 2) * (k + 3)))
-        if n >= n_lo:
-            out[n - n_lo] = e
+        out[n - 2] = e
         f.append((n - 1) * e)
-    return out.reshape((n_hi - n_lo + 1,) + np.shape(zr))
-
-
-def _coset_stack(cell: Cell, n_lo: int, n_hi: int, zr):
-    """E_n(zr), n = n_lo..n_hi, n_hi >= 4, on an elongated cell: rows up to
-    E_3, then the cosets' recurrent stacks summed in ascending j, out of place."""
-    k, a, sub = cell.cosets
-    c, lo, flat = math.sqrt(k), max(n_lo, 4), np.ravel(zr)
-    high = sum(_weierstrass_stack(sub, lo, n_hi, sub.reduce((flat + j * a) / c)[0])
-               for j in range(k))
-    out = high * np.array([c ** -n for n in range(lo, n_hi + 1)])[:, None]
-    if n_lo < 4:
-        out = np.concatenate([_eisenstein_stack(cell, n_lo, 3, flat), out])
-    return out.reshape((n_hi - n_lo + 1,) + np.shape(zr))
+    return out
 
 
 def eisenstein_stack(cell: Cell, n_lo: int, n_hi: int, z) -> np.ndarray:
     """E_n(z) for n = n_lo..n_hi stacked on axis 0, for an array z.
 
-    Points within NEAR_SINGULARITY_RADIUS of a lattice point and orders
-    above MAX_KERNEL_ORDER are refused.
+    E_1 is the cell's row sum plus its jump.  E_2..E_n_hi are the
+    recurrent stacks of the cosets of Cell.cosets, summed in ascending j,
+    out of place; a compact cell is its own single coset and takes its
+    stack as it is.  Orders below n_lo are computed but not kept.  Points
+    within NEAR_SINGULARITY_RADIUS of a lattice point and orders above
+    MAX_KERNEL_ORDER are refused.
     """
-    if n_lo < 1 or n_hi > MAX_KERNEL_ORDER:
+    if not 1 <= n_lo <= n_hi <= MAX_KERNEL_ORDER:
         raise DomainError(f"kernel order must be in 1..{MAX_KERNEL_ORDER}, got {n_lo}..{n_hi}")
     zr, _, k2 = cell.reduce(z)
     # every nonzero lattice point lies at least half a cell height outside
@@ -419,15 +445,21 @@ def eisenstein_stack(cell: Cell, n_lo: int, n_hi: int, z) -> np.ndarray:
         raise NearSingularityError(
             f"z = {bad} within {NEAR_SINGULARITY_RADIUS:g} of a lattice point"
         )
-    if n_hi < 4:
-        out = _eisenstein_stack(cell, n_lo, n_hi, zr)
-    elif cell.cosets is None:
-        out = _weierstrass_stack(cell, n_lo, n_hi, zr)
+    flat = np.ravel(zr)
+    k, a, sub = cell.cosets
+    if n_hi < 2:
+        out = np.empty((0, flat.size), dtype=complex)
+    elif k == 1:  # the point itself: no second reduce, no scale, no sum from 0
+        out = _weierstrass_stack(cell, n_hi, flat)
     else:
-        out = _coset_stack(cell, n_lo, n_hi, zr)
+        c = math.sqrt(k)
+        out = sum(_weierstrass_stack(sub, n_hi, sub.reduce((flat + j * a) / c)[0])
+                  for j in range(k)) * np.array([c ** -n for n in range(2, n_hi + 1)])[:, None]
+    out = out[max(n_lo, 2) - 2 :]
     if n_lo == 1:
-        out[0] -= k2 * (_TWO_PI_I / cell.omega1)
-    return out
+        e1 = _eisenstein_stack(cell, 1, 1, flat) - np.ravel(k2) * (_TWO_PI_I / cell.omega1)
+        out = np.concatenate([e1, out])
+    return out.reshape((n_hi - n_lo + 1,) + np.shape(zr))
 
 
 def eisenstein(cell: Cell, n: int, z):

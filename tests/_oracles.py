@@ -18,8 +18,11 @@ exact low-order fields they must reproduce.  The RSA reference is the
 placement rule tested one candidate at a time, which the chunked production
 loop must reproduce draw for draw, and the minimal-image reference takes
 the 9-image stencil argmin of every point, which the production shortcut
-must reproduce bit for bit.  The Krylov reference is GMRES with modified
-Gram-Schmidt on the production W, which the solver's loop must match.
+must reproduce bit for bit; both take the stencil of the basis as given,
+exact only where it holds the Gauss-reduced basis, and the nearest image
+on any basis is checked against every lattice point within reach.  The
+Krylov reference is GMRES with modified Gram-Schmidt on the production W,
+which the solver's loop must match.
 """
 
 import math
@@ -448,11 +451,22 @@ def krylov_mgs(config: DiskConfiguration, rho: float, degree: int = DEFAULT_DEGR
     )
 
 
+def own_stencil(cell) -> np.ndarray:
+    """The 9 translates m1*omega1 + m2*omega2, |m1|, |m2| <= 1, of the basis
+    as given.  After reduce() it holds the nearest image of every point only
+    where it holds the Gauss-reduced a, b and b - a; Cell.stencil is then
+    the same array."""
+    m = np.arange(-1, 2)
+    return (m[:, None] * cell.omega1 + m[None, :] * cell.omega2).ravel()
+
+
 def rsa_one_at_a_time(desc: EnsembleDescriptor, seed: int) -> DiskConfiguration:
     """RSA tested one candidate at a time against every accepted center.
 
     Candidates come from the same rng.random((1024, 2)) blocks as
-    geometry.rsa_generate; meta holds candidates_drawn only.
+    geometry.rsa_generate; meta holds candidates_drawn only.  Each test takes
+    the nearest of the own_stencil images of the reduced difference, so this
+    is a reference only on cells where that stencil is exact.
     """
     cell = desc.cell()
     r = desc.radius
@@ -463,7 +477,7 @@ def rsa_one_at_a_time(desc: EnsembleDescriptor, seed: int) -> DiskConfiguration:
     drawn = 0
     block = np.empty((0, 2))
     cursor = 0
-    shifts = cell.stencil
+    shifts = own_stencil(cell)
     inv_im = 1.0 / cell.omega2.imag
     re2, w1 = cell.omega2.real, cell.omega1
     while placed < desc.n:
@@ -495,8 +509,31 @@ def rsa_one_at_a_time(desc: EnsembleDescriptor, seed: int) -> DiskConfiguration:
 
 
 def min_image_stencil(cell, z) -> np.ndarray:
-    """Cell.min_image with the 9-image argmin taken for every point."""
+    """Cell.min_image with the 9-image argmin taken for every point.
+
+    The images are those of own_stencil around reduce(z), so this is a
+    reference only on cells where that stencil is exact.
+    """
     zr, _, _ = cell.reduce(z)
-    cand = zr[..., None] + cell.stencil
+    cand = zr[..., None] + own_stencil(cell)
     idx = np.abs(cand).argmin(axis=-1)
     return np.take_along_axis(cand, idx[..., None], axis=-1)[..., 0]
+
+
+def nearest_distance_brute(cell, z) -> np.ndarray:
+    """min over lattice points P of |z + P|, for a 1-d array z.
+
+    Every lattice point within 2 max|z| of the origin is listed row by row
+    along omega2, so the nearest one (no farther from z than the origin) is
+    among them, whatever the shape of the basis.
+    """
+    radius = 2.0 * np.abs(z).max() + 1.0
+    tall = math.ceil(radius / cell.omega2.imag)
+    best = np.full(len(z), np.inf)
+    for m2 in range(-tall, tall + 1):
+        centre = -m2 * cell.omega2.real / cell.omega1
+        m1 = np.arange(math.floor(centre - radius / cell.omega1),
+                       math.ceil(centre + radius / cell.omega1) + 1)
+        row = m1 * cell.omega1 + m2 * cell.omega2
+        best = np.minimum(best, np.abs(z[:, None] + row).min(axis=1))
+    return best

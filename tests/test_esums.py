@@ -15,7 +15,6 @@ from effcond import (
     regular_array,
     rsa_generate,
 )
-import effcond.esums
 from effcond.esums import _matvec, check_index, esums_csv, kernel_stack
 from effcond.lattice import eisenstein_stack
 
@@ -122,31 +121,18 @@ class TestKernelMatrix:
         mat = kernel_matrix(config, 2)
         assert np.allclose(np.diag(mat), math.pi)
 
-    @staticmethod
-    def counted_builds(monkeypatch):
-        calls = []
-
-        def counting(cell, n_lo, n_hi, z):
-            calls.append((n_lo, n_hi))
-            return eisenstein_stack(cell, n_lo, n_hi, z)
-
-        monkeypatch.setattr(effcond.esums, "eisenstein_stack", counting)
-        return calls
-
-    def test_second_call_builds_nothing(self, monkeypatch):
+    def test_second_call_builds_nothing(self, kernel_passes):
         config = rsa_generate(EnsembleDescriptor(n=16, nu=0.25, trials=1, seed=21))
-        calls = self.counted_builds(monkeypatch)
         first = kernel_matrix(config, 4)
         assert np.array_equal(kernel_matrix(config, 4), first)
         kernel_matrix(config, 3)
-        assert calls == [(2, 4)]
+        assert kernel_passes == [(2, 4)]
 
-    def test_growth_builds_only_missing_orders(self, monkeypatch):
+    def test_growth_rebuilds_in_one_pass(self, kernel_passes):
         config = rsa_generate(EnsembleDescriptor(n=16, nu=0.25, trials=1, seed=21))
         low = kernel_stack(config, 4).copy()
-        calls = self.counted_builds(monkeypatch)
         kernel_matrix(config, 9)
-        assert calls == [(5, 9)]
+        assert kernel_passes == [(2, 4), (2, 9)]
         assert config._kernels.shape == (8, 16, 16)
         assert kernel_stack(config, 4).tobytes() == low.tobytes()
 
@@ -252,16 +238,22 @@ class TestKernelOracle:
     # 4x the worst pole-scaled error of the Weierstrass recurrence over the
     # weak points below on the three compact cells (5 to 8 points per cell),
     # and per elongated cell of its coset sum (5 points each)
-    #     n            12       20       31       55
-    #   compact      4.1e-15  1.1e-14  9.3e-15  1.6e-14
-    #   aspect 5     5.9e-15  6.9e-15  1.2e-14  2.6e-14
-    #   aspect 0.5   3.0e-15  8.3e-15  7.0e-15  1.2e-14
-    # The row through z reached 2.7e-13, 1.4e-10, 4.9e-7 and 28 there.
+    #     n             2        3        12       20       31       55
+    #   compact      1.0e-15  1.0e-15  4.1e-15  1.1e-14  9.3e-15  1.6e-14
+    #   aspect 5     7.3e-16  1.8e-15  5.9e-15  6.9e-15  1.2e-14  2.6e-14
+    #   aspect 0.5   1.7e-15  7.2e-16  3.0e-15  8.3e-15  7.0e-15  1.2e-14
+    # On compact cells E_2 and E_3 are the row sums.  The row through z
+    # reached 2.7e-13, 1.4e-10, 4.9e-7 and 28 at n = 12, 20, 31 and 55; at
+    # n = 2 and 3 the rows of the elongated cells gave 8.0e-16 and 4.2e-16
+    # (aspect 5), 1.1e-15 and 7.2e-16 (aspect 0.5).
     # Aspect 0.2 is left out: its mpmath rows cost 1.7 s per point.
     WEAK_POINT_BOUNDS = {
-        "compact": {12: 1.6e-14, 20: 4.5e-14, 31: 3.7e-14, 55: 6.4e-14},
-        "aspect 5": {12: 2.4e-14, 20: 2.8e-14, 31: 4.8e-14, 55: 1.1e-13},
-        "aspect 0.5": {12: 1.2e-14, 20: 3.4e-14, 31: 2.8e-14, 55: 4.8e-14},
+        "compact": {2: 4.2e-15, 3: 4.0e-15, 12: 1.6e-14, 20: 4.5e-14, 31: 3.7e-14,
+                    55: 6.4e-14},
+        "aspect 5": {2: 2.9e-15, 3: 7.0e-15, 12: 2.4e-14, 20: 2.8e-14, 31: 4.8e-14,
+                     55: 1.1e-13},
+        "aspect 0.5": {2: 6.7e-15, 3: 2.9e-15, 12: 1.2e-14, 20: 3.4e-14, 31: 2.8e-14,
+                       55: 4.8e-14},
     }
 
     @staticmethod
@@ -274,7 +266,7 @@ class TestKernelOracle:
         points.append(a * b * (np.conj(a) - np.conj(b)) / (np.conj(a) * b - a * np.conj(b)))
         return np.array(points)
 
-    @pytest.mark.parametrize("n", [12, 20, 31, 55])
+    @pytest.mark.parametrize("n", [2, 3, 12, 20, 31, 55])
     def test_cells_match_mpmath_at_weak_points(self, n, square_cell, hex_cell, sheared_cell):
         square_extra = [0.475 + 0.262j, 0.4972 + 0.3461j]  # an RSA separation, second
         cells = [("compact", square_cell), ("compact", hex_cell), ("compact", sheared_cell),

@@ -19,7 +19,7 @@ from effcond import (
 )
 from effcond.geometry import configuration_from_dict
 
-from _oracles import min_image_stencil, rsa_one_at_a_time
+from _oracles import min_image_stencil, nearest_distance_brute, rsa_one_at_a_time
 
 
 class TestPeriodicReduce:
@@ -133,6 +133,30 @@ class TestMinImageAgainstStencil:
         j, k = np.triu_indices(64, 1)
         want = min_image_stencil(config.cell, config.centers[j] - config.centers[k])
         assert np.array_equal(_bits(config.separations), _bits(want))
+
+
+class TestMinImageBruteForce:
+    """Cell.min_image is the nearest image on every basis, sheared or not."""
+
+    SHAPES = [s + 1j * h for s in (-2.4, 0.0, 0.25, 2.4, 3.0, 4.9) for h in (0.2, 0.3, 1.0, 5.0)]
+
+    @pytest.mark.parametrize("omega2", SHAPES)
+    def test_nearest_of_every_lattice_point(self, omega2):
+        cell = make_cell(1.0, omega2)
+        rng = np.random.default_rng(5)
+        z = (rng.random(2000) - 0.5) * 6 + 1j * (rng.random(2000) - 0.5) * 6
+        got = cell.min_image(z)
+        assert np.all(np.abs(got) <= nearest_distance_brute(cell, z) * (1 + 1e-12))
+        assert np.abs(cell.reduce(got - z)[0]).max() < 1e-12  # a translate of z
+
+    def test_rsa_places_no_overlapping_pair(self):
+        """N = 4 disks at nu = 0.45 on the sheared basis 2.4+0.3i: 300 seeds."""
+        desc = EnsembleDescriptor(n=4, nu=0.45, trials=1, seed=0, cell_omega2=2.4 + 0.3j)
+        j, k = np.triu_indices(4, 1)
+        for seed in range(300):
+            config = rsa_generate(desc, seed=seed)
+            gaps = nearest_distance_brute(config.cell, config.centers[j] - config.centers[k])
+            assert gaps.min() >= 2 * config.radius - 1e-12
 
 
 class TestRsaGenerate:
