@@ -33,6 +33,7 @@ from .geometry import EnsembleDescriptor, rsa_generate, trial_seed
 from .serialize import dump_csv, dump_json
 from .series import (
     EffectiveResult,
+    check_cutoff,
     cluster_coeffs,
     lambda_cluster,
     lambda_contrast,
@@ -173,6 +174,8 @@ def evaluate(config, specs, nu: float):
     for order in series_orders:
         check_series_order(order)
     n_maxes = [s.n_max for s in specs if s.kind in ("zeta1", "lambda_contrast")]
+    for n_max in n_maxes:
+        check_cutoff(n_max)
     solver_tops = [kernel_top(DEFAULT_DEGREE) for s in specs if s.kind == "lambda_solver"]
     top = max([m for s in specs if s.kind == "esum" for m in s.index]
               + series_orders + n_maxes + solver_tops, default=1)

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DomainError
 from .esums import _matvec, check_series_order, kernel_stack, step_weight
 from .geometry import DiskConfiguration
+from .lattice import MAX_KERNEL_ORDER
 
 
 @dataclass(frozen=True)
@@ -123,11 +124,18 @@ def lambda_cluster(nu: float, coeffs: ClusterCoefficients) -> EffectiveResult:
     return _from_complex(value, "cluster", order=coeffs.order)
 
 
+def check_cutoff(n_max: int):
+    """Raise DomainError unless 2 <= n_max <= MAX_KERNEL_ORDER: the e_nn tail
+    starts at e_22, and e_nn reads the kernels up to E_n."""
+    if not 2 <= n_max <= MAX_KERNEL_ORDER:
+        raise DomainError(f"e_nn cutoff n_max must be >= 2 and <= {MAX_KERNEL_ORDER} "
+                          f"(the highest kernel order), got {n_max}")
+
+
 def contrast_tail(nu: float, e_nn_table: dict, n_max: int):
     """Diagonal-sum tail sum_n (-1)^n (n-1) e_nn nu^(n-2)/pi^n and its
     last retained term."""
-    if n_max < 2:
-        raise DomainError(f"n_max must be >= 2, got {n_max}")
+    check_cutoff(n_max)
     tail = 0.0 + 0.0j
     last_term = 0.0 + 0.0j
     for n in range(2, n_max + 1):

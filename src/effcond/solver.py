@@ -15,10 +15,7 @@ weighted sum over strided windows of the entries with s = j + l.
 W(psi) = A*conj(psi) is antilinear, so for real rho the fixed point
 psi = 1 + rho*W(psi) solves the complex-linear system
 (I - rho^2 A conj(A)) psi = 1 + rho*W(1), which solve_contrast solves by
-GMRES (Saad & Schultz 1986).  Given an order p it instead sums the
-generalized method of Schwarz, the successive approximations
-psi <- 1 + rho*W(psi) from psi = 1, which are exactly the partial sums of
-the contrast power series to rho^p.  The effective conductivity is
+GMRES (Saad & Schultz 1986).  The effective conductivity is
 lambda11 - i*lambda12 = 1 + 2*rho*nu*mean_k psi_k(a_k).  Solves share only
 the configuration's read-only kernels and may run concurrently.
 """
@@ -184,7 +181,7 @@ def _krylov(config: DiskConfiguration, rho: float, ones, tolerance, max_iteratio
         basis[k + 1] = w / h_next
     raise ConvergenceError(
         f"no convergence to {tolerance:g} within {len(history)} Krylov "
-        f"iterations (last residual estimate {history[-1] if history else math.inf:g})",
+        f"iterations (last residual estimate {history[-1]:g})",
         residual_history=history,
     )
 
@@ -193,45 +190,29 @@ def solve_contrast(
     config: DiskConfiguration,
     rho: float,
     *,
-    degree: int | None = None,
+    degree: int = DEFAULT_DEGREE,
     tolerance: float = 1e-12,
     max_iterations: int = 200,
-    order: int | None = None,
 ) -> SolveResult:
     """Solve psi = 1 + rho*W(psi) for the flux truncated at Taylor degree L.
 
-    order=None runs GMRES until the fixed-point residual
-    max_l |psi - 1 - rho*W(psi)| r^l is at most the tolerance, and raises
-    ConvergenceError (with the residual estimates) after max_iterations
-    Krylov iterations; RSA at N = 64, nu = 0.5 needs <= 29 at rho = 1 and
-    <= 28 at rho = -1 (20 trials).  order=p sums
-    the successive approximations exactly to rho^p.  L defaults to 2p + 2
-    with an order and to DEFAULT_DEGREE without one.
+    GMRES runs until the fixed-point residual max_l |psi - 1 - rho*W(psi)| r^l
+    is at most the tolerance, and raises ConvergenceError (with the residual
+    estimates) after max_iterations Krylov iterations; RSA at N = 64,
+    nu = 0.5 needs <= 29 at rho = 1 and <= 28 at rho = -1 (20 trials).
     """
     check_contrast(rho)
-    if order is not None and order < 0:
-        raise DomainError(f"contrast order must be >= 0, got {order}")
-    if order is None and not tolerance > 0.0:
+    if not tolerance > 0.0:
         raise DomainError("tolerance must be positive")
-    if degree is None:
-        degree = DEFAULT_DEGREE if order is None else 2 * order + 2
-    elif degree < 0:
+    if degree < 0:
         raise DomainError("Taylor degree must be >= 0")
+    if max_iterations < 1:
+        raise DomainError(f"max_iterations must be >= 1, got {max_iterations}")
     # unit external flux: the additive normalization constant of the field
     # problem is exactly one
     ones = np.zeros((config.n_disks, degree + 1), dtype=complex)
     ones[:, 0] = 1.0
-    if order is None:
-        psi, residual, history = _krylov(config, rho, ones, tolerance, max_iterations)
-    else:
-        psi, step, history = ones, ones, []
-        for _ in range(order):
-            # rho^p W^p(1): W is antilinear, rho real
-            step = rho * w_image(config, step)
-            psi = psi + step
-            history.append(_scaled_max(step, config.radius))
-        residual = history[-1] if history else 0.0
-
+    psi, residual, history = _krylov(config, rho, ones, tolerance, max_iterations)
     lam11, lam12 = _lambda_pair(config, rho, psi)
     return SolveResult(
         field=TaylorField(config=config, coeffs=psi),

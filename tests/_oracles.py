@@ -22,7 +22,9 @@ must reproduce bit for bit; both take the stencil of the basis as given,
 exact only where it holds the Gauss-reduced basis, and the nearest image
 on any basis is checked against every lattice point within reach.  The
 Krylov reference is GMRES with modified Gram-Schmidt on the production W,
-which the solver's loop must match.
+which the solver's loop must match, and the generalized method of Schwarz,
+the successive approximations on the production W, is the fixed point the
+solver must reach.
 """
 
 import math
@@ -36,7 +38,7 @@ from effcond.esums import check_index, check_series_order, kernel_matrix, step_w
 from effcond.geometry import DiskConfiguration, EnsembleDescriptor
 from effcond.lattice import eisenstein, lattice_sum
 from effcond.series import ClusterCoefficients
-from effcond.solver import DEFAULT_DEGREE, TaylorField, w_image
+from effcond.solver import DEFAULT_DEGREE, SolveResult, TaylorField, w_image
 
 
 def eisenstein_truncated(cell, n, z, m1_range, m2_range):
@@ -448,6 +450,37 @@ def krylov_mgs(config: DiskConfiguration, rho: float, degree: int = DEFAULT_DEGR
     raise ConvergenceError(
         f"no convergence to {tolerance:g} within {len(history)} Krylov iterations",
         residual_history=history,
+    )
+
+
+def schwarz_sums(config: DiskConfiguration, rho: float, order: int, degree: int | None = None):
+    """The generalized method of Schwarz: psi <- 1 + rho*W(psi) from psi = 1.
+
+    The p-th successive approximation is exactly the partial sum of the
+    contrast power series to rho^p; the Taylor degree L defaults to 2p + 2.
+    Returns a SolveResult whose iterations are the p steps, whose
+    residual_history lists the step sizes max_l |rho^p W^p(1)_l| r^l and
+    whose residual is the last of them (0 at order 0).
+    """
+    if degree is None:
+        degree = 2 * order + 2
+    scale = config.radius ** np.arange(degree + 1)
+    psi = step = np.tile(np.eye(1, degree + 1, dtype=complex), (config.n_disks, 1))  # psi = 1
+    history: list[float] = []
+    for _ in range(order):
+        # rho^p W^p(1): W is antilinear, rho real
+        step = rho * w_image(config, step)
+        psi = psi + step
+        history.append(float((np.abs(step) * scale).max()))
+    lam = 1.0 + 2.0 * rho * config.nu * complex(np.mean(psi[:, 0]))
+    return SolveResult(
+        field=TaylorField(config=config, coeffs=psi),
+        lambda11=float(lam.real),
+        lambda12=float(-lam.imag),
+        iterations=order,
+        residual=history[-1] if history else 0.0,
+        residual_history=history,
+        converged=True,
     )
 
 

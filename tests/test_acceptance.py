@@ -35,6 +35,7 @@ from _oracles import (
     contrast_cluster_grades,
     esum_reference,
     lattice_sum_brute_s2,
+    schwarz_sums,
 )
 
 
@@ -201,9 +202,9 @@ def test_6_full_contrast_convergence():
     all_ok = True
     for rho in (1.0, -1.0):
         # geometric decay of the Schwarz steps rho^p W^p(1), the residual
-        # history of a solve with an order, over the 20 ratios ending at the
-        # first step below 1e-13; the solve itself is the default GMRES
-        steps = solve_contrast(config, rho, order=400, degree=30).residual_history
+        # history of the successive approximations, over the 20 ratios ending
+        # at the first step below 1e-13; the solve itself is the default GMRES
+        steps = schwarz_sums(config, rho, 400, degree=30).residual_history
         first = next(p for p, step in enumerate(steps) if step <= 1e-13)
         hist = steps[: first + 1]
         ratios = [hist[i + 1] / hist[i] for i in range(len(hist) - 21, len(hist) - 1)]

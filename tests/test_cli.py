@@ -264,6 +264,23 @@ class TestExitCodes:
         assert code == 2
         assert "kernel order" in err
 
+    @pytest.mark.parametrize("n_max", [1, 123])
+    def test_cutoff_outside_kernel_orders_is_two(
+        self, tmp_path, capsys, config_file, kernel_passes, n_max
+    ):
+        # refused before any kernel pass, by a message that names the cutoff
+        message = f"e_nn cutoff n_max must be >= 2 and <= 122 (the highest kernel order), got {n_max}"
+        for argv in (
+            ["lambda", "--config", str(config_file), "--rho", "0.5",
+             "--method", "contrast", "--nmax", str(n_max)],
+            ["mc", "--n", "4", "--nu", "0.1", "--trials", "1",
+             "--quantities", f"zeta1:{n_max}", "--out", str(tmp_path / "x")],
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert message in err
+        assert kernel_passes == []
+
     @pytest.mark.parametrize("token, message", [
         ("zeta1:1", "n_max must be >= 2"),
         ("zeta1:0", "n_max must be >= 2"),

@@ -1,10 +1,14 @@
 """The package's public surface is the explicit list below.
 
 A change that adds or removes a name in effcond.__all__ updates this list,
-so the surface grows or shrinks only on purpose.
+so the surface grows or shrinks only on purpose.  The solver's controls are
+pinned the same way.
 """
 
+import inspect
+
 import effcond
+from effcond.solver import DEFAULT_DEGREE
 
 PUBLIC = {
     "Cell",
@@ -52,3 +56,16 @@ def test_all_is_the_public_surface():
     assert set(effcond.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(effcond, name) is not None, name
+
+
+def test_solver_controls_are_pinned():
+    P = inspect.Parameter
+    want = [
+        ("config", P.POSITIONAL_OR_KEYWORD, P.empty),
+        ("rho", P.POSITIONAL_OR_KEYWORD, P.empty),
+        ("degree", P.KEYWORD_ONLY, DEFAULT_DEGREE),
+        ("tolerance", P.KEYWORD_ONLY, 1e-12),
+        ("max_iterations", P.KEYWORD_ONLY, 200),
+    ]
+    params = inspect.signature(effcond.solve_contrast).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == want

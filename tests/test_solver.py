@@ -30,6 +30,7 @@ from _oracles import (
     contrast_cluster_grades,
     dense_operator,
     krylov_mgs,
+    schwarz_sums,
 )
 
 
@@ -84,7 +85,7 @@ class TestKrylovSolve:
     @pytest.mark.parametrize("rho", [1.0, -1.0, 0.5])
     def test_matches_successive_approximations(self, rsa6, rho):
         res = solve_contrast(rsa6, rho)
-        series = solve_contrast(rsa6, rho, order=200, degree=14)
+        series = schwarz_sums(rsa6, rho, 200, degree=14)
         assert res.iterations < 40
         assert res.lambda11 == pytest.approx(series.lambda11, abs=1e-10)
         assert res.lambda12 == pytest.approx(series.lambda12, abs=1e-10)
@@ -130,14 +131,14 @@ class TestKrylovSolve:
         # the system has N(L+1) unknowns, so GMRES ends within that many steps
         config = regular_array(square_cell, "square", 1, 0.5)
         res = solve_contrast(config, 1.0, degree=degree, tolerance=1e-14)
-        series = solve_contrast(config, 1.0, order=300, degree=degree)
+        series = schwarz_sums(config, 1.0, 300, degree=degree)
         assert res.iterations <= degree + 1 and res.residual <= 1e-14
         assert res.lambda11 == pytest.approx(series.lambda11, abs=1e-13)
 
 
 class TestSolverControls:
     @pytest.mark.parametrize(
-        "controls", [{"order": -1}, {"tolerance": 0.0}, {"degree": -1}]
+        "controls", [{"max_iterations": 0}, {"tolerance": 0.0}, {"degree": -1}]
     )
     def test_out_of_domain_refused(self, rsa6, controls):
         with pytest.raises(DomainError):
@@ -145,26 +146,9 @@ class TestSolverControls:
 
     def test_order_zero_is_exactly_dilute(self, rsa6):
         rho = 0.5
-        res = solve_contrast(rsa6, rho, order=0)
+        res = schwarz_sums(rsa6, rho, 0)
         assert res.lambda11 == 1 + 2 * rho * rsa6.nu
         assert res.lambda12 == 0.0 and res.iterations == 0
-
-    def test_order_sets_default_degree(self, rsa6):
-        # L = 2p + 2 with an order
-        res = solve_contrast(rsa6, 0.5, order=3)
-        assert res.field.coeffs.shape == (rsa6.n_disks, 9)
-
-    @pytest.mark.parametrize("order", [0, 1, 5])
-    def test_order_p_applies_w_p_times(self, rsa6, monkeypatch, order):
-        calls = []
-
-        def counting(config, coeffs):
-            calls.append(coeffs.shape)
-            return w_image(config, coeffs)
-
-        monkeypatch.setattr(effcond.solver, "w_image", counting)
-        solve_contrast(rsa6, 0.7, order=order)
-        assert len(calls) == order
 
     def test_controls_are_keyword_only(self, rsa6):
         with pytest.raises(TypeError):
@@ -232,7 +216,7 @@ class TestSolveContrast:
     def test_first_order_lambda(self, rsa6):
         rho = 0.44
         nu = rsa6.nu
-        res = solve_contrast(rsa6, rho, order=1)
+        res = schwarz_sums(rsa6, rho, 1)
         e2 = esum(rsa6, (2,))
         expected = 1 + 2 * rho * nu * (1 + rho * nu * e2 / math.pi)
         assert complex(res.lambda11, -res.lambda12) == pytest.approx(
@@ -242,9 +226,9 @@ class TestSolveContrast:
     def test_order_mode_matches_fixed_point(self, rsa6):
         rho = 0.8
         tol = solve_contrast(rsa6, rho, tolerance=1e-13)
-        order = solve_contrast(rsa6, rho, order=60, degree=14)
-        assert tol.lambda11 == pytest.approx(order.lambda11, abs=1e-11)
-        assert tol.lambda12 == pytest.approx(order.lambda12, abs=1e-11)
+        series = schwarz_sums(rsa6, rho, 60, degree=14)
+        assert tol.lambda11 == pytest.approx(series.lambda11, abs=1e-11)
+        assert tol.lambda12 == pytest.approx(series.lambda12, abs=1e-11)
 
     def test_square_array_value(self, square_cell):
         # classic benchmark: nu = 0.2, perfect contrast, square array
@@ -274,7 +258,7 @@ class TestSolveContrast:
         res = solve_contrast(config, 1.0)
         assert res.converged and res.iterations <= 40
         # 600 successive approximations leave a remainder of 0.943^600 ~ 5e-16
-        series = solve_contrast(config, 1.0, order=600, degree=14)
+        series = schwarz_sums(config, 1.0, 600, degree=14)
         assert res.lambda11 == pytest.approx(series.lambda11, abs=1e-10)
         assert res.lambda12 == pytest.approx(series.lambda12, abs=1e-10)
 
@@ -319,14 +303,14 @@ class TestSolveContrast:
 
     def test_geometric_residual_decay_at_full_contrast(self):
         # enforced minimum gap of 0.2r via the inflated exclusion factor; the
-        # Schwarz steps rho^p W^p(1) are the residual history of a solve with
-        # an order, cut at the first one below 1e-13
+        # Schwarz steps rho^p W^p(1) are the residual history of
+        # schwarz_sums, cut at the first one below 1e-13
         desc = EnsembleDescriptor(
             n=16, nu=0.25, trials=1, seed=77, exclusion_factor=1.1
         )
         config = rsa_generate(desc)
         for rho in (1.0, -1.0):
-            res = solve_contrast(config, rho, order=300, degree=14)
+            res = schwarz_sums(config, rho, 300, degree=14)
             steps = res.residual_history
             first = next(p for p, step in enumerate(steps) if step <= 1e-13)
             hist = steps[: first + 1]
