@@ -6,60 +6,45 @@ Im(omega2) > 0 and unit area, omega1 * Im(omega2) = 1.  The kernels
     E_n(z) = sum over lattice translates P of (z + P)^(-n)
 
 are summed in the Eisenstein order: the sum along the omega1 direction
-first, the transverse sum second and symmetrically.  Each row sum over
-w + m, w = (z + m2*omega2)/omega1, is taken in closed form: as
-pi^n * Q_n(cot(pi*w)), Q_n a fixed polynomial, for |Im w| < 0.35, else as
-(-2*pi*i)^n/(n-1)! * sum_k k^(n-1) u^k, u = exp(2*pi*i*w), Im w > 0.  This
-prescription fixes the values of the conditionally convergent cases
-n = 1, 2 and gives E_1 the constant jump -2*pi*i/omega1 across omega2, zero
-across omega1.
+first, the transverse sum second and symmetrically.  This prescription
+fixes the values of the conditionally convergent cases n = 1, 2 and gives
+E_1 the constant jump -2*pi*i/omega1 across omega2, zero across omega1.
 
-Only the near rows |m2| <= M0 are summed one by one, M0 being the smallest
-m >= 0 with (m + 1/2) Im(tau) >= 1/2 (0 for Im tau >= 1, as on the square
-cell).  The rows beyond fold into one Lambert series per side (the
-q-expansion of the Eisenstein functions, Weil 1976): with x = z/omega1,
-q = exp(2*pi*i*tau) and V+- = exp(+-2*pi*i*x) q^(M0+1),
+Summed so, the rows give the classical q-expansions (Weil 1976; Apostol,
+Modular Functions and Dirichlet Series, ch. 1).  With x = z/omega1 in the
+centred parallelogram, u = exp(2*pi*i*x), q = exp(2*pi*i*tau),
+p = pi/omega1 and l_k = q^k/(1 - q^k):
 
-    (-2*pi*i)^n/(n-1)! * sum_k k^(n-1)/(1 - q^k) * (V+^k + (-1)^n V-^k),
+    E_1 = p (cot(pi x) - 2i sum_k l_k (u^k - u^-k)),  plus the jump
+    E_2 = p^2 (csc^2(pi x) - 4 sum_k k l_k (u^k + u^-k))
+    E_3 = p^3 (csc^2(pi x) cot(pi x) + 4i sum_k k^2 l_k (u^k - u^-k))
 
-whose ratio |V+-| is at most exp(-pi) by the choice of M0; the constant row
-limits of n = 1 cancel between the sides.
-
-A range of orders is one stack: cot(pi*w), or u and its powers, are computed
-once per point for all orders.  Each series' term count is fixed by the
-order and the |u| bound of its rows, never by the batch, and every step is
-elementwise in the points.  The rows supply only E_1, the E_2 and E_3 of
-compact cells, and S_2..S_6.  Kernel matrices mirror the upper triangle:
-E_n(-z) = (-1)^n E_n(z).
+whose k-th terms are at most exp(-pi k Im tau), so one term count per
+cell (Cell.q_powers) serves every point.  Kernel matrices mirror the upper
+triangle: E_n(-z) = (-1)^n E_n(z).
 
 Every order n >= 2 has one path, the Weierstrass recurrence summed over
 the cosets of a compact sublattice (Cell.cosets).  wp = E_2 - S_2
 satisfies wp'' = 6 wp^2 - g2/2 with g2 = 60 S_4 (Weil 1976; Abramowitz &
 Stegun 18), which gives E_4 = wp^2 - 5 S_4 and every higher order as a
-weighted sum of products of lower ones, the z-dependent twin of the S_n
-recurrence below.  It loses about (R/h)^n, R the covering radius and h the
-shortest period, so it runs only on compact cells (R <= h: the square,
-hexagonal and 0.5+1i cells, rectangles of aspect 1/sqrt(3) to sqrt(3)).
-A compact cell is its own single coset; an elongated cell is k cosets of
-a compact sublattice, scaled to unit area.  E_1, quasi-periodic, is the
-cell's own row sum plus its jump.  Where the rows are weakest, the
-pole-scaled error |E_n - ref|*|z|^n against mpmath is at most 2.6e-14 for
-n <= 55 on the tested cells (the rows: 28).  Orders above
-MAX_KERNEL_ORDER are refused.
+weighted sum of products of lower ones.  It loses about (R/h)^n, R the
+covering radius and h the shortest period, so it runs only on compact
+cells (R <= h: the square, hexagonal and 0.5+1i cells, rectangles of
+aspect 1/sqrt(3) to sqrt(3)); an elongated cell is k cosets of a compact
+sublattice, scaled to unit area.  E_1, quasi-periodic, is the cell's own
+q-series plus its jump.  The pole-scaled error |E_n - ref|*|z|^n against
+mpmath is at most 2.6e-14 for n <= 55 at the weak points of the tests.
+Orders above MAX_KERNEL_ORDER are refused.
 
-Lattice sums S_n = E_n-minus-pole at 0 have one cached path: lattice_sum
-fills the even orders of a cell in ascending order, S_2, S_4, S_6 from the
-same row summation and higher orders by the classical quadratic recurrence
-on the sums below.  The m2 = 0 row minus its pole is 2*zeta(n), taken from
-Euler's zeta(n) = |B_n| (2*pi)^n / (2 n!) with the Bernoulli number B_n in
-exact fractions, so numpy is the only dependency.  Odd orders vanish by
-central symmetry and are returned as exact zeros.
+Lattice sums S_n = E_n-minus-pole at 0 are cached per cell and filled in
+ascending order: S_2, S_4, S_6 from the q-expansions of G_n,
+(2 zeta(n) + (-2 pi i)^n/(n-1)! sum_k k^(n-1) 2 l_k) / omega1^n, higher
+orders by the classical quadratic recurrence.  Odd orders are exact zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 import itertools
 import math
@@ -68,58 +53,29 @@ import numpy as np
 
 from .errors import DomainError, InvalidCellError, NearSingularityError
 
-#: Aspect-ratio guard for Im(omega2)/omega1; strongly sheared or elongated
-#: cells degrade the row summation and are rejected up front.
+#: Aspect-ratio guard for Im(omega2)/omega1.  The q-series converge on every
+#: cell, more slowly on thin ones (80 terms at aspect 0.2); cells outside
+#: the range are rejected up front.
 ASPECT_RANGE = (0.2, 5.0)
 
 #: Distance (in cell units) below which direct E_n evaluation is refused.
 NEAR_SINGULARITY_RADIUS = 1e-9
-
-# Rows switch from the cot form to the exponential series at this |Im w|.
-_IM_SWITCH = 0.35
 
 _TWO_PI_I = 2j * math.pi
 
 #: Highest kernel order E_n that eisenstein_stack accepts.
 MAX_KERNEL_ORDER = 122
 
-# pi to 50 digits; (2*pi)^n then errs by about n*1e-50, far below a double
-_PI = Fraction("3.14159265358979323846264338327950288419716939937510")
-
-
-@lru_cache(maxsize=None)
-def _cot_poly(n: int) -> np.ndarray:
-    """Coefficients of Q_n with sum_m (w+m)^(-n) = pi^n Q_n(cot(pi w)).
-
-    Q_1 = c, Q_{n+1} = (1 + c^2) Q_n' / n; computed exactly in Fractions.
-    """
-    coeffs = [Fraction(0), Fraction(1)]  # Q_1
-    for k in range(1, n):
-        deriv = [coeffs[j + 1] * (j + 1) for j in range(len(coeffs) - 1)]
-        nxt = [Fraction(0)] * (len(deriv) + 2)
-        for j, c in enumerate(deriv):
-            nxt[j] += Fraction(c, k)
-            nxt[j + 2] += Fraction(c, k)
-        coeffs = nxt
-    return np.array([float(c) for c in coeffs])
-
-
-@lru_cache(maxsize=None)
-def _exp_terms(n: int, u_max: float) -> int:
-    """Series length; its last term k^(n-1) u^k is below 1e-18 of the first."""
-    log_u = math.log(max(u_max, 1e-300))
-    k = 8
-    while (n - 1) * math.log(k) + (k - 1) * log_u > math.log(1e-18):
-        k += 4
-    return k
+# 2*zeta(n), correctly rounded: the m2 = 0 row of S_n less its pole
+_TWO_ZETA = {2: 3.289868133696453, 4: 2.1646464674222763, 6: 2.0346861239688985}
 
 
 @dataclass(frozen=True)
 class Cell:
     """Unit-area periodic cell; immutable and shareable after construction.
 
-    Lattice sums and the cot-polynomial tables are cached lazily; the caches
-    are append-only, so concurrent readers are safe once warmed.
+    Lattice sums and the powers of q are cached lazily; the caches are
+    append-only, so concurrent readers are safe once warmed.
     """
 
     omega1: float
@@ -134,14 +90,17 @@ class Cell:
     def area(self) -> float:
         return self.omega1 * self.omega2.imag
 
-    @property
-    def near_rows(self) -> int:
-        """M0, the smallest m >= 0 with (m + 1/2) Im(tau) >= 1/2.
-
-        Rows |m| <= M0 are summed one by one, the rows beyond as one Lambert
-        series per side, whose ratio is then at most exp(-pi).
-        """
-        return max(0, math.ceil(0.5 / self.tau.imag - 0.5))
+    @cached_property
+    def q_powers(self) -> tuple:
+        """q^k, q = exp(2*pi*i*tau), by repeated products for k = 1..K, K the
+        least with K^2 exp(-pi*K*Im tau) < 1e-18: that bounds the last term
+        of every q-series in the centred parallelogram.  Fixed by the cell
+        alone, never by a batch."""
+        q = complex(np.exp(_TWO_PI_I * self.tau))
+        powers = [q]
+        while len(powers) ** 2 * math.exp(-math.pi * len(powers) * self.tau.imag) >= 1e-18:
+            powers.append(powers[-1] * q)
+        return tuple(powers)
 
     def reduce(self, z):
         """Representative of z in the fundamental parallelogram.
@@ -266,12 +225,14 @@ class Cell:
 
 
 def make_cell(omega1: float, omega2: complex) -> Cell:
-    """Build a unit-area cell with the shape of the supplied period pair.
+    """Build a unit-area cell of the lattice of the supplied period pair.
 
-    Both periods are rescaled by the same positive factor so that
-    omega1 * Im(omega2) = 1; the shape omega2/omega1 is preserved.  Cells
-    are immutable, so equal-period requests share one cached instance (and
-    its lattice-sum cache).
+    omega2 loses its whole multiples of omega1 toward zero by an exact fmod,
+    so |Re tau| < 1: the same lattice with the same rows, so the same E_n,
+    without rounding against a huge omega2.  Both periods are then rescaled
+    by the same positive factor so that omega1 * Im(omega2) = 1.  Cells are
+    immutable, so equal-period requests share one cached instance (and its
+    lattice-sum cache).
     """
     return _make_cell_cached(float(omega1), complex(omega2))
 
@@ -288,120 +249,50 @@ def _make_cell_cached(omega1: float, omega2: complex) -> Cell:
             f"cell aspect Im(omega2)/omega1 = {aspect:g} outside supported "
             f"range {ASPECT_RANGE}"
         )
+    omega2 = complex(math.fmod(omega2.real, omega1), omega2.imag)
     scale = 1.0 / math.sqrt(omega1 * omega2.imag)
     cell = Cell(omega1 * scale, omega2 * scale)
     assert abs(cell.area - 1.0) <= 1e-14
     return cell
 
 
-@lru_cache(maxsize=None)
-def _series_table(n_lo: int, n_hi: int, u_max: float) -> np.ndarray:
-    """k^(n-1), n = n_lo..n_hi, up to each order's term count at u_max, else 0."""
-    counts = [_exp_terms(n, u_max) for n in range(n_lo, n_hi + 1)]
-    table = np.zeros((len(counts), max(counts)))
-    for i, count in enumerate(counts):
-        n = int(n_lo) + i  # a numpy integer power would overflow silently
-        table[i, :count] = [float(k ** (n - 1)) for k in range(1, count + 1)]
-    table.setflags(write=False)
-    return table
-
-
-def _powers(u, count: int):
-    """u, u^2, ..., u^count; each product out of place, since an in-place one
-    rounds differently on a single element and would tie values to the batch."""
-    p = u
-    for _ in range(count):
-        yield p
-        p = p * u
-
-
-def _power_sums(table: np.ndarray, terms, size: int) -> np.ndarray:
-    """sum_k table[:, k] * terms[k] over complex term arrays of `size` points.
-
-    Counts grow with the order, so the orders needing term k are a suffix;
-    each order adds its own terms in the same sequence whatever the range.
-    """
-    first = (table == 0).sum(axis=0)
-    acc = np.zeros((len(table), 2 * size))
-    for k, term in enumerate(terms):
-        # real weights: one exact product per real and imaginary part
-        acc[first[k]:] += table[first[k]:, k, None] * term.view(float)
-    return acc.view(complex)
-
-
-def _eisenstein_stack(cell: Cell, n_lo: int, n_hi: int, zr, first_row: int = 0):
-    """E_n(zr), n = n_lo..n_hi stacked on axis 0; lattice coords in [-1/2, 1/2].
-
-    Rows m = 0, +-1, ..., +-M0 are summed one by one, centre-out in +-m pairs,
-    then the Lambert tail of each side; first_row=1 leaves out the row
-    through zr (lattice sums).  Each step is elementwise in the points and
-    each order's terms depend on the order alone, so no value depends on the
-    batch or on the order range.
+def _rows(cell: Cell, n_lo: int, n_hi: int, zr) -> np.ndarray:
+    """E_n(zr), n = n_lo..n_hi <= 3, on flat points zr in the centred
+    parallelogram, by the q-series of the module docstring; E_1 without its
+    jump.  u^k and u^-k come by repeated products.  Each step is elementwise
+    and out of place, and each order is summed on its own, so no value
+    depends on the batch or on the other orders asked for.
     """
     orders = range(n_lo, n_hi + 1)
-    odd = np.array([n % 2 == 1 for n in orders])
-    tau = cell.tau
-    tail = cell.near_rows + 1
-    near = np.array([s * m for m in range(first_row, tail)
-                     for s in ((1, -1) if m else (1,))], dtype=float)
-    # far points of a near row have |Im w| >= _IM_SWITCH; the tail rows
-    # |m| >= tail have |u| <= exp(-2 pi (tail - 1/2) Im tau) <= exp(-pi)
-    near_table = _series_table(n_lo, n_hi, math.exp(-2.0 * math.pi * _IM_SWITCH))
-    tail_table = _series_table(n_lo, n_hi, math.exp(-2.0 * math.pi * (tail - 0.5) * tau.imag))
-    # sum over m >= tail of q^(k(m - tail)), q = exp(2 pi i tau)
-    lambert = 1.0 / (1.0 - np.exp(_TWO_PI_I * tau * np.arange(1, tail_table.shape[1] + 1)))
-
-    def tail_terms(vp, vm, odd_n):
-        for c, a, b in zip(lambert, _powers(vp, len(lambert)), _powers(vm, len(lambert))):
-            yield (a - b if odd_n else a + b) * c
-
-    flat = np.ravel(zr)
-    out = np.empty((len(orders), flat.size), dtype=complex)
-    step = max(1, (1 << 16) // (len(orders) * max(1, len(near))))  # 1 MB accumulators
-    for lo in range(0, flat.size, step):
-        x = flat[lo : lo + step] / cell.omega1
-        w = x + (near * tau)[:, None]
-        central = np.abs(w.imag) < _IM_SWITCH
-        upper = w.imag > 0
-        far = ~central
-        u = np.exp(_TWO_PI_I * np.where(upper, w, -w)[far])
-        series = _power_sums(near_table, _powers(u, near_table.shape[1]), u.size)
-        # the +tail and -tail rows and all rows beyond, for n even and n odd
-        vp = np.exp(_TWO_PI_I * (x + tail * tau))
-        vm = np.exp(-_TWO_PI_I * (x - tail * tau))
-        tails = np.empty((len(orders), x.size), dtype=complex)
-        for parity in (False, True):
-            sel = odd == parity
-            if sel.any():
-                tails[sel] = _power_sums(tail_table[sel], tail_terms(vp, vm, parity), x.size)
-        cot = 1.0 / np.tan(np.pi * w[central])
-        for o, n in enumerate(orders):
-            factor = (-_TWO_PI_I) ** n / math.factorial(n - 1)
-            vals = series[o] * factor
-            if n == 1:
-                vals = vals - 1j * np.pi
-            if n % 2 == 1:
-                vals = np.where(upper[far], vals, -vals)
-            rows = np.empty(w.shape, dtype=complex)
-            rows[far] = vals
-            rows[central] = (np.pi ** n) * np.polyval(_cot_poly(n)[::-1], cot)
-            total = rows[0] if first_row == 0 else 0.0
-            for i in range(1 - first_row, len(near), 2):
-                total = total + (rows[i] + rows[i + 1])
-            total = total + tails[o] * factor
-            out[o, lo : lo + step] = total / cell.omega1 ** n
-    return out.reshape((len(orders),) + np.shape(zr))
+    x = zr / cell.omega1
+    sin, u = np.sin(np.pi * x), np.exp(_TWO_PI_I * x)
+    v = 1.0 / u
+    uk, vk, sums = u, v, dict.fromkeys(orders, 0.0)
+    for k, qk in enumerate(cell.q_powers, 1):
+        lam = qk / (1.0 - qk)
+        for n in orders:
+            sums[n] = sums[n] + (k ** (n - 1) * lam) * (uk + vk if n == 2 else uk - vk)
+        uk, vk = uk * u, vk * v
+    p, csc2 = math.pi / cell.omega1, 1.0 / (sin * sin)
+    out = []
+    if n_lo == 1:
+        out.append(p * (np.cos(np.pi * x) / sin - 2j * sums[1]))
+    if n_lo <= 2 <= n_hi:
+        out.append(p ** 2 * (csc2 - 4.0 * sums[2]))
+    if n_hi == 3:
+        out.append(p ** 3 * (csc2 * (np.cos(np.pi * x) / sin) + 4j * sums[3]))
+    return np.array(out)
 
 
 def _weierstrass_stack(cell: Cell, n_hi: int, zr):
-    """E_n(zr), n = 2..n_hi, on flat points: rows for E_2 and E_3, wp above.
+    """E_n(zr), n = 2..n_hi, on flat points: q-series for E_2, E_3, wp above.
 
     With wp = E_2 - S_2, wp'' = 6 wp^2 - 30 S_4 gives E_4 = wp^2 - 5 S_4 and,
     in f_j = (j+1) e_(j+2) (e_2 = wp, e_n = E_n above),
     E_(k+4) = 6/((k+1)(k+2)(k+3)) * sum_(j=0..k) f_j f_(k-j).  Each product
     is elementwise, out of place, so no value depends on the batch or on n_hi.
     """
-    rows = _eisenstein_stack(cell, 2, min(n_hi, 3), zr)
+    rows = _rows(cell, 2, min(n_hi, 3), zr)
     if n_hi < 4:
         return rows
     out = np.empty((n_hi - 1, zr.size), dtype=complex)
@@ -426,7 +317,7 @@ def _weierstrass_stack(cell: Cell, n_hi: int, zr):
 def eisenstein_stack(cell: Cell, n_lo: int, n_hi: int, z) -> np.ndarray:
     """E_n(z) for n = n_lo..n_hi stacked on axis 0, for an array z.
 
-    E_1 is the cell's row sum plus its jump.  E_2..E_n_hi are the
+    E_1 is the cell's q-series plus its jump.  E_2..E_n_hi are the
     recurrent stacks of the cosets of Cell.cosets, summed in ascending j,
     out of place; a compact cell is its own single coset and takes its
     stack as it is.  Orders below n_lo are computed but not kept.  Points
@@ -457,7 +348,7 @@ def eisenstein_stack(cell: Cell, n_lo: int, n_hi: int, z) -> np.ndarray:
                   for j in range(k)) * np.array([c ** -n for n in range(2, n_hi + 1)])[:, None]
     out = out[max(n_lo, 2) - 2 :]
     if n_lo == 1:
-        e1 = _eisenstein_stack(cell, 1, 1, flat) - np.ravel(k2) * (_TWO_PI_I / cell.omega1)
+        e1 = _rows(cell, 1, 1, flat) - np.ravel(k2) * (_TWO_PI_I / cell.omega1)
         out = np.concatenate([e1, out])
     return out.reshape((n_hi - n_lo + 1,) + np.shape(zr))
 
@@ -486,24 +377,18 @@ def lattice_sum(cell: Cell, n: int) -> complex:
         return 0.0 + 0.0j
     sums = cell._sums
     for even in range(2 * len(sums) + 2, n + 1, 2):
-        sums[even] = (_lattice_sum_rows(cell, even) if even <= 6
+        sums[even] = (_lattice_sum_q(cell, even) if even <= 6
                       else _lattice_sum_recurrence(sums, even))
     return sums[n]
 
 
-@lru_cache(maxsize=None)
-def _zeta_even(n: int) -> float:
-    """zeta(n), n even, correctly rounded from |B_n| (2*pi)^n / (2 n!)."""
-    b = [Fraction(1)]  # Bernoulli numbers B_0, B_1, ...
-    for m in range(1, n + 1):
-        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
-    return float(abs(b[n]) * (2 * _PI) ** n / (2 * math.factorial(n)))
-
-
-def _lattice_sum_rows(cell: Cell, n: int) -> complex:
-    """Even S_n by row summation; the m2 = 0 row minus its pole is 2*zeta(n)."""
-    rows = _eisenstein_stack(cell, n, n, np.zeros(1), first_row=1)[0, 0]
-    return complex(2.0 * _zeta_even(n) / cell.omega1 ** n + rows)
+def _lattice_sum_q(cell: Cell, n: int) -> complex:
+    """Even S_n, n <= 6, from the q-expansion of G_n, summed in ascending k."""
+    acc = 0.0 + 0.0j
+    for k, qk in enumerate(cell.q_powers, 1):
+        acc += k ** (n - 1) * ((qk + qk) * (1.0 / (1.0 - qk)))
+    factor = (-_TWO_PI_I) ** n / math.factorial(n - 1)
+    return _TWO_ZETA[n] / cell.omega1 ** n + acc * factor / cell.omega1 ** n
 
 
 def _lattice_sum_recurrence(sums: dict, n: int) -> complex:

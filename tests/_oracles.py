@@ -59,12 +59,13 @@ def eisenstein_brute(cell, n, z, m1_range=50000, m2_range=25):
 
 
 def eisenstein_mpmath(cell, n, z, dps=40):
-    """E_n(z), n >= 2, to about dps digits with mpmath.
+    """E_n(z), n >= 1, to about dps digits with mpmath.
 
     Rows are summed in the Eisenstein order (transverse index m2 = 0, then
     +-m2 pairs); each row sum_m1 (w + m1)^(-n), w = (z + m2*omega2)/omega1,
-    is zeta(n, w) + (-1)^n zeta(n, 1 - w) with the Hurwitz zeta function.
-    Rows are kept until exp(-2*pi*m2*Im tau) is below 10^-dps.
+    is zeta(n, w) + (-1)^n zeta(n, 1 - w) with the Hurwitz zeta function,
+    and pi*cot(pi*w) for n = 1, where the Hurwitz zeta has its pole.  Rows
+    are kept until exp(-2*pi*m2*Im tau) is below 10^-dps.
     """
     with mpmath.workdps(dps):
         omega1, omega2 = mpmath.mpf(cell.omega1), mpmath.mpc(cell.omega2)
@@ -74,6 +75,8 @@ def eisenstein_mpmath(cell, n, z, dps=40):
 
         def row(m2):
             w = (z + m2 * omega2) / omega1
+            if n == 1:
+                return mpmath.pi * mpmath.cot(mpmath.pi * w)
             return mpmath.zeta(n, w) + (-1) ** n * mpmath.zeta(n, 1 - w)
 
         total = row(0)

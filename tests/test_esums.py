@@ -16,7 +16,7 @@ from effcond import (
     rsa_generate,
 )
 from effcond.esums import _matvec, check_index, esums_csv, kernel_stack
-from effcond.lattice import eisenstein_stack
+from effcond.lattice import Cell, eisenstein_stack
 
 from _oracles import eisenstein_mpmath, esum_reference, required_indices
 
@@ -163,9 +163,10 @@ class TestKernelOracle:
         corner    2.9e-16  9.8e-16  2.5e-15  1.2e-12
     At cell corners the rows cancel: E_31 there is far below its rows.
 
-    The hex and aspect-0.2 cells also sum rows 1..M0 one by one (M0 = 1 and
-    2); their bounds are 4x the worst error, per cell, of the per-row
-    evaluation that summed every transverse row one by one:
+    The hex and aspect-0.2 cells, whose transverse rows 1..M0 (M0 = 1 and
+    2) an earlier evaluation summed one by one, have bounds 4x the worst
+    error, per cell, of the per-row evaluation that summed every transverse
+    row one by one:
         n                2        3        12       31
         hex   contact  3.6e-16  4.7e-16  1.8e-15  4.4e-15
               corner   7.8e-16  7.5e-16  2.9e-15  7.2e-15
@@ -232,7 +233,6 @@ class TestKernelOracle:
     @pytest.mark.parametrize("n", [2, 3, 12, 31])
     def test_entries_match_mpmath_with_near_rows(self, n, hex_cell, thin_cell):
         for name, cell in (("hex", hex_cell), ("thin", thin_cell)):
-            assert cell.near_rows > 0
             for kind, err in self.worst_errors(cell, n).items():
                 assert err <= self.NEAR_ROW_BOUNDS[name][kind][n]
 
@@ -243,7 +243,8 @@ class TestKernelOracle:
     #   compact      1.0e-15  1.0e-15  4.1e-15  1.1e-14  9.3e-15  1.6e-14
     #   aspect 5     7.3e-16  1.8e-15  5.9e-15  6.9e-15  1.2e-14  2.6e-14
     #   aspect 0.5   1.7e-15  7.2e-16  3.0e-15  8.3e-15  7.0e-15  1.2e-14
-    # On compact cells E_2 and E_3 are the row sums.  The row through z
+    # On compact cells E_2 and E_3 are the q-series, measured at most 1.5e-15
+    # at n = 2 and 3 on every cell here.  The earlier row sum through z
     # reached 2.7e-13, 1.4e-10, 4.9e-7 and 28 at n = 12, 20, 31 and 55; at
     # n = 2 and 3 the rows of the elongated cells gave 8.0e-16 and 4.2e-16
     # (aspect 5), 1.1e-15 and 7.2e-16 (aspect 0.5).
@@ -283,6 +284,25 @@ class TestKernelOracle:
                 err = abs(val - ref) * np.abs(cell.min_image(z)) ** n
                 assert err <= self.WEAK_POINT_BOUNDS[name][n]
 
+    # 4x the worst pole-scaled error |E_1 - ref|*|z| of the q-series over the
+    # weak points and 20 random points a*omega1 + b*omega2, a, b in
+    # [-0.75, 0.75), so that E_1 takes its jump on some; 2+0.5i is the
+    # aspect-0.5 lattice in a basis with Re tau = 2, built as given
+    E1_BOUNDS = {"square": 2.1e-15, "hexagonal": 2.2e-15, "0.5+1i": 2.1e-15,
+                 "aspect 0.2": 4.3e-15, "aspect 5": 6.2e-15, "2+0.5i": 2.0e-14}
+
+    @pytest.mark.parametrize("name", list(E1_BOUNDS))
+    def test_e1_matches_mpmath(self, name):
+        w2 = {"square": 1j, "hexagonal": np.exp(1j * np.pi / 3), "0.5+1i": 0.5 + 1j,
+              "aspect 0.2": 0.2j, "aspect 5": 5j, "2+0.5i": 2 + 0.5j}[name]
+        scale = 1 / math.sqrt(w2.imag)
+        cell = Cell(scale, w2 * scale)
+        a, b = np.random.default_rng(3).uniform(-0.75, 0.75, (2, 20))
+        points = np.concatenate([self.weak_points(cell), a * cell.omega1 + b * cell.omega2])
+        for z, val in zip(points, eisenstein(cell, 1, points)):
+            err = abs(val - eisenstein_mpmath(cell, 1, z)) * np.abs(cell.min_image(z))
+            assert err <= self.E1_BOUNDS[name]
+
 
 class TestKernelStack:
     """Kernels are bitwise independent of how the stack was built."""
@@ -320,8 +340,9 @@ class TestKernelStack:
             batch = eisenstein(config.cell, n, sep)
             scalar = np.array([eisenstein(config.cell, n, complex(z)) for z in sep])
             assert np.array_equal(batch, scalar)
-        # every order of a stack, also where rows 1..M0 are summed one by one,
-        # with the recurrence above E_3 directly (hex) and over cosets (thin)
+        # every order of a stack, also on thinner cells, which take more q
+        # terms, with the recurrence above E_3 directly (hex) and over
+        # cosets (thin)
         for cell in (config.cell, sheared_cell, hex_cell, thin_cell):
             batch = eisenstein_stack(cell, 2, 31, sep)
             scalar = [eisenstein_stack(cell, 2, 31, complex(z)) for z in sep]

@@ -18,6 +18,7 @@ from effcond import (
     trial_seed,
 )
 from effcond.geometry import configuration_from_dict
+from effcond.lattice import Cell
 
 from _oracles import min_image_stencil, nearest_distance_brute, rsa_one_at_a_time
 
@@ -136,13 +137,17 @@ class TestMinImageAgainstStencil:
 
 
 class TestMinImageBruteForce:
-    """Cell.min_image is the nearest image on every basis, sheared or not."""
+    """Cell.min_image is the nearest image on every basis, sheared or not.
+
+    The unit-area cells are built with Cell(...) directly: make_cell would fold
+    the shears of 1 or more (2.4, 3.0, 4.9, -2.4) below 1."""
 
     SHAPES = [s + 1j * h for s in (-2.4, 0.0, 0.25, 2.4, 3.0, 4.9) for h in (0.2, 0.3, 1.0, 5.0)]
 
     @pytest.mark.parametrize("omega2", SHAPES)
     def test_nearest_of_every_lattice_point(self, omega2):
-        cell = make_cell(1.0, omega2)
+        scale = 1.0 / math.sqrt(omega2.imag)
+        cell = Cell(scale, omega2 * scale)
         rng = np.random.default_rng(5)
         z = (rng.random(2000) - 0.5) * 6 + 1j * (rng.random(2000) - 0.5) * 6
         got = cell.min_image(z)
@@ -150,7 +155,8 @@ class TestMinImageBruteForce:
         assert np.abs(cell.reduce(got - z)[0]).max() < 1e-12  # a translate of z
 
     def test_rsa_places_no_overlapping_pair(self):
-        """N = 4 disks at nu = 0.45 on the sheared basis 2.4+0.3i: 300 seeds."""
+        """N = 4 disks at nu = 0.45 on the sheared basis 2.4+0.3i, which
+        make_cell folds to 0.4+0.3i, still far from Gauss-reduced: 300 seeds."""
         desc = EnsembleDescriptor(n=4, nu=0.45, trials=1, seed=0, cell_omega2=2.4 + 0.3j)
         j, k = np.triu_indices(4, 1)
         for seed in range(300):

@@ -13,13 +13,7 @@ from effcond import (
     make_cell,
 )
 import effcond.lattice
-from effcond.lattice import (
-    Cell,
-    _eisenstein_stack,
-    _lattice_sum_rows,
-    _zeta_even,
-    eisenstein_stack,
-)
+from effcond.lattice import _TWO_ZETA, Cell, _rows, eisenstein_stack
 
 from _oracles import (
     eisenstein_brute,
@@ -62,12 +56,24 @@ class TestMakeCell:
         with pytest.raises(InvalidCellError):
             make_cell(1.0, w2)
 
+    @pytest.mark.parametrize("m", [3, 1e3, 1e6, 1e9, -3, -1e9])
+    def test_sheared_basis_of_the_square_lattice_is_the_square_cell(self, m):
+        """omega2 = m + i spans the square lattice for every integer m; make_cell
+        takes omega2 less its whole multiples of omega1, so E_n keeps its
+        digits however large m is."""
+        assert make_cell(1, m + 1j) == make_cell(1, 1j)
+
+    def test_fold_of_a_huge_shear_stays_exact(self):
+        """Re omega2 / omega1 = 1e350 overflows; the fold must not."""
+        cell = make_cell(1e-150, 1e200 + 1e-150j)
+        assert 0.0 <= cell.omega2.real < cell.omega1
+
     CELLS = [
         (1j, True, 1), (np.exp(1j * np.pi / 3), True, 1), (0.5 + 1j, True, 1),
         (0.6j, True, 1),
         (1.5 + 1j, True, 1),  # the sheared lattice again, another basis
         (0.5j, False, 2), (0.2j, False, 3), (5j, False, 3),
-        (2.0 + 0.5j, False, 2),  # the aspect-0.5 lattice again
+        (2.0 + 0.5j, False, 2),  # the aspect-0.5 lattice again, another basis
     ]
 
     @pytest.mark.parametrize("w2, compact, cosets", CELLS,
@@ -77,8 +83,13 @@ class TestMakeCell:
         the square, 0.58 hexagonal, 0.62 at 0.5+1i, 0.97 at aspect 0.6 and
         1.12 at 0.5.  An elongated cell has a compact unit-area sublattice
         cell of index k, the coset count; a compact cell is its own single
-        coset."""
-        cell = make_cell(1.0, w2)
+        coset.  A basis with |Re tau| >= 1 is built as given, since
+        make_cell would fold it."""
+        if abs(w2.real) < 1:
+            cell = make_cell(1.0, w2)
+        else:
+            scale = 1 / math.sqrt(w2.imag)
+            cell = Cell(scale, w2 * scale)
         assert cell.compact is compact
         if cosets == 1:
             assert cell.cosets == (1, 0, cell)
@@ -112,13 +123,6 @@ class TestLatticeSums:
         for n in range(2, 17):
             assert abs(lattice_sum(square_cell, n).imag) < 1e-12
 
-    @pytest.mark.parametrize("n", [8, 10, 12, 14])
-    def test_recurrence_matches_row_summation(self, n, square_cell, sheared_cell, hex_cell):
-        for cell in (square_cell, sheared_cell, hex_cell):
-            rec = lattice_sum(cell, n)
-            direct = _lattice_sum_rows(cell, n)
-            assert rec == pytest.approx(direct, rel=1e-12, abs=1e-12)
-
     def test_hex_s2_is_pi(self, hex_cell):
         assert lattice_sum(hex_cell, 2) == pytest.approx(math.pi, abs=1e-12)
 
@@ -128,9 +132,11 @@ class TestLatticeSums:
         assert abs(lattice_sum(square_cell, 10)) < 1e-13
 
     def test_zeta_even_is_correctly_rounded(self):
+        """The literals 2*zeta(n) of S_2, S_4 and S_6."""
+        assert sorted(_TWO_ZETA) == [2, 4, 6]
         with mpmath.workdps(40):
-            for n in range(2, 61, 2):
-                assert _zeta_even(n) == float(mpmath.zeta(n))
+            for n, two_zeta in _TWO_ZETA.items():
+                assert two_zeta == float(2 * mpmath.zeta(n))
 
     # 4x the worst |S_n - ref| / max(1, |ref|) measured over n = 2..62
     MPMATH_BOUNDS = {"square_cell": 2.7e-15, "sheared_cell": 5.8e-15,
@@ -278,33 +284,41 @@ class TestEisenstein:
             assert abs(eisenstein(cell, n, z) - ref) <= 1e-11 * abs(ref)
 
     def test_rows_supply_what_the_recurrence_does_not(self, square_cell, thin_cell):
-        """E_1 is the row sum on every cell, E_2 and E_3 on compact cells, bitwise."""
+        """E_1 is the q-series on every cell, E_2 and E_3 on compact cells,
+        bitwise, whichever orders the series was asked for."""
         z = np.array([0.31 + 0.12j, -0.4 + 0.33j, 0.05 - 0.45j])
         for cell in (square_cell, thin_cell, make_cell(1.0, 5j)):
             zr = cell.reduce(z)[0]  # inside the cell, E_1 takes no jump
             rows = 3 if cell.compact else 1
             assert np.array_equal(eisenstein_stack(cell, 1, 12, zr)[:rows],
-                                  _eisenstein_stack(cell, 1, rows, zr))
+                                  _rows(cell, 1, rows, zr))
+            for n in range(1, rows + 1):
+                assert np.array_equal(_rows(cell, n, n, zr)[0], _rows(cell, 1, 3, zr)[n - 1])
 
     def test_rows_read_orders_up_to_six(self, monkeypatch):
         """Orders n >= 4 come from the recurrence on the cosets of a compact
-        sublattice, so the rows serve only E_1, the cosets' E_2 and E_3 and
-        S_2..S_6."""
+        sublattice and S_2..S_6 from the q-expansions of G_2, G_4, G_6, so the
+        q-series serve only E_1 and the cosets' E_2 and E_3, and E_2 alone
+        asks for E_2 alone."""
         calls = []
 
-        def recording(cell, n_lo, n_hi, zr, first_row=0):
+        def recording(cell, n_lo, n_hi, zr):
             calls.append((n_lo, n_hi))
-            return _eisenstein_stack(cell, n_lo, n_hi, zr, first_row)
+            return _rows(cell, n_lo, n_hi, zr)
 
-        monkeypatch.setattr(effcond.lattice, "_eisenstein_stack", recording)
+        monkeypatch.setattr(effcond.lattice, "_rows", recording)
         z = np.array([0.31 + 0.12j, -0.4 + 0.33j, 0.05 - 0.45j])
         for w2 in (1j, 0.2j, 5j):
             unit = make_cell(1.0, w2)
             cell = Cell(unit.omega1, unit.omega2)  # nothing cached yet
-            eisenstein_stack(cell, 1, 31, z)
             lattice_sum(cell, 40)
-        assert {(1, 1), (2, 3), (6, 6)} <= set(calls)
-        assert max(n_hi for _, n_hi in calls) <= 6
+            assert calls == []
+            eisenstein_stack(cell, 1, 31, z)
+            assert set(calls) == {(1, 1), (2, 3)}
+            calls.clear()
+            eisenstein_stack(cell, 2, 2, z)
+            assert set(calls) == {(2, 2)}
+            calls.clear()
 
     def test_order_cap(self, square_cell, thin_cell):
         """MAX_KERNEL_ORDER = 122 is accepted and finite, 123 is refused."""
