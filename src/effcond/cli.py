@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConvergenceError, DomainError, GenerationError
-from .esums import MAX_SERIES_ORDER, check_index, esums_csv
+from .esums import MAX_SERIES_ORDER, esums_csv
 from .geometry import EnsembleDescriptor, load_configuration, save_configuration
 from .pipeline import (
     DEFAULT_CONTRAST_NMAX,
@@ -75,7 +75,7 @@ def cmd_gen(args) -> int:
 
 def cmd_esum(args) -> int:
     config = load_configuration(args.config)
-    indices = [check_index(_parse_index(t)) for t in args.index]
+    indices = [_parse_index(t) for t in args.index]
     values = evaluate(config, [QuantitySpec("", "esum", index=i) for i in indices],
                       config.nu)
     sys.stdout.write(esums_csv(Path(args.config).stem, dict(zip(indices, values))))

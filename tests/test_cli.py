@@ -295,6 +295,38 @@ class TestExitCodes:
         assert code == 2
         assert message in err
 
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--quantities", "lambda-solver:2"],
+        ["mc", "--quantities", "e2,lambda-series:1.5:6"],
+        ["mc", "--quantities", "lambda-series:0.5:13"],
+        ["mc", "--quantities", "e2,zeta1:123"],
+        ["compare", "--rho", "1.5"],
+        ["lambda", "--rho", "1.5", "--method", "solver"],
+        ["lambda", "--rho", "1.5", "--method", "cluster"],
+        ["lambda", "--rho", "1.5", "--method", "contrast"],
+        ["lambda", "--rho", "0.5", "--method", "cluster", "--order", "13"],
+    ], ids=" ".join)
+    def test_out_of_range_refused_before_placement_and_kernels(
+        self, tmp_path, capsys, config_file, kernel_passes, monkeypatch, argv
+    ):
+        import effcond.pipeline
+
+        placements = []
+        monkeypatch.setattr(effcond.pipeline, "rsa_generate",
+                            lambda *args, **kwargs: placements.append(args))
+        if argv[0] == "lambda":
+            argv = argv + ["--config", str(config_file)]
+        else:
+            argv = argv + ["--n", "8", "--nu", "0.3", "--trials", "2"]
+        if argv[0] == "mc":
+            argv = argv + ["--out", str(tmp_path / "x")]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "error" in err
+        assert kernel_passes == []
+        assert placements == []
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("rho", ["0", "0.5"])
     def test_compare_order_zero_is_two(self, capsys, rho):
         code, _, err = run_cli(

@@ -15,8 +15,14 @@ from effcond import (
     trial_seed,
     write_run,
 )
-from effcond.pipeline import compare_csv, compare_methods, iter_trials
-from effcond.series import ClusterCoefficients, cluster_coeffs, lambda_cluster
+from effcond.esums import esum_nn
+from effcond.pipeline import (
+    QuantitySpec, compare_csv, compare_methods, evaluate, iter_trials,
+)
+from effcond.series import (
+    ClusterCoefficients, cluster_coeffs, lambda_cluster, lambda_contrast, zeta1,
+)
+from effcond.solver import solve_contrast
 
 
 class TestParseQuantity:
@@ -44,10 +50,42 @@ class TestParseQuantity:
         assert spec.kind == "zeta1"
         assert spec.n_max == 8
 
-    @pytest.mark.parametrize("bad", ["x2", "lambda-solver", "e1", "zeta1:2:3"])
+    @pytest.mark.parametrize("bad", ["x2", "lambda-solver", "e1", "zeta1:2:3",
+                                     "zeta1:x", "lambda-solver:", "e2-",
+                                     "lambda-series:0.8:abc"])
     def test_bad_tokens(self, bad):
         with pytest.raises(DomainError):
             parse_quantity(bad)
+
+    @pytest.mark.parametrize("bad, part", [
+        ("zeta1:x", "'x'"), ("lambda-solver:", "''"), ("e2-", "''"),
+        ("lambda-series:0.8:abc", "'abc'"), ("e2x", "'x'"),
+    ])
+    def test_malformed_number_names_the_token(self, bad, part):
+        with pytest.raises(DomainError) as err:
+            parse_quantity(bad)
+        assert str(err.value) == f"bad number {part} in quantity token {bad!r}"
+
+    @pytest.mark.parametrize("token, canonical", [
+        ("e2", "e2"), ("e3-3-2", "e332"), ("e22-2", "e22-2"), ("e2-22", "e2-22"),
+        ("e222", "e222"), ("e10-2", "e10-2"), ("lambda-solver:1", "lambda-solver:1"),
+        ("lambda-series:.5", "lambda-series:.5:6"), ("lambda-series:1:08", "lambda-series:1:8"),
+        ("zeta1", "zeta1:12"), ("zeta1:012", "zeta1:12"),
+    ])
+    def test_canonical_token_reparses_to_itself(self, token, canonical):
+        spec = parse_quantity(token)
+        assert spec.token == canonical
+        assert parse_quantity(canonical) == spec
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("esum", {"index": (1,)}), ("esum", {"index": ()}),
+        ("lambda_solver", {"rho": 1.5}), ("lambda_series", {"rho": -2.0}),
+        ("lambda_series", {"order": 13}), ("lambda_contrast", {"rho": 1.1}),
+        ("lambda_contrast", {"n_max": 1}), ("zeta1", {"n_max": 123}), ("bogus", {}),
+    ])
+    def test_spec_is_checked_when_made(self, kind, fields):
+        with pytest.raises(DomainError):
+            QuantitySpec("q", kind, **fields)
 
 
 class TestRunEnsemble:
@@ -161,10 +199,45 @@ class TestRunEnsemble:
             run_ensemble(desc, ["e2"])
         assert "trial 0" in str(err.value)
 
+    def test_distinct_sums_get_distinct_columns(self):
+        # e22-2, e2-22 and e222 are three sums; each keeps its own columns
+        desc = EnsembleDescriptor(n=8, nu=0.2, trials=3, seed=17)
+        tokens = ["e22-2", "e2-22", "e222"]
+        stats = run_ensemble(desc, tokens)
+        assert stats.columns == [f"{t}_{part}" for t in tokens for part in ("re", "im")]
+        configs = [config for _, _, config in iter_trials(desc)]
+        for token, index in zip(tokens, [(22, 2), (2, 22), (2, 2, 2)]):
+            values = np.array([esum(config, index) for config in configs])
+            assert stats.stats[f"{token}_re"]["mean"] == float(values.real.mean())
+            assert stats.stats[f"{token}_im"]["mean"] == float(values.imag.mean())
+
     def test_empty_quantities_rejected(self):
         desc = EnsembleDescriptor(n=4, nu=0.1, trials=1, seed=0)
         with pytest.raises(DomainError):
             run_ensemble(desc, [])
+
+
+class TestEvaluate:
+    def test_every_kind_matches_its_direct_call(self, kernel_passes):
+        desc = EnsembleDescriptor(n=12, nu=0.35, trials=1, seed=23)
+        config = rsa_generate(desc, seed=trial_seed(23, 0))
+        nu = config.nu
+        specs = [QuantitySpec("e", "esum", index=(3, 2)),
+                 QuantitySpec("s", "lambda_solver", rho=0.7),
+                 QuantitySpec("c", "lambda_series", rho=-0.6, order=5),
+                 QuantitySpec("t", "lambda_contrast", rho=0.4, n_max=9),
+                 QuantitySpec("z", "zeta1", n_max=7)]
+        values = evaluate(config, specs, nu)
+        assert kernel_passes == [(2, 30)]  # one pass, to the solver's E_30
+        nn_table = {n: esum_nn(config, n) for n in range(2, 10)}
+        assert values == [
+            esum(config, (3, 2)),
+            solve_contrast(config, 0.7).effective(),
+            lambda_cluster(nu, cluster_coeffs(config, -0.6, 5)),
+            lambda_contrast(nu, nn_table, 0.4, 9, e2=esum(config, (2,))),
+            zeta1(nu, nn_table, 7),
+        ]
+        assert kernel_passes == [(2, 30)]
 
 
 class TestWriteRun:
