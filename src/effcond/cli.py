@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConvergenceError, DomainError, GenerationError
-from .esums import MAX_SERIES_ORDER, esums_csv
+from .esums import MAX_SERIES_ORDER, check_series_order, esums_csv
 from .geometry import EnsembleDescriptor, load_configuration, save_configuration
 from .pipeline import (
     DEFAULT_CONTRAST_NMAX,
@@ -26,7 +26,7 @@ from .pipeline import (
     write_run,
 )
 from .serialize import dump_csv, dump_json
-from .series import cluster_coeffs, lambda_dilute, lambda_pade
+from .series import check_cutoff, cluster_coeffs, lambda_dilute, lambda_pade
 
 
 def _parse_cell(text: str):
@@ -91,6 +91,9 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_lambda(args) -> int:
+    # the flags are checked whether or not the method reads them
+    check_series_order(args.order)
+    check_cutoff(args.nmax)
     config = load_configuration(args.config)
     if args.method in ("dilute", "pade"):
         fn = lambda_dilute if args.method == "dilute" else lambda_pade

@@ -30,7 +30,8 @@ class GenerationError(EffcondError, RuntimeError):
 
 
 class ConvergenceError(EffcondError, RuntimeError):
-    """The GMRES solve used its Krylov budget without reaching the tolerance."""
+    """The conjugate-gradient solve used its iteration budget without reaching
+    the tolerance."""
 
     def __init__(self, message, residual_history=None):
         super().__init__(message)

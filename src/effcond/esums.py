@@ -24,20 +24,20 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import DiskConfiguration
-from .lattice import eisenstein_stack, lattice_sum
+from .lattice import MAX_KERNEL_ORDER, eisenstein_stack, lattice_sum
 from .serialize import dump_csv
 
 
 def check_index(index) -> tuple:
     """The multi-index (m1, ..., mq) as a tuple of ints, from an int or an iterable.
 
-    Raises DomainError if it is empty or an entry is below 2.
+    Raises DomainError if it is empty or an entry is outside 2..MAX_KERNEL_ORDER.
     """
     entries = (int(index),) if isinstance(index, int) else tuple(int(m) for m in index)
     if not entries:
         raise DomainError("multi-index needs at least one entry")
-    if any(m < 2 for m in entries):
-        raise DomainError(f"multi-index entries must be >= 2, got {entries}")
+    if not all(2 <= m <= MAX_KERNEL_ORDER for m in entries):
+        raise DomainError(f"multi-index entries must be in 2..{MAX_KERNEL_ORDER}, got {entries}")
     return entries
 
 

@@ -14,8 +14,13 @@ one GEMM of conj(psi) against the configuration's kernel stack E_2..E_{2L+2}
 weighted sum over strided windows of the entries with s = j + l.
 W(psi) = A*conj(psi) is antilinear, so for real rho the fixed point
 psi = 1 + rho*W(psi) solves the complex-linear system
-(I - rho^2 A conj(A)) psi = 1 + rho*W(1), which solve_contrast solves by
-GMRES (Saad & Schultz 1986).  The effective conductivity is
+(I - rho^2 A conj(A)) psi = 1 + rho*W(1).  In y_l = psi_l r^l / sqrt(l+1)
+the matrix A becomes B, complex symmetric: step_weight(j, l)/(j+1) is
+(-1)^j (l+j+1)!/((j+1)!(l+1)!) and E_n(-z) = (-1)^n E_n(z).  So W is
+symmetric in the inner product sum conj(u_l) v_l r^(2l)/(l+1), the system
+is I - rho^2 B B^H, Hermitian and positive definite while |rho| ||B||_2 < 1
+(the paper's convergence of the method of Schwarz), and solve_contrast
+solves it by conjugate gradients.  The effective conductivity is
 lambda11 - i*lambda12 = 1 + 2*rho*nu*mean_k psi_k(a_k).  Solves share only
 the configuration's read-only kernels and may run concurrently.
 """
@@ -124,64 +129,45 @@ def _scaled_max(delta: np.ndarray, radius: float) -> float:
 
 
 def _krylov(config: DiskConfiguration, rho: float, ones, tolerance, max_iterations):
-    """GMRES on (I - rho^2 W W) psi = 1 + rho W(1) in x_l = psi_l r^l.
+    """Conjugate gradients on (I - rho^2 W W) psi = 1 + rho W(1) in
+    y_l = psi_l r^l / sqrt(l+1).
 
-    Unrestarted Arnoldi with classical Gram-Schmidt run twice, which is
-    enough for an orthogonal basis (Giraud, Langou & Rozloznik 2005).  The
-    basis and the Givens-reduced Hessenberg, upper triangular, are arrays
-    that double when full; the rotations act on Python scalars.  Once the
-    Krylov residual estimate reaches the tolerance (at a breakdown
-    h[k+1, k] = 0 it is zero: the candidate is exact), the candidate is
-    accepted only if its true fixed-point residual does.  Returns psi, that
-    residual and the estimates, one per iteration.
+    In y, W is y -> B conj(y) with B complex symmetric, so the system matrix
+    I - rho^2 B B^H is Hermitian, and positive definite while |rho| ||B||_2 < 1
+    (Hestenes & Stiefel 1952).  Once the recurrence residual reaches the
+    tolerance (at rr = 0 the iterate is exact), the iterate is accepted only
+    if its true fixed-point residual does.  Returns psi, that residual and
+    the recurrence residual norms, one per iteration.
     """
-    scale = config.radius ** np.arange(ones.shape[1])
+    lp1 = ones.shape[1]
+    scale = config.radius ** np.arange(lp1) / np.sqrt(np.arange(1, lp1 + 1))
 
-    def psi_of(x):
-        return x.reshape(ones.shape) / scale
+    def apply(y):
+        psi = y / scale
+        return (psi - rho * rho * w_image(config, w_image(config, psi))) * scale
 
-    b = ((ones + rho * w_image(config, ones)) * scale).ravel()
-    g = [float(np.linalg.norm(b))]  # rotated beta*e1
-    basis = np.empty((16, b.size), dtype=complex)
-    basis[0] = b / g[0]
-    tri = np.zeros((16, 16), dtype=complex)
-    rotations: list[tuple] = []  # (c, s) of [[c, s], [-conj(s), c]]
+    r = (ones + rho * w_image(config, ones)) * scale
+    y, p = np.zeros_like(r), r.copy()
+    rr = np.vdot(r, r).real
     history: list[float] = []
-    for k in range(max_iterations):
-        psi = psi_of(basis[k])
-        w = ((psi - rho * rho * w_image(config, w_image(config, psi))) * scale).ravel()
-        block = basis[: k + 1]
-        h = np.conj(block @ np.conj(w))
-        w -= h @ block
-        again = np.conj(block @ np.conj(w))
-        w -= again @ block
-        h_next = float(np.linalg.norm(w))
-        col = (h + again).tolist()
-        for i, (c, s) in enumerate(rotations):
-            x, y = col[i], col[i + 1]
-            col[i], col[i + 1] = c * x + s * y, c * y - s.conjugate() * x
-        a = col[k]
-        norm = math.hypot(abs(a), h_next)
-        c, s = abs(a) / norm, (a / abs(a) if a else 1.0) * h_next / norm  # zeroes h_next
-        rotations.append((c, s))
-        col[k] = c * a + s * h_next
-        tri[: k + 1, k] = col
-        g[k:] = c * g[k], -s.conjugate() * g[k]
-        history.append(abs(g[k + 1]))
+    for _ in range(max_iterations):
+        q = apply(p)
+        alpha = rr / np.vdot(p, q).real
+        y += alpha * p
+        r -= alpha * q
+        rr, rr_old = np.vdot(r, r).real, rr
+        history.append(math.sqrt(rr))
         if history[-1] <= tolerance:
-            psi = psi_of(np.linalg.solve(tri[: k + 1, : k + 1], g[: k + 1]) @ block)
+            psi = y / scale
             residual = _scaled_max(psi - ones - rho * w_image(config, psi), config.radius)
             if residual <= tolerance:
                 return psi, residual, history
-        if h_next == 0.0:
+        if rr == 0.0:
             break
-        if k + 1 == len(basis):
-            basis = np.concatenate([basis, np.empty_like(basis)])
-            tri = np.pad(tri, (0, len(tri)))
-        basis[k + 1] = w / h_next
+        p = r + (rr / rr_old) * p
     raise ConvergenceError(
-        f"no convergence to {tolerance:g} within {len(history)} Krylov "
-        f"iterations (last residual estimate {history[-1]:g})",
+        f"no convergence to {tolerance:g} within {len(history)} conjugate-gradient "
+        f"iterations (last residual {history[-1]:g})",
         residual_history=history,
     )
 
@@ -196,10 +182,11 @@ def solve_contrast(
 ) -> SolveResult:
     """Solve psi = 1 + rho*W(psi) for the flux truncated at Taylor degree L.
 
-    GMRES runs until the fixed-point residual max_l |psi - 1 - rho*W(psi)| r^l
-    is at most the tolerance, and raises ConvergenceError (with the residual
-    estimates) after max_iterations Krylov iterations; RSA at N = 64,
-    nu = 0.5 needs <= 29 at rho = 1 and <= 28 at rho = -1 (20 trials).
+    Conjugate gradients run until the fixed-point residual
+    max_l |psi - 1 - rho*W(psi)| r^l is at most the tolerance, and raise
+    ConvergenceError (with the recurrence residuals) after max_iterations
+    iterations; RSA at N = 64, nu = 0.5 needs <= 28 at rho = 1 and at
+    rho = -1 (20 trials, master seed 2024).
     """
     check_contrast(rho)
     if not tolerance > 0.0:

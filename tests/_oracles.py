@@ -21,10 +21,11 @@ the 9-image stencil argmin of every point, which the production shortcut
 must reproduce bit for bit; both take the stencil of the basis as given,
 exact only where it holds the Gauss-reduced basis, and the nearest image
 on any basis is checked against every lattice point within reach.  The
-Krylov reference is GMRES with modified Gram-Schmidt on the production W,
-which the solver's loop must match, and the generalized method of Schwarz,
-the successive approximations on the production W, is the fixed point the
-solver must reach.
+Krylov reference is GMRES with modified Gram-Schmidt on the production W, a
+different method from the solver's conjugate gradients, whose lambda and
+iteration count the solver must agree with; the generalized method of
+Schwarz, the successive approximations on the production W, is the fixed
+point the solver must reach.
 """
 
 import math

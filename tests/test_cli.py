@@ -305,6 +305,9 @@ class TestExitCodes:
         ["lambda", "--rho", "1.5", "--method", "cluster"],
         ["lambda", "--rho", "1.5", "--method", "contrast"],
         ["lambda", "--rho", "0.5", "--method", "cluster", "--order", "13"],
+        ["lambda", "--rho", "0.5", "--method", "solver", "--order", "13"],
+        ["lambda", "--rho", "0.5", "--method", "solver", "--nmax", "200"],
+        ["mc", "--quantities", "e2-123"],
     ], ids=" ".join)
     def test_out_of_range_refused_before_placement_and_kernels(
         self, tmp_path, capsys, config_file, kernel_passes, monkeypatch, argv

@@ -57,6 +57,12 @@ class TestParseQuantity:
         with pytest.raises(DomainError):
             parse_quantity(bad)
 
+    def test_entry_above_kernel_orders_refused(self):
+        # the highest kernel order is 122, so an esum token is refused at parse
+        assert parse_quantity("e2-122").index == (2, 122)
+        with pytest.raises(DomainError, match=r"in 2\.\.122, got \(2, 123\)"):
+            parse_quantity("e2-123")
+
     @pytest.mark.parametrize("bad, part", [
         ("zeta1:x", "'x'"), ("lambda-solver:", "''"), ("e2-", "''"),
         ("lambda-series:0.8:abc", "'abc'"), ("e2x", "'x'"),
