@@ -151,12 +151,15 @@ def rsa_generate(desc: EnsembleDescriptor, seed: int | None = None) -> DiskConfi
     enough for another image to come closer.  Centers and candidates_drawn
     equal those of testing every candidate on its own against every center.
     Raises GenerationError (carrying the count placed) when the budget runs
-    out.
+    out, DomainError on a negative seed.
     """
     cell = desc.cell()
     r = desc.radius
     min_dist = desc.exclusion_factor * 2.0 * r
-    rng = np.random.default_rng(desc.seed if seed is None else seed)
+    seed = desc.seed if seed is None else seed
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+    rng = np.random.default_rng(seed)
     accepted = np.empty(desc.n, dtype=complex)
     placed = 0
     drawn = 0
@@ -237,7 +240,7 @@ def rsa_generate(desc: EnsembleDescriptor, seed: int | None = None) -> DiskConfi
         drawn += taken
     meta = {
         "generator": "rsa",
-        "seed": int(desc.seed if seed is None else seed),
+        "seed": int(seed),
         "nu": desc.nu,
         "exclusion_factor": desc.exclusion_factor,
         "candidates_drawn": drawn,

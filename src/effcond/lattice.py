@@ -1,7 +1,7 @@
 """Unit cell geometry, lattice sums and the periodic kernels E_n.
 
-The cell is spanned by periods (omega1, omega2) with omega1 > 0,
-Im(omega2) > 0 and unit area, omega1 * Im(omega2) = 1.  The kernels
+A cell is the lattice of periods omega1 > 0 and omega2, Im(omega2) > 0;
+make_cell's have unit area, omega1 * Im(omega2) = 1.  The kernels
 
     E_n(z) = sum over lattice translates P of (z + P)^(-n)
 
@@ -30,9 +30,10 @@ Stegun 18), which gives E_4 = wp^2 - 5 S_4 and every higher order as a
 weighted sum of products of lower ones.  It loses about (R/h)^n, R the
 covering radius and h the shortest period, so it runs only on compact
 cells (R <= h: the square, hexagonal and 0.5+1i cells, rectangles of
-aspect 1/sqrt(3) to sqrt(3)); an elongated cell is k cosets of a compact
-sublattice, scaled to unit area.  E_1, quasi-periodic, is the cell's own
-q-series plus its jump.  The pole-scaled error |E_n - ref|*|z|^n against
+aspect 1/sqrt(3) to sqrt(3)).  An elongated lattice is k cosets of a
+compact sublattice of index k at its own scale, and E_n is the sum of
+their kernels.  E_1, quasi-periodic, is the cell's own q-series plus its
+jump.  The pole-scaled error |E_n - ref|*|z|^n against
 mpmath is at most 2.6e-14 for n <= 55 at the weak points of the tests.
 Orders above MAX_KERNEL_ORDER are refused.
 
@@ -58,7 +59,7 @@ from .errors import DomainError, InvalidCellError, NearSingularityError
 #: the range are rejected up front.
 ASPECT_RANGE = (0.2, 5.0)
 
-#: Distance (in cell units) below which direct E_n evaluation is refused.
+#: Distance below which direct E_n evaluation is refused.
 NEAR_SINGULARITY_RADIUS = 1e-9
 
 _TWO_PI_I = 2j * math.pi
@@ -72,7 +73,7 @@ _TWO_ZETA = {2: 3.289868133696453, 4: 2.1646464674222763, 6: 2.0346861239688985}
 
 @dataclass(frozen=True)
 class Cell:
-    """Unit-area periodic cell; immutable and shareable after construction.
+    """The lattice of a period pair, any area; immutable and shareable.
 
     Lattice sums and the powers of q are cached lazily; the caches are
     append-only, so concurrent readers are safe once warmed.
@@ -174,24 +175,24 @@ class Cell:
 
     @cached_property
     def cosets(self):
-        """(k, a, sub): the cell as k cosets of a compact sublattice.
+        """(k, a, sub): the lattice as the k cosets j*a + sub, j < k, of a
+        compact sublattice sub of index k, at its own scale.
 
         (1, 0, cell) on a compact cell.  Else a is the shorter of omega1 and
-        omega2 reduced by omega1; scaling it by the least k that makes the
-        sublattice compact, then the sublattice by 1/c, c = sqrt(k), gives
-        the unit-area cell sub, whose rows run along omega1 too:
-        E_n(z) = sum_(j<k) c^-n E_n^sub((z + j*a)/c) for n >= 2.
+        omega2 reduced by omega1, and sub, of k times the cell's area, is
+        spanned by k*a and the other period for the least k that makes it
+        compact; its rows run along omega1 too.  E_n(z) = sum_(j<k)
+        E_n^sub(z + j*a) for n >= 2.
         """
         if self.compact:
             return 1, 0, self
         w1 = self.omega1
         w2 = self.omega2 - round(self.omega2.real / w1) * w1
         for k in itertools.count(2):
-            c = math.sqrt(k)
             if abs(w2) < w1:
-                a, sub = w2, Cell(w1 / c, (k * w2 - round(k * w2.real / w1) * w1) / c)
+                a, sub = w2, Cell(w1, k * w2 - round(k * w2.real / w1) * w1)
             else:
-                a, sub = w1, Cell(k * w1 / c, w2 / c)
+                a, sub = w1, Cell(k * w1, w2)
             if sub.compact:
                 return k, a, sub
 
@@ -317,40 +318,36 @@ def _weierstrass_stack(cell: Cell, n_hi: int, zr):
 def eisenstein_stack(cell: Cell, n_lo: int, n_hi: int, z) -> np.ndarray:
     """E_n(z) for n = n_lo..n_hi stacked on axis 0, for an array z.
 
-    E_1 is the cell's q-series plus its jump.  E_2..E_n_hi are the
-    recurrent stacks of the cosets of Cell.cosets, summed in ascending j,
-    out of place; a compact cell is its own single coset and takes its
-    stack as it is.  Orders below n_lo are computed but not kept.  Points
-    within NEAR_SINGULARITY_RADIUS of a lattice point and orders above
+    E_1 is the cell's q-series plus its jump.  E_2..E_n_hi are the sums of
+    the recurrent stacks of the cosets of Cell.cosets, in ascending j, out
+    of place.  Each coset takes z - j*a, the same coset as z + (k-j)*a,
+    reduced into its own centred parallelogram; z - 0 keeps z bit for bit,
+    so a compact cell's one coset is cell.reduce(z) and its stack is the
+    result.  Orders below n_lo are computed but not kept.  Points within
+    NEAR_SINGULARITY_RADIUS of a lattice point and orders above
     MAX_KERNEL_ORDER are refused.
     """
     if not 1 <= n_lo <= n_hi <= MAX_KERNEL_ORDER:
         raise DomainError(f"kernel order must be in 1..{MAX_KERNEL_ORDER}, got {n_lo}..{n_hi}")
-    zr, _, k2 = cell.reduce(z)
-    # every nonzero lattice point lies at least half a cell height outside
-    # the centred parallelogram, so zr is within R of a lattice point
-    # exactly when |zr| < R
-    dist = np.abs(zr)
-    if np.any(dist < NEAR_SINGULARITY_RADIUS):
-        bad = np.asarray(z, dtype=complex)[dist < NEAR_SINGULARITY_RADIUS][0]
-        raise NearSingularityError(
-            f"z = {bad} within {NEAR_SINGULARITY_RADIUS:g} of a lattice point"
-        )
-    flat = np.ravel(zr)
+    flat = np.ravel(np.asarray(z, dtype=complex))
     k, a, sub = cell.cosets
-    if n_hi < 2:
-        out = np.empty((0, flat.size), dtype=complex)
-    elif k == 1:  # the point itself: no second reduce, no scale, no sum from 0
-        out = _weierstrass_stack(cell, n_hi, flat)
-    else:
-        c = math.sqrt(k)
-        out = sum(_weierstrass_stack(sub, n_hi, sub.reduce((flat + j * a) / c)[0])
-                  for j in range(k)) * np.array([c ** -n for n in range(2, n_hi + 1)])[:, None]
-    out = out[max(n_lo, 2) - 2 :]
+    points = [sub.reduce(flat - j * a)[0] for j in range(k)]
+    # every nonzero point of sub lies at least half a cell height outside
+    # its centred parallelogram, so z is within R of a lattice point exactly
+    # when one of its coset points is within R of zero
+    near = np.min(np.abs(points), axis=0) < NEAR_SINGULARITY_RADIUS
+    if np.any(near):
+        raise NearSingularityError(
+            f"z = {flat[near][0]} within {NEAR_SINGULARITY_RADIUS:g} of a lattice point"
+        )
+    out = np.empty((0, flat.size), dtype=complex)
+    if n_hi >= 2:
+        stacks = (_weierstrass_stack(sub, n_hi, p) for p in points)
+        out = sum(stacks, next(stacks))[max(n_lo, 2) - 2 :]  # no sum from 0
     if n_lo == 1:
-        e1 = _rows(cell, 1, 1, flat) - np.ravel(k2) * (_TWO_PI_I / cell.omega1)
-        out = np.concatenate([e1, out])
-    return out.reshape((n_hi - n_lo + 1,) + np.shape(zr))
+        zr, _, k2 = cell.reduce(flat)
+        out = np.concatenate([_rows(cell, 1, 1, zr) - k2 * (_TWO_PI_I / cell.omega1), out])
+    return out.reshape((n_hi - n_lo + 1,) + np.shape(z))
 
 
 def eisenstein(cell: Cell, n: int, z):

@@ -194,6 +194,25 @@ class TestRsaGenerate:
         b = rsa_generate(desc, seed=2)
         assert not np.array_equal(a.centers, b.centers)
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**70])
+    def test_seed_range(self, seed):
+        """Every non-negative seed numpy takes keeps its configuration, the
+        one-candidate-at-a-time reference's; 2**70 is not masked to 0."""
+        desc = EnsembleDescriptor(n=32, nu=0.45, trials=1, seed=seed)
+        config, ref = rsa_generate(desc), rsa_one_at_a_time(desc, seed)
+        assert np.array_equal(config.centers, ref.centers)
+        assert config.meta["candidates_drawn"] == ref.meta["candidates_drawn"]
+        assert config.meta["seed"] == seed
+        if seed:
+            assert not np.array_equal(config.centers, rsa_generate(desc, seed=0).centers)
+
+    def test_negative_seed_refused(self):
+        desc = EnsembleDescriptor(n=8, nu=0.3, trials=1, seed=-1)
+        with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+            rsa_generate(desc)
+        with pytest.raises(DomainError, match="got -5"):
+            rsa_generate(EnsembleDescriptor(n=8, nu=0.3, trials=1, seed=3), seed=-5)
+
     def test_nu_guard(self):
         with pytest.raises(DomainError):
             EnsembleDescriptor(n=16, nu=0.55, trials=1, seed=0)

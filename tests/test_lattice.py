@@ -13,7 +13,7 @@ from effcond import (
     make_cell,
 )
 import effcond.lattice
-from effcond.lattice import _TWO_ZETA, Cell, _rows, eisenstein_stack
+from effcond.lattice import _TWO_ZETA, Cell, _rows, _weierstrass_stack, eisenstein_stack
 
 from _oracles import (
     eisenstein_brute,
@@ -81,9 +81,9 @@ class TestMakeCell:
     def test_compact_cells(self, w2, compact, cosets):
         """Covering radius R at most the shortest period h: R/h is 0.71 on
         the square, 0.58 hexagonal, 0.62 at 0.5+1i, 0.97 at aspect 0.6 and
-        1.12 at 0.5.  An elongated cell has a compact unit-area sublattice
-        cell of index k, the coset count; a compact cell is its own single
-        coset.  A basis with |Re tau| >= 1 is built as given, since
+        1.12 at 0.5.  An elongated cell has a compact sublattice of index k,
+        the coset count, at its own scale (area k); a compact cell is its own
+        single coset.  A basis with |Re tau| >= 1 is built as given, since
         make_cell would fold it."""
         if abs(w2.real) < 1:
             cell = make_cell(1.0, w2)
@@ -97,7 +97,7 @@ class TestMakeCell:
             k, shift, sub = cell.cosets
             assert k == cosets and sub.compact
             assert abs(shift) <= cell.shortest_shift  # the shortest period
-            assert sub.area == pytest.approx(1.0, abs=1e-14)
+            assert sub.area == pytest.approx(k, abs=1e-14)
 
 
 class TestLatticeSums:
@@ -172,6 +172,12 @@ class TestEisenstein:
                     with pytest.raises(NearSingularityError):
                         eisenstein_stack(cell, 2, 4, np.array([0.3, p + step]))
                 assert np.all(np.isfinite(eisenstein_stack(cell, 2, 4, np.array([p + 2e-9]))))
+        # E_1 alone reads the same guard, on an elongated cell too
+        with pytest.raises(NearSingularityError):
+            eisenstein(thin_cell, 1, thin_cell.omega2 + 1e-10)
+        with pytest.raises(NearSingularityError):
+            eisenstein_stack(thin_cell, 1, 1, np.array([0.3, 2 * thin_cell.omega1 - 0.6e-9j]))
+        assert np.isfinite(eisenstein(thin_cell, 1, thin_cell.omega2 + 2e-9))
 
     def test_parity(self, square_cell, sheared_cell):
         rng = np.random.default_rng(11)
@@ -319,6 +325,18 @@ class TestEisenstein:
             eisenstein_stack(cell, 2, 2, z)
             assert set(calls) == {(2, 2)}
             calls.clear()
+
+    @pytest.mark.parametrize("w2", [1j, np.exp(1j * np.pi / 3), 0.5 + 1j, 0.6j])
+    def test_compact_cell_is_one_reduction_and_one_recurrence(self, w2):
+        """A compact cell is its own single coset: its stack is the recurrence
+        on cell.reduce(z), bit for bit, signed zeros included."""
+        cell = make_cell(1.0, w2)
+        rng = np.random.default_rng(3)
+        z = np.append(rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40),
+                      [complex(-0.0, 0.3), complex(0.41, -0.0), complex(-0.0, -0.27)])
+        got = eisenstein_stack(cell, 2, 31, z)
+        want = _weierstrass_stack(cell, 31, cell.reduce(z)[0].ravel())
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_order_cap(self, square_cell, thin_cell):
         """MAX_KERNEL_ORDER = 122 is accepted and finite, 123 is refused."""
