@@ -30,8 +30,8 @@ class GenerationError(EffcondError, RuntimeError):
 
 
 class ConvergenceError(EffcondError, RuntimeError):
-    """The conjugate-gradient solve used its iteration budget without reaching
-    the tolerance."""
+    """The Lanczos solve used its iteration budget without reaching the
+    tolerance, or found |rho| ||W|| >= 1."""
 
     def __init__(self, message, residual_history=None):
         super().__init__(message)

@@ -12,22 +12,22 @@ degree L, W maps degree <= L to degree <= L.  It is applied matrix-free:
 one GEMM of conj(psi) against the configuration's kernel stack E_2..E_{2L+2}
 (esums.kernel_stack, the array the structural sums also read), then one
 weighted sum over strided windows of the entries with s = j + l.
-W(psi) = A*conj(psi) is antilinear, so for real rho the fixed point
-psi = 1 + rho*W(psi) solves the complex-linear system
-(I - rho^2 A conj(A)) psi = 1 + rho*W(1).  In y_l = psi_l r^l / sqrt(l+1)
-the matrix A becomes B, complex symmetric: step_weight(j, l)/(j+1) is
+W(psi) = A*conj(psi) is antilinear.  In y_l = psi_l r^l / sqrt(l+1) the
+matrix A becomes B, complex symmetric: step_weight(j, l)/(j+1) is
 (-1)^j (l+j+1)!/((j+1)!(l+1)!) and E_n(-z) = (-1)^n E_n(z).  So W is
-symmetric in the inner product sum conj(u_l) v_l r^(2l)/(l+1), the system
-is I - rho^2 B B^H, Hermitian and positive definite while |rho| ||B||_2 < 1
-(the paper's convergence of the method of Schwarz), and solve_contrast
-solves it by conjugate gradients.  The effective conductivity is
-lambda11 - i*lambda12 = 1 + 2*rho*nu*mean_k psi_k(a_k).  Solves share only
-the configuration's read-only kernels and may run concurrently.
+symmetric in the inner product sum conj(u_l) v_l r^(2l)/(l+1), and
+psi - rho*W(psi) is positive definite in its real part while
+|rho| ||B||_2 < 1 (the paper's convergence of the method of Schwarz).  The
+effective conductivity lambda11 - i*lambda12 = 1 + 2*rho*nu*mean_k psi_k(a_k)
+is a quadrature of that operator's inverse, evaluated on a Lanczos
+recurrence.  Solves share only the configuration's read-only kernels and
+may run concurrently.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -79,7 +79,7 @@ class SolveResult:
 def _weights(degree: int, radius: float) -> np.ndarray:
     """step_weight(j, l) r^(2l+2) at [j, 0, l] for j, l <= L, complex.
 
-    A solve applies W some 50 times on one radius, so the table is built
+    A solve applies W some 25 times on one radius, so the table is built
     once per (L, r).
     """
     lp1 = degree + 1
@@ -114,62 +114,81 @@ def w_image(config: DiskConfiguration, coeffs: np.ndarray) -> np.ndarray:
     return (_weights(lp1 - 1, config.radius) @ windows)[:, 0].T
 
 
-def _lambda_pair(config: DiskConfiguration, rho: float, coeffs: np.ndarray):
-    value = 1.0 + 2.0 * rho * config.nu * complex(np.mean(coeffs[:, 0]))
-    return float(value.real), float(-value.imag)
-
-
-def _scaled_max(delta: np.ndarray, radius: float) -> float:
-    """max_l |delta_l| r^l over all disks: the monomial size on the boundary.
-
-    Near-contact configurations have raw high-degree coefficients far above
-    the fp floor of an absolute norm.
-    """
-    return float((np.abs(delta) * radius ** np.arange(delta.shape[1])).max())
+def _norm2(t: np.ndarray) -> float:
+    """||T||_2 from the Hermitian T conj(T): ten trace-normalized squarings
+    leave its top eigenprojector to within (sigma_2/sigma_1)^2048, and one
+    Rayleigh quotient reads sigma_1^2 (an SVD would map 1 MB of LAPACK)."""
+    g = h = t @ np.conj(t)
+    if not g.trace().real:
+        return 0.0
+    for _ in range(10):
+        h = h @ h
+        h /= h.trace().real
+    v = h[:, h.diagonal().real.argmax()]
+    return math.sqrt(np.vdot(v, g @ v).real / np.vdot(v, v).real)
 
 
 def _krylov(config: DiskConfiguration, rho: float, ones, tolerance, max_iterations):
-    """Conjugate gradients on (I - rho^2 W W) psi = 1 + rho W(1) in
-    y_l = psi_l r^l / sqrt(l+1).
+    """Takagi-Lanczos on y -> B conj(y), y_l = psi_l r^l / sqrt(l+1), from the
+    unit field; lambda by Gauss quadrature (Golub & Meurant 2010).
 
-    In y, W is y -> B conj(y) with B complex symmetric, so the system matrix
-    I - rho^2 B B^H is Hermitian, and positive definite while |rho| ||B||_2 < 1
-    (Hestenes & Stiefel 1952).  Once the recurrence residual reaches the
-    tolerance (at rr = 0 the iterate is exact), the iterate is accepted only
-    if its true fixed-point residual does.  Returns psi, that residual and
-    the recurrence residual norms, one per iteration.
+    B is complex symmetric, so three terms orthonormalize B conj(q_j), one W
+    apply per step: B conj(Q) = Q T + beta_k q_{k+1} e_k^T, T tridiagonal
+    with complex alpha and real beta.  The Galerkin field Q c solves
+    c - rho T conj(c) = sqrt(N) e_1, in (Re, Im) pairs K, 2x2-block
+    tridiagonal with eigenvalues 1 -+ rho sigma_i(T): positive definite
+    while |rho| theta_k < 1, theta_k = ||T||_2 <= ||B||_2, and a block LDL^T
+    pivot that is not is refused.  The field i shares Q, as
+    W(i psi) = -i W(psi).  With residuals r+- = |rho| beta_k |c_k| and
+    A = I - rho B conj(.) symmetric in Re <u, v>, the error of sum_k y_k0 is
+    <A^-1 r+, r+> + i <A^-1 r-, r+>, so lambda's is at most
+    2|rho| nu / N * r+ hypot(r+, r-) / (1 - |rho| ||B||_2).  The solve stops
+    once that, with theta_k for ||B||_2, meets the tolerance.  Returns psi,
+    lambda11 - i lambda12, that bound and r+ per step.
     """
-    lp1 = ones.shape[1]
+    lp1, n = ones.shape[1], config.n_disks
     scale = config.radius ** np.arange(lp1) / np.sqrt(np.arange(1, lp1 + 1))
-
-    def apply(y):
-        psi = y / scale
-        return (psi - rho * rho * w_image(config, w_image(config, psi))) * scale
-
-    r = (ones + rho * w_image(config, ones)) * scale
-    y, p = np.zeros_like(r), r.copy()
-    rr = np.vdot(r, r).real
-    history: list[float] = []
-    for _ in range(max_iterations):
-        q = apply(p)
-        alpha = rr / np.vdot(p, q).real
-        y += alpha * p
-        r -= alpha * q
-        rr, rr_old = np.vdot(r, r).real, rr
-        history.append(math.sqrt(rr))
-        if history[-1] <= tolerance:
-            psi = y / scale
-            residual = _scaled_max(psi - ones - rho * w_image(config, psi), config.radius)
-            if residual <= tolerance:
-                return psi, residual, history
-        if rr == 0.0:
-            break
-        p = r + (rr / rr_old) * p
-    raise ConvergenceError(
-        f"no convergence to {tolerance:g} within {len(history)} conjugate-gradient "
-        f"iterations (last residual {history[-1]:g})",
-        residual_history=history,
-    )
+    gain, flip = 2.0 * abs(rho) * config.nu / n, np.array([[1.0], [-1.0]])
+    basis, alphas, betas = [ones / math.sqrt(n)], [], [0.0]  # ones * scale is ones
+    pivots, zs = [], [np.eye(2)]  # D_j^-1 and the blocks of L^-1 E_1, K = L D L^T
+    total, history = np.zeros((2, 2)), []  # total = E_1^T K^-1 E_1
+    for k in range(max_iterations):
+        q = basis[-1]
+        v = w_image(config, q / scale) * scale
+        alphas.append(np.vdot(q, v))
+        v -= alphas[-1] * q
+        a, b, off = rho * alphas[-1].real, rho * alphas[-1].imag, rho * betas[-1]
+        d = np.array([[1.0 - a, -b], [-b, 1.0 + a]])
+        if k:
+            v -= betas[-1] * basis[-2]
+            zs.append(off * flip * last)
+            d -= off * off * flip * pivots[-1] * flip.T
+        det = d[0, 0] * d[1, 1] - d[0, 1] ** 2
+        if not (d[0, 0] > 0.0 and det > 0.0):
+            raise ConvergenceError(f"|rho| ||W|| >= 1: the Galerkin system of {k + 1} Lanczos "
+                                   "steps is not positive definite", residual_history=history)
+        pivots.append(np.array([[d[1, 1], -d[0, 1]], [-d[0, 1], d[0, 0]]]) / det)
+        last = pivots[-1] @ zs[-1]  # the last block of K^-1 E_1
+        total += zs[-1].T @ last
+        betas.append(math.sqrt(np.vdot(v, v).real))
+        r = (abs(rho) * betas[-1] * math.sqrt(n) * np.hypot(*last)).tolist()
+        history.append(r[0])
+        est = gain * r[0] * math.hypot(*r)
+        if 0.0 < est <= tolerance:  # at 0 the space is invariant: exact
+            t = np.diag(alphas) + np.diag(betas[1:-1], 1) + np.diag(betas[1:-1], -1)
+            gap = 1.0 - abs(rho) * _norm2(t)
+            est = est / gap if gap > 0.0 else math.inf
+        if est <= tolerance:
+            u = last[:, 0]
+            psi = (u[0] + 1j * u[1]) * q
+            for j in range(k - 1, -1, -1):  # block back-substitution for c
+                u = pivots[j] @ (zs[j][:, 0] + rho * betas[j + 1] * flip[:, 0] * u)
+                psi += (u[0] + 1j * u[1]) * basis[j]
+            value = 1.0 + 2.0 * rho * config.nu * complex(total[0, 0], total[1, 0])
+            return psi * math.sqrt(n) / scale, value, est, history
+        basis.append(v / betas[-1])
+    raise ConvergenceError(f"no convergence to {tolerance:g} within {len(history)} Lanczos "
+                           f"steps (last residual {history[-1]:g})", residual_history=history)
 
 
 def solve_contrast(
@@ -177,34 +196,35 @@ def solve_contrast(
     rho: float,
     *,
     degree: int = DEFAULT_DEGREE,
-    tolerance: float = 1e-12,
+    tolerance: float = 1e-13,
     max_iterations: int = 200,
 ) -> SolveResult:
     """Solve psi = 1 + rho*W(psi) for the flux truncated at Taylor degree L.
 
-    Conjugate gradients run until the fixed-point residual
-    max_l |psi - 1 - rho*W(psi)| r^l is at most the tolerance, and raise
-    ConvergenceError (with the recurrence residuals) after max_iterations
-    iterations; RSA at N = 64, nu = 0.5 needs <= 28 at rho = 1 and at
-    rho = -1 (20 trials, master seed 2024).
+    Lanczos steps, one W apply each, run until the estimated bound on
+    |delta(lambda11 - i lambda12)| is at most the tolerance; that bound is
+    the result's residual, and its field's fixed-point residual is about the
+    bound's square root.  ConvergenceError (with the Galerkin residuals)
+    follows max_iterations steps, or a Ritz estimate with |rho| ||W|| >= 1.
+    RSA at N = 64, nu = 0.5 needs <= 30 steps at rho = 1 and at rho = -1
+    (20 trials, master seed 2024).
     """
     check_contrast(rho)
-    if not tolerance > 0.0:
-        raise DomainError("tolerance must be positive")
-    if degree < 0:
-        raise DomainError("Taylor degree must be >= 0")
-    if max_iterations < 1:
-        raise DomainError(f"max_iterations must be >= 1, got {max_iterations}")
+    if not (tolerance > 0.0 and math.isfinite(tolerance)):
+        raise DomainError(f"tolerance must be positive and finite, got {tolerance!r}")
+    if not (isinstance(degree, numbers.Integral) and degree >= 0):
+        raise DomainError(f"Taylor degree must be an integer >= 0, got {degree!r}")
+    if not (isinstance(max_iterations, numbers.Integral) and max_iterations >= 1):
+        raise DomainError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
     # unit external flux: the additive normalization constant of the field
     # problem is exactly one
     ones = np.zeros((config.n_disks, degree + 1), dtype=complex)
     ones[:, 0] = 1.0
-    psi, residual, history = _krylov(config, rho, ones, tolerance, max_iterations)
-    lam11, lam12 = _lambda_pair(config, rho, psi)
+    psi, value, residual, history = _krylov(config, rho, ones, tolerance, max_iterations)
     return SolveResult(
         field=TaylorField(config=config, coeffs=psi),
-        lambda11=lam11,
-        lambda12=lam12,
+        lambda11=value.real,
+        lambda12=-value.imag,
         iterations=len(history),
         residual=residual,
         residual_history=history,

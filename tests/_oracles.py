@@ -22,10 +22,10 @@ must reproduce bit for bit; both take the stencil of the basis as given,
 exact only where it holds the Gauss-reduced basis, and the nearest image
 on any basis is checked against every lattice point within reach.  The
 Krylov reference is GMRES with modified Gram-Schmidt on the production W, a
-different method from the solver's conjugate gradients, whose lambda and
-iteration count the solver must agree with; the generalized method of
-Schwarz, the successive approximations on the production W, is the fixed
-point the solver must reach.
+different method from the solver's Lanczos recurrence: the solver's lambda
+must lie within its error bound of the reference's, in fewer W applies;
+the generalized method of Schwarz, the successive approximations on the
+production W, is the fixed point the solver must reach.
 """
 
 import math
@@ -403,9 +403,11 @@ def krylov_mgs(config: DiskConfiguration, rho: float, degree: int = DEFAULT_DEGR
     """GMRES on (I - rho^2 W W) psi = 1 + rho W(1), the reference loop.
 
     Unrestarted Arnoldi with modified Gram-Schmidt, one vector at a time,
-    and the Givens rotations as 2x2 products, on the production W; the
-    stopping and acceptance rules are solver.solve_contrast's.  Returns
-    psi, the fixed-point residual and the Krylov residual estimates.
+    and the Givens rotations as 2x2 products, on the production W.  It
+    stops once the Krylov residual estimate and then the fixed-point
+    residual max_l |psi - 1 - rho W(psi)| r^l are at most the tolerance.
+    Returns psi, that fixed-point residual and the Krylov residual
+    estimates.
     """
     ones = np.zeros((config.n_disks, degree + 1), dtype=complex)
     ones[:, 0] = 1.0

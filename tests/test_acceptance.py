@@ -204,7 +204,7 @@ def test_6_full_contrast_convergence():
         # geometric decay of the Schwarz steps rho^p W^p(1), the residual
         # history of the successive approximations, over the 20 ratios ending
         # at the first step below 1e-13; the solve itself is the default
-        # conjugate-gradient solve
+        # Lanczos solve
         steps = schwarz_sums(config, rho, 400, degree=30).residual_history
         first = next(p for p, step in enumerate(steps) if step <= 1e-13)
         hist = steps[: first + 1]

@@ -64,7 +64,7 @@ def test_solver_controls_are_pinned():
         ("config", P.POSITIONAL_OR_KEYWORD, P.empty),
         ("rho", P.POSITIONAL_OR_KEYWORD, P.empty),
         ("degree", P.KEYWORD_ONLY, DEFAULT_DEGREE),
-        ("tolerance", P.KEYWORD_ONLY, 1e-12),
+        ("tolerance", P.KEYWORD_ONLY, 1e-13),
         ("max_iterations", P.KEYWORD_ONLY, 200),
     ]
     params = inspect.signature(effcond.solve_contrast).parameters.values()

@@ -91,8 +91,8 @@ def symmetrized_operator(config, degree):
 
 class TestSymmetrizedOperator:
     # in y_l = psi_l r^l / sqrt(l+1), W is y -> B conj(y); B complex symmetric
-    # makes the solver's I - rho^2 B B^H Hermitian, positive definite while
-    # |rho| ||B||_2 < 1, which conjugate gradients need
+    # gives the solver's Lanczos recurrence its three terms, and its Galerkin
+    # system is positive definite while |rho| ||B||_2 < 1
     @pytest.mark.parametrize("omega2", [1j, np.exp(1j * np.pi / 3), 0.5 + 1j, 0.2j],
                              ids=["square", "hexagonal", "sheared", "aspect-0.2"])
     def test_weighted_operator_is_symmetric(self, omega2):
@@ -114,16 +114,20 @@ class TestKrylovSolve:
         assert res.lambda11 == pytest.approx(series.lambda11, abs=1e-10)
         assert res.lambda12 == pytest.approx(series.lambda12, abs=1e-10)
 
-    def test_residual_is_the_fixed_point_residual(self, rsa6):
+    def test_history_is_the_fixed_point_residual(self, rsa6):
+        # residual_history holds |psi - 1 - rho W(psi)| of each step's Galerkin
+        # field in the solver's norm sum |.|^2 r^(2l)/(l+1); residual is the
+        # bound on lambda, about the square of the field's last residual
         rho = 0.9
         res = solve_contrast(rsa6, rho, tolerance=1e-13)
         psi = res.field
         ones = np.tile(np.eye(1, psi.degree + 1, dtype=complex), (rsa6.n_disks, 1))
-        scale = rsa6.radius ** np.arange(psi.degree + 1)
+        lp1 = psi.degree + 1
+        scale = rsa6.radius ** np.arange(lp1) / np.sqrt(np.arange(1, lp1 + 1))
         delta = psi.coeffs - ones - rho * w_image(rsa6, psi.coeffs)
-        recomputed = (np.abs(delta) * scale).max()
-        assert res.residual == pytest.approx(recomputed, rel=1e-12)
-        assert res.residual <= 1e-13
+        recomputed = np.linalg.norm(delta * scale)
+        assert res.residual_history[-1] == pytest.approx(recomputed, rel=1e-6)
+        assert res.residual <= 1e-13 < recomputed
         assert len(res.residual_history) == res.iterations
 
     def test_zero_contrast_breaks_down_exactly(self, rsa6):
@@ -133,24 +137,29 @@ class TestKrylovSolve:
         ones = np.tile(np.eye(1, 15, dtype=complex), (rsa6.n_disks, 1))  # psi = 1
         assert np.abs(res.field.coeffs - ones).max() <= 1e-15
 
-    @pytest.mark.parametrize("omega2", [1j, np.exp(1j * np.pi / 3), 0.5 + 1j],
-                             ids=["square", "hexagonal", "sheared"])
+    @pytest.mark.parametrize("omega2", [1j, np.exp(1j * np.pi / 3), 0.5 + 1j, 0.2j],
+                             ids=["square", "hexagonal", "sheared", "aspect-0.2"])
     @pytest.mark.parametrize("nu", [0.3, 0.5])
     def test_matches_modified_gram_schmidt_reference(self, omega2, nu):
-        desc = EnsembleDescriptor(n=64, nu=nu, trials=1, seed=12, cell_omega2=omega2)
-        config = rsa_generate(desc)
-        for rho in (1.0, -1.0, 0.5):
-            res = solve_contrast(config, rho)
-            psi, _, history = krylov_mgs(config, rho)
-            lam = 1.0 + 2.0 * rho * config.nu * complex(np.mean(psi[:, 0]))
-            assert res.lambda11 == pytest.approx(lam.real, abs=1e-13)
-            assert res.lambda12 == pytest.approx(-lam.imag, abs=1e-13)
-            assert abs(res.iterations - len(history)) <= 1
+        # the residual is an honest bound on lambda's error, and the Lanczos
+        # steps, one W apply each, are at most 55% of the reference's applies:
+        # two per GMRES iteration, one for W(1), one for its acceptance check
+        for seed in (12, 1):
+            desc = EnsembleDescriptor(n=64, nu=nu, trials=1, seed=seed, cell_omega2=omega2)
+            config = rsa_generate(desc)
+            for rho in (1.0, -1.0, 0.5):
+                res = solve_contrast(config, rho)
+                psi, _, history = krylov_mgs(config, rho, tolerance=3e-14)
+                lam = 1.0 + 2.0 * rho * config.nu * complex(np.mean(psi[:, 0]))
+                assert res.lambda11 == pytest.approx(lam.real, abs=1e-13)
+                assert res.lambda12 == pytest.approx(-lam.imag, abs=1e-13)
+                assert abs(complex(res.lambda11, -res.lambda12) - lam) <= res.residual <= 1e-13
+                assert res.iterations <= 0.55 * (2 * len(history) + 2)
 
     @pytest.mark.parametrize("degree", [0, 14])
     def test_single_disk_exhausts_krylov_space(self, square_cell, degree):
-        # the system has N(L+1) unknowns, so conjugate gradients end within
-        # that many steps in exact arithmetic
+        # the system has N(L+1) complex unknowns, so the Lanczos recurrence
+        # breaks down within that many steps in exact arithmetic
         config = regular_array(square_cell, "square", 1, 0.5)
         res = solve_contrast(config, 1.0, degree=degree, tolerance=1e-14)
         series = schwarz_sums(config, 1.0, 300, degree=degree)
@@ -160,7 +169,8 @@ class TestKrylovSolve:
 
 class TestSolverControls:
     @pytest.mark.parametrize(
-        "controls", [{"max_iterations": 0}, {"tolerance": 0.0}, {"degree": -1}]
+        "controls", [{"max_iterations": 0}, {"tolerance": 0.0}, {"degree": -1},
+                     {"degree": 2.5}, {"max_iterations": 2.5}, {"tolerance": math.inf}]
     )
     def test_out_of_domain_refused(self, rsa6, controls):
         with pytest.raises(DomainError):
@@ -274,15 +284,47 @@ class TestSolveContrast:
     def test_slow_contraction_converges_within_default_budget(self):
         # a dense RSA trial (nu = 0.45, N = 64) whose successive
         # approximations contract by ~0.943 per step at rho = 1 and need 444
-        # steps to reach 1e-12; conjugate gradients need 26 iterations
+        # steps to reach 1e-12; the Lanczos recurrence needs 29 steps
         desc = EnsembleDescriptor(n=64, nu=0.45, trials=2, seed=1080031)
         config = rsa_generate(desc, seed=trial_seed(desc.seed, 1))
         res = solve_contrast(config, 1.0)
         assert res.converged and res.iterations <= 40
+        psi, _, _ = krylov_mgs(config, 1.0, tolerance=3e-14)
+        lam = 1.0 + 2.0 * config.nu * complex(np.mean(psi[:, 0]))
+        assert abs(complex(res.lambda11, -res.lambda12) - lam) <= res.residual <= 1e-13
         # 600 successive approximations leave a remainder of 0.943^600 ~ 5e-16
         series = schwarz_sums(config, 1.0, 600, degree=14)
         assert res.lambda11 == pytest.approx(series.lambda11, abs=1e-10)
         assert res.lambda12 == pytest.approx(series.lambda12, abs=1e-10)
+
+    def test_one_w_apply_per_step(self, monkeypatch):
+        config = rsa_generate(EnsembleDescriptor(n=64, nu=0.45, trials=1, seed=3))
+        calls = []
+
+        def counting(cfg, coeffs):
+            calls.append(1)
+            return w_image(cfg, coeffs)
+
+        monkeypatch.setattr(effcond.solver, "w_image", counting)
+        for rho in (1.0, -0.5, 0.0):
+            calls.clear()
+            res = solve_contrast(config, rho)
+            assert len(calls) == res.iterations == len(res.residual_history)
+
+    def test_ritz_estimate_at_or_above_one_refused(self, monkeypatch):
+        # 1.6 W has norm above 1 on a dense configuration: the Galerkin
+        # system stops being positive definite within a few steps
+        config = rsa_generate(EnsembleDescriptor(n=64, nu=0.45, trials=1, seed=3))
+        calls = []
+
+        def inflated(cfg, coeffs):
+            calls.append(1)
+            return 1.6 * w_image(cfg, coeffs)
+
+        monkeypatch.setattr(effcond.solver, "w_image", inflated)
+        with pytest.raises(ConvergenceError, match="not positive definite"):
+            solve_contrast(config, 1.0)
+        assert len(calls) <= 10
 
     def test_kernel_stack_freed_without_cycle_collection(self):
         # the configuration owns its kernel stack; nothing the solve leaves
