@@ -206,7 +206,7 @@ def solve_contrast(
     the result's residual, and its field's fixed-point residual is about the
     bound's square root.  ConvergenceError (with the Galerkin residuals)
     follows max_iterations steps, or a Ritz estimate with |rho| ||W|| >= 1.
-    RSA at N = 64, nu = 0.5 needs <= 30 steps at rho = 1 and at rho = -1
+    RSA at N = 64, nu = 0.5 needs <= 31 steps at rho = 1 and <= 30 at rho = -1
     (20 trials, master seed 2024).
     """
     check_contrast(rho)
