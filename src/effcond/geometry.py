@@ -2,10 +2,10 @@
 
 Random sequential addition (RSA) realizes the uniform non-overlapping
 ensemble: candidates are drawn uniformly in the cell and accepted iff their
-periodic distance to every accepted center is at least one diameter.  The
-candidates are tested a chunk at a time, each against the centers in the
-bins around its own, with the same result as testing them one by one in
-draw order against every center.  Generation is a pure function of the seed;
+periodic distance to every accepted center is at least one diameter.  They
+are tested a chunk at a time, each against the centers in the tiles of bins
+around its own, with the same result as testing them one by one in draw
+order against every center.  Generation is a pure function of the seed;
 per-trial seeds for ensembles derive from a master seed through splitmix64
 (trial i uses master XOR splitmix64(i)), so trials may run concurrently.
 """
@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ NU_GUARD = 0.5
 #: Candidate-draw budget for one configuration.
 DEFAULT_ATTEMPT_BUDGET = 10 ** 6
 
-#: RSA draws candidates in blocks of _BLOCK and tests them _CHUNK at a time.
+#: RSA draws candidates in blocks of _BLOCK, tested in chunks of at least _CHUNK.
 _BLOCK = 1024
 _CHUNK = 64
 
@@ -80,6 +81,7 @@ class DiskConfiguration:
             raise DomainError(f"radius must be positive, got {self.radius}")
         if not 0.0 < self.nu < 1.0:
             raise DomainError(f"concentration nu = {self.nu:g} outside (0, 1)")
+        _refuse_own_image(self.cell, self.radius)
         if self.n_disks > 1:
             dmin = float(np.abs(self.separations).min())
             if dmin < 2.0 * self.radius - _OVERLAP_TOL:
@@ -103,20 +105,21 @@ class EnsembleDescriptor:
     attempt_budget: int = DEFAULT_ATTEMPT_BUDGET
 
     def __post_init__(self):
+        for name in ("n", "trials", "seed", "attempt_budget"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise DomainError(f"need at least one disk, got n = {self.n}")
         if self.trials < 1:
             raise DomainError(f"need at least one trial, got {self.trials}")
         if not 0.0 < self.nu <= NU_GUARD:
-            raise DomainError(
-                f"nu = {self.nu:g} outside (0, {NU_GUARD}] RSA guard"
-            )
-        if not self.exclusion_factor >= 1.0:
-            raise DomainError("exclusion_factor must be >= 1")
+            raise DomainError(f"nu = {self.nu:g} outside (0, {NU_GUARD}] RSA guard")
+        if not 1.0 <= self.exclusion_factor < math.inf:
+            raise DomainError("exclusion_factor must be finite and >= 1")
         if self.attempt_budget < 1:
-            raise DomainError(
-                f"attempt_budget must be >= 1, got {self.attempt_budget}"
-            )
+            raise DomainError(f"attempt_budget must be >= 1, got {self.attempt_budget}")
+        _refuse_own_image(self.cell(), self.radius)
 
     def cell(self) -> Cell:
         return make_cell(self.cell_omega1, self.cell_omega2)
@@ -124,6 +127,12 @@ class EnsembleDescriptor:
     @property
     def radius(self) -> float:
         return math.sqrt(self.nu / (self.n * math.pi))
+
+
+def _refuse_own_image(cell: Cell, radius: float):
+    if 2.0 * radius > abs(cell._gauss_basis[0]) - _OVERLAP_TOL:
+        raise DomainError(f"diameter {2 * radius:.17g} exceeds the cell's shortest "
+                          "period: a disk would overlap its own periodic image")
 
 
 def _splitmix64(x: int) -> int:
@@ -143,60 +152,63 @@ def rsa_generate(desc: EnsembleDescriptor, seed: int | None = None) -> DiskConfi
 
     Draws uniform candidates and accepts each iff its periodic distance to
     all accepted centers is >= exclusion_factor * 2r.  Candidates are tested
-    in chunks of _CHUNK: one array pass against the centers placed before
-    the chunk in the 3 x 3 bins around each candidate (a cell list, Allen &
-    Tildesley 1987), then the survivors in draw order against those
-    accepted within it, read from one array of their mutual distances.  A
-    pair takes the 9-shift stencil only when its shift-0 image is long
-    enough for another image to come closer.  Centers and candidates_drawn
-    equal those of testing every candidate on its own against every center.
-    Raises GenerationError (carrying the count placed) when the budget runs
-    out, DomainError on a negative seed.
+    in chunks, sized from the last chunk's survivors for about _CHUNK more:
+    one array pass against the centers placed before the chunk in the bins
+    around each candidate (a cell list, Allen & Tildesley 1987), each bin
+    moved to its tile by a lattice translation, then the survivors in draw
+    order against those accepted within the chunk.  Centers and
+    candidates_drawn equal those of testing every candidate on its own
+    against every center.  Raises GenerationError (carrying the count
+    placed) when the budget runs out, DomainError on a seed that is not a
+    non-negative integer.
     """
+    desc = desc if seed is None else replace(desc, seed=seed)
+    if desc.seed < 0:
+        raise DomainError(f"seed must be non-negative, got {desc.seed}")
     cell = desc.cell()
-    r = desc.radius
-    min_dist = desc.exclusion_factor * 2.0 * r
-    seed = desc.seed if seed is None else seed
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
+    centers, drawn = _rsa_centers(desc, cell, np.random.default_rng(desc.seed))
+    meta = {
+        "generator": "rsa",
+        "seed": int(desc.seed),
+        "nu": desc.nu,
+        "exclusion_factor": desc.exclusion_factor,
+        "candidates_drawn": drawn,
+    }
+    return DiskConfiguration(cell=cell, centers=centers, radius=desc.radius, meta=meta)
+
+
+def _rsa_centers(desc: EnsembleDescriptor, cell: Cell, rng) -> tuple:
+    """rsa_generate's placement; its arrays die before the configuration is built."""
+    min_dist = desc.exclusion_factor * 2.0 * desc.radius
     accepted = np.empty(desc.n, dtype=complex)
     placed = 0
     drawn = 0
     block = np.empty(0, dtype=complex)
     cursor = 0
-    shifts = cell.stencil
+    length = _CHUNK
     w1, w2 = cell.omega1, cell.omega2
 
-    # a shifted image of the folded d is at least |s| - |d| long, so only a
-    # pair with |d| beyond reach can overlap in an image other than d itself
+    # survivors' mutual test: an image of the folded d shifted by s is at least
+    # |s| - |d| long, so only a pair with |d| beyond reach can overlap in it
     reach = cell.shortest_shift - min_dist - 1e-9
 
-    def overlaps(d):
-        """Whether some lattice image of the difference d is shorter than min_dist."""
-        d = cell.fold(d)
-        dist = np.abs(d)
-        hit = dist < min_dist
-        far = np.nonzero(dist > reach)
-        hit[far] = (np.abs(d[far][:, None] + shifts) < min_dist).any(axis=1)
-        return hit
-
     # cell list: the placed centers sit in m1 x m2 bins of lattice
-    # coordinates, each at least min_dist wide at right angles to its sides
-    # (and at most about 4n bins), so a candidate is farther than min_dist,
-    # in every image, from any center outside the 3 x 3 bins around its own.
-    # A side of fewer than 3 bins is one bin.  Each bin's row of the table
-    # holds its centers, NaN in the empty slots (a NaN distance overlaps
-    # nothing), and grows by a column when a bin fills.
+    # coordinates (at most about 4n), each at least width >= min_dist wide at
+    # right angles to its sides, else one bin to that side.  Tiled over the
+    # plane, a bin's centers moved to each tile by tile_shift, they put every
+    # image within min_dist of a candidate in the tiles up to q = ceil(width /
+    # bin width) from its own.  Each bin's row of the table holds its centers,
+    # NaN in the empty slots (a NaN distance overlaps nothing).
     width = max(min_dist * (1.0 + 1e-6), 0.5 / math.sqrt(desc.n))
-    m1, m2 = (m if m >= 3 else 1 for m in (int(1.0 / (abs(w2) * width)), int(w2.imag / width)))
+    sides = (1.0 / abs(w2), w2.imag)
+    (m1, q1), (m2, q2) = ((max(int(s / width), 1), math.ceil(width / s)) for s in sides)
     b1, b2 = np.divmod(np.arange(m1 * m2), m2)
-    o1, o2 = (np.arange(-1, 2) if m > 1 else np.zeros(1, dtype=int) for m in (m1, m2))
-    around = ((b1[:, None, None] + o1[:, None]) % m1 * m2
-              + (b2[:, None, None] + o2) % m2).reshape(m1 * m2, -1)
-    empty = complex(math.nan, math.nan)
-    table = np.full((m1 * m2, 1), empty)
-    counts = np.zeros(m1 * m2, dtype=int)
+    t1 = b1[:, None, None] + np.arange(-q1, q1 + 1)[:, None]
+    t2 = b2[:, None, None] + np.arange(-q2, q2 + 1)
+    around = (t1 % m1 * m2 + t2 % m2).reshape(m1 * m2, -1)
+    tile_shift = (t1 // m1 * w1 + t2 // m2 * w2).reshape(m1 * m2, -1)
+    table = np.full((m1 * m2, 1), np.nan, dtype=complex)
+    counts = [0] * (m1 * m2)
 
     while placed < desc.n:
         if cursor >= len(block):
@@ -212,40 +224,43 @@ def rsa_generate(desc: EnsembleDescriptor, seed: int | None = None) -> DiskConfi
             home = (np.minimum((u[:, 0] * m1).astype(int), m1 - 1) * m2
                     + np.minimum((u[:, 1] * m2).astype(int), m2 - 1))
             cursor = 0
-        chunk = block[cursor : cursor + _CHUNK]
-        bins = home[cursor : cursor + _CHUNK]
-        near = table[around[bins]].reshape(len(chunk), -1)
+        chunk = block[cursor : cursor + length]
+        bins = home[cursor : cursor + length]
         cursor += len(chunk)
-        survivors = np.flatnonzero(~overlaps(near - chunk[:, None]).any(axis=1))
+        drawn += len(chunk)
+        near = table.take(around.take(bins, axis=0), axis=0)
+        near += (tile_shift.take(bins, axis=0) - chunk[:, None])[:, :, None]
+        survivors = np.flatnonzero(~(np.abs(near) < min_dist).any(axis=(1, 2)))
+        # next, about _CHUNK survivors (or the disks left) at this yield, in
+        # whole _CHUNKs: numpy keeps freed buffers under 1 KB for reuse by size
+        wanted = min(_CHUNK, desc.n - placed) * len(chunk) // max(len(survivors), 1)
+        length = min(_BLOCK, max(_CHUNK, wanted // _CHUNK * _CHUNK))
         # survivors in draw order, each tested against those accepted before
         # it: clear[j, i] is the test of survivor j against survivor i
         z = chunk[survivors]
-        clear = ~overlaps(z[None, :] - z[:, None])
+        d = cell.fold(z[None, :] - z[:, None])
+        dist = np.abs(d)
+        clear = dist >= min_dist
+        far = np.nonzero(dist > reach)
+        clear[far] = (np.abs(d[far][:, None] + cell.stencil) >= min_dist).all(axis=1)
         free = np.ones(len(z), dtype=bool)
-        taken = len(chunk)
-        for i, k in enumerate(survivors.tolist()):
+        keep, slots = [], []
+        for i, (k, b) in enumerate(zip(survivors.tolist(), bins[survivors].tolist())):
             if not free[i]:
                 continue
-            accepted[placed] = z[i]
-            placed += 1
-            b = bins[k]
-            if counts[b] == table.shape[1]:
-                table = np.hstack((table, np.full((len(table), 1), empty)))
-            table[b, counts[b]] = z[i]
+            keep.append(i)
+            slots.append(counts[b])
             counts[b] += 1
-            if placed == desc.n:
-                taken = k + 1
+            if placed + len(keep) == desc.n:
+                drawn -= len(chunk) - k - 1  # the draws after the last disk
                 break
             free &= clear[:, i]
-        drawn += taken
-    meta = {
-        "generator": "rsa",
-        "seed": int(seed),
-        "nu": desc.nu,
-        "exclusion_factor": desc.exclusion_factor,
-        "candidates_drawn": drawn,
-    }
-    return DiskConfiguration(cell=cell, centers=accepted, radius=r, meta=meta)
+        grow = max(slots, default=-1) + 1 - table.shape[1]
+        if grow > 0:
+            table = np.hstack((table, np.full((len(table), grow), np.nan, dtype=complex)))
+        table[bins[survivors[keep]], slots] = accepted[placed : placed + len(keep)] = z[keep]
+        placed += len(keep)
+    return accepted, drawn
 
 
 def regular_array(cell: Cell, kind: str, n: int, nu: float) -> DiskConfiguration:

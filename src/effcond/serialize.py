@@ -39,6 +39,9 @@ def _encode(obj, parts, indent, level):
         if not obj:
             parts.append("[]")
             return
+        if all(isinstance(v, float) for v in obj):  # numpy float64 too, never bool
+            parts.append("[" + ", ".join(map(format_float, obj)) + "]")
+            return
         flat = all(isinstance(v, (int, float, str, bool)) or v is None for v in obj)
         if flat:
             parts.append("[")

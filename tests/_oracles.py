@@ -499,13 +499,14 @@ def own_stencil(cell) -> np.ndarray:
     return (m[:, None] * cell.omega1 + m[None, :] * cell.omega2).ravel()
 
 
-def rsa_one_at_a_time(desc: EnsembleDescriptor, seed: int) -> DiskConfiguration:
+def rsa_one_at_a_time(desc: EnsembleDescriptor, seed: int, brute=False) -> DiskConfiguration:
     """RSA tested one candidate at a time against every accepted center.
 
     Candidates come from the same rng.random((1024, 2)) blocks as
     geometry.rsa_generate; meta holds candidates_drawn only.  Each test takes
     the nearest of the own_stencil images of the reduced difference, so this
-    is a reference only on cells where that stencil is exact.
+    is a reference only on cells where that stencil is exact; with brute=True
+    it takes nearest_distance_brute instead, a reference on every cell.
     """
     cell = desc.cell()
     r = desc.radius
@@ -533,7 +534,10 @@ def rsa_one_at_a_time(desc: EnsembleDescriptor, seed: int) -> DiskConfiguration:
                 placed=placed,
             )
         z = (u1 - 0.5) * cell.omega1 + (u2 - 0.5) * cell.omega2
-        if placed:
+        if placed and brute:
+            if nearest_distance_brute(cell, accepted[:placed] - z).min() < min_dist:
+                continue
+        elif placed:
             d = accepted[:placed] - z
             beta = d.imag * inv_im
             alpha = (d.real - beta * re2) / w1

@@ -217,15 +217,41 @@ class TestRsaGenerate:
         with pytest.raises(DomainError):
             EnsembleDescriptor(n=16, nu=0.55, trials=1, seed=0)
 
-    @pytest.mark.parametrize("factor", [0.99, -1.0, math.nan])
+    @pytest.mark.parametrize("factor", [0.99, -1.0, math.nan, math.inf])
     def test_exclusion_factor_guard(self, factor):
         with pytest.raises(DomainError, match="exclusion_factor"):
             EnsembleDescriptor(n=16, nu=0.3, trials=1, seed=0, exclusion_factor=factor)
 
-    @pytest.mark.parametrize("budget", [0, -5])
+    @pytest.mark.parametrize("budget", [0, -5, 2.5])
     def test_budget_guard(self, budget):
         with pytest.raises(DomainError, match="attempt_budget"):
             EnsembleDescriptor(n=16, nu=0.3, trials=1, seed=0, attempt_budget=budget)
+
+    @pytest.mark.parametrize("field, value", [("n", 16.0), ("n", True), ("trials", 1.5),
+                                              ("trials", "1"), ("seed", 1.5), ("seed", False)])
+    def test_integer_guard(self, field, value):
+        kwargs = {"n": 16, "nu": 0.3, "trials": 1, "seed": 0, field: value}
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            EnsembleDescriptor(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        desc = EnsembleDescriptor(n=np.int64(8), nu=0.3, trials=np.uint8(2), seed=np.int32(4))
+        assert rsa_generate(desc).n_disks == 8
+
+    @pytest.mark.parametrize("seed", [1.5, True, np.float64(3.0), "3"])
+    def test_seed_argument_guard(self, seed):
+        desc = EnsembleDescriptor(n=8, nu=0.3, trials=1, seed=3)
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            rsa_generate(desc, seed=seed)
+
+    # a disk wider than the shortest period overlaps its own image; the
+    # aspect-0.3 cell's shortest period is 0.548
+    @pytest.mark.parametrize("n, nu, omega2", [(1, 0.3, 0.3j), (2, 0.5, 0.3j),
+                                               (1, 0.5, 0.9 + 0.3j), (3, 0.5, 0.2j),
+                                               (1, 0.3, 5j)])
+    def test_own_image_guard(self, n, nu, omega2):
+        with pytest.raises(DomainError, match="own periodic image"):
+            EnsembleDescriptor(n=n, nu=nu, trials=1, seed=0, cell_omega2=omega2)
 
     def test_budget_exhaustion_reports_placed(self):
         desc = EnsembleDescriptor(
@@ -277,27 +303,65 @@ class TestRsaChunksAgainstOneAtATime:
     CELLS = {"square": 1j, "hexagonal": np.exp(1j * np.pi / 3),
              "oblique": 0.3 + 1.1j, "aspect-0.3": 0.3j}
 
+    # one or two disks wider than the aspect-0.3 cell's shortest period,
+    # 0.548: each overlaps its own image, and the descriptor refuses them
+    OWN_IMAGE = {("aspect-0.3", 1, 0.3, 1.0), ("aspect-0.3", 1, 0.45, 1.0),
+                 ("aspect-0.3", 1, 0.5, 1.0), ("aspect-0.3", 1, 0.3, 1.3),
+                 ("aspect-0.3", 2, 0.5, 1.0)}
+
     @pytest.mark.parametrize("cell", CELLS)
     @pytest.mark.parametrize("n", [1, 2, 16, 64, 256])
     @pytest.mark.parametrize("nu, factor", [(0.3, 1.0), (0.45, 1.0), (0.5, 1.0), (0.3, 1.3)])
     def test_same_centers_and_draws(self, cell, n, nu, factor):
-        desc = EnsembleDescriptor(
-            n=n, nu=nu, trials=1, seed=n, cell_omega2=self.CELLS[cell],
-            exclusion_factor=factor, attempt_budget=50000,
-        )
+        kwargs = dict(n=n, nu=nu, trials=1, seed=n, cell_omega2=self.CELLS[cell],
+                      exclusion_factor=factor, attempt_budget=50000)
+        if (cell, n, nu, factor) in self.OWN_IMAGE:
+            with pytest.raises(DomainError, match="own periodic image"):
+                EnsembleDescriptor(**kwargs)
+            return
+        desc = EnsembleDescriptor(**kwargs)
         assert _outcome(rsa_generate, desc) == _outcome(rsa_one_at_a_time, desc)
 
-    # few disks at the guard: bins as wide as the cell allows, and one bin
-    # holding every center where a side has fewer than 3 bins
+    # few disks at the guard: bins as wide as the cell allows, and a side of
+    # one or two bins repeated in several tiles; three disks on the aspect-0.2
+    # cell are wider than its shortest period, 0.447, and refused
     @pytest.mark.parametrize("omega2", [np.exp(1j * np.pi / 3), 0.3 + 1.1j, 0.2j])
     @pytest.mark.parametrize("n", [3, 5, 9])
     @pytest.mark.parametrize("factor", [1.0, 1.3])
     def test_widest_and_fullest_bins(self, omega2, n, factor):
-        desc = EnsembleDescriptor(
-            n=n, nu=0.5, trials=1, seed=n, cell_omega2=omega2,
-            exclusion_factor=factor, attempt_budget=50000,
-        )
+        kwargs = dict(n=n, nu=0.5, trials=1, seed=n, cell_omega2=omega2,
+                      exclusion_factor=factor, attempt_budget=50000)
+        if omega2 == 0.2j and n == 3:
+            with pytest.raises(DomainError, match="own periodic image"):
+                EnsembleDescriptor(**kwargs)
+            return
+        desc = EnsembleDescriptor(**kwargs)
         assert _outcome(rsa_generate, desc) == _outcome(rsa_one_at_a_time, desc)
+
+    # chunks that grow to their cap of 1024 draws near jamming (seeds picked
+    # for it: at n = 64 most chunks stay shorter)
+    @pytest.mark.parametrize("n, omega2, seed", [
+        (64, 1j, 7), (64, np.exp(1j * np.pi / 3), 3),
+        (256, 1j, 1), (256, np.exp(1j * np.pi / 3), 1),
+    ])
+    def test_chunks_at_their_cap(self, n, omega2, seed):
+        desc = EnsembleDescriptor(n=n, nu=0.5, trials=1, seed=seed, cell_omega2=omega2)
+        assert _outcome(rsa_generate, desc) == _outcome(rsa_one_at_a_time, desc)
+
+    # cells narrower than the spacing without a disk overlapping its own
+    # image, so the tiles reach two bins or more to each side: on the aspect-0.2
+    # cell and 0.9+0.3i an image two tiles away is never the only one within
+    # reach, on 0.8+0.2i it is for seeds 19 and 28, where one tile to each
+    # side places a third disk too close to an image of the first.  The
+    # sheared cells' own stencils miss images, so the reference is brute force.
+    @pytest.mark.parametrize("n, omega2, factor", [(4, 0.2j, 1.3), (2, 0.9 + 0.3j, 1.0),
+                                                   (3, 0.8 + 0.2j, 1.3)])
+    @pytest.mark.parametrize("seed", [0, 1, 19, 28])
+    def test_cell_narrower_than_spacing(self, n, omega2, factor, seed):
+        desc = EnsembleDescriptor(n=n, nu=0.5, trials=1, seed=seed, cell_omega2=omega2,
+                                  exclusion_factor=factor, attempt_budget=1500)
+        reference = _outcome(lambda d, s: rsa_one_at_a_time(d, s, brute=True), desc)
+        assert _outcome(rsa_generate, desc) == reference
 
     # draws whose shift-0 image clears a center that a stencil neighbour of
     # it overlaps: large disks on the hexagonal and a sheared cell
@@ -316,6 +380,16 @@ class TestRsaChunksAgainstOneAtATime:
     EDGES = [(30, 0.3, 1.0, 2, 63), (30, 0.3, 1.0, 60, 64), (30, 0.3, 1.0, 35, 65),
              (64, 0.45, 1.0, 539, 1023), (64, 0.45, 1.0, 158, 1024),
              (64, 0.45, 1.0, 696, 1025), (64, 0.5, 1.3, 0, None)]
+
+    # a budget that ends inside a grown chunk: n = 64, nu = 0.5, seed 0 takes
+    # draws 384-703 as one chunk, and 1024-1151 as the one that places its
+    # last disk, on draw 1094
+    @pytest.mark.parametrize("budget", [500, 1000, 1093, 1094])
+    def test_budget_inside_grown_chunk(self, budget):
+        desc = EnsembleDescriptor(n=64, nu=0.5, trials=1, seed=0, attempt_budget=budget)
+        outcome = _outcome(rsa_generate, desc)
+        assert outcome == _outcome(rsa_one_at_a_time, desc)
+        assert outcome[1] == 1094 if budget == 1094 else 0 < outcome[1] < 64
 
     @pytest.mark.parametrize("n, nu, factor, seed, draws", EDGES)
     @pytest.mark.parametrize("budget", [1, 63, 64, 65, 1023, 1024, 1025])
@@ -378,6 +452,17 @@ class TestConfigurationValidation:
                 centers=np.array([0.0 + 0j, 0.1 + 0j]),
                 radius=0.08,
             )
+
+    def test_own_image_overlap_rejected(self, tmp_path):
+        cell = make_cell(1.0, 0.3j)  # shortest period 0.548
+        config = DiskConfiguration(cell=cell, centers=np.array([0j]), radius=0.27)
+        with pytest.raises(DomainError, match="own periodic image"):
+            DiskConfiguration(cell=cell, centers=np.array([0j]), radius=0.28)
+        path = tmp_path / "one.json"
+        save_configuration(config, path)
+        path.write_text(path.read_text().replace('"radius": 0.27', '"radius": 0.28'))
+        with pytest.raises(DomainError, match="own periodic image"):
+            load_configuration(path)
 
     def test_wraparound_overlap_rejected(self, square_cell):
         with pytest.raises(DomainError):

@@ -16,6 +16,7 @@ from effcond import (
     write_run,
 )
 from effcond.esums import esum_nn
+from effcond.serialize import dump_json
 from effcond.pipeline import (
     QuantitySpec, compare_csv, compare_methods, evaluate, iter_trials,
 )
@@ -283,6 +284,27 @@ class TestWriteRun:
         paths = write_run(tmp_path / "run", stats, ["e2"])
         data = json.loads(paths["results"].read_text())
         assert data["stats"]["e2_re"]["stderr"] is None
+
+
+class TestDumpJson:
+    """Lists of plain floats take one join; the text is that of encoding each
+    entry on its own."""
+
+    OBJ = {"pairs": [[0.1, -2.5], [np.float64(1 / 3), -0.0]],
+           "mixed": [1, 2.5, True, None, "x"], "empty": [],
+           "nested": {"floats": (1e-300, 12345678.9), "bools": [True, False], "none": {}}}
+    TEXT = ('{\n  "pairs": [\n    [0.10000000000000001, -2.5],\n'
+            '    [0.33333333333333331, 0]\n  ],\n  "mixed": [1, 2.5, true, null, "x"],\n'
+            '  "empty": [],\n  "nested": {\n    "floats": [1e-300, 12345678.9],\n'
+            '    "bools": [true, false],\n    "none": {}\n  }\n}\n')
+
+    def test_text(self):
+        assert dump_json(self.OBJ) == self.TEXT
+
+    @pytest.mark.parametrize("bad", [[0.5, math.nan], [math.inf], [1.0, np.float64(-math.inf)]])
+    def test_non_finite_float_raises(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            dump_json({"x": bad})
 
 
 class TestCompareMethods:
