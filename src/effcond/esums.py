@@ -24,18 +24,23 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import DiskConfiguration
-from .lattice import MAX_KERNEL_ORDER, eisenstein_stack, lattice_sum
+from .lattice import MAX_KERNEL_ORDER, eisenstein_stack, is_integer, lattice_sum
 from .serialize import dump_csv
 
 
 def check_index(index) -> tuple:
     """The multi-index (m1, ..., mq) as a tuple of ints, from an int or an iterable.
 
-    Raises DomainError if it is empty or an entry is outside 2..MAX_KERNEL_ORDER.
+    Raises DomainError if it is empty, an entry is neither an integer
+    (numpy's too, never a bool) nor a float of integral value, or an entry
+    is outside 2..MAX_KERNEL_ORDER.
     """
-    entries = (int(index),) if isinstance(index, int) else tuple(int(m) for m in index)
+    entries = tuple(index) if np.iterable(index) else (index,)
     if not entries:
         raise DomainError("multi-index needs at least one entry")
+    if not all(is_integer(m) or isinstance(m, float) and m.is_integer() for m in entries):
+        raise DomainError(f"multi-index entries must be integers, got {entries!r}")
+    entries = tuple(map(int, entries))
     if not all(2 <= m <= MAX_KERNEL_ORDER for m in entries):
         raise DomainError(f"multi-index entries must be in 2..{MAX_KERNEL_ORDER}, got {entries}")
     return entries
@@ -46,16 +51,16 @@ def kernel_matrix(config: DiskConfiguration, n: int) -> np.ndarray:
 
     The configuration keeps E_2..E_n as one read-only (n-1, N, N) array.
     Asking for a higher order rebuilds the whole stack E_2..E_n in one pass
-    over the configuration's stored pair separations, which fill the upper
+    over the differences a_j - a_k of the pairs j < k, which fill the upper
     triangle (the lower triangle follows from E_n(-z) = (-1)^n E_n(z)), and
     replaces the array.  Returns a view; rows may be consumed concurrently.
     """
-    if n < 2:
-        raise DomainError(f"kernel order must be >= 2, got {n}")
+    if not (is_integer(n) and n >= 2):
+        raise DomainError(f"kernel order must be an integer >= 2, got {n!r}")
     if config._kernels is None or len(config._kernels) < n - 1:
         n_disks = config.n_disks
-        upper = np.triu_indices(n_disks, 1)
-        vals = eisenstein_stack(config.cell, 2, n, config.separations)
+        upper = j, k = np.triu_indices(n_disks, 1)
+        vals = eisenstein_stack(config.cell, 2, n, config.centers[j] - config.centers[k])
         stack = np.empty((n - 1, n_disks, n_disks), dtype=complex)
         for order, mat, v in zip(range(2, n + 1), stack, vals):
             mat[upper] = v
@@ -105,8 +110,6 @@ def esum(config: DiskConfiguration, index) -> complex:
 
 def esum_nn(config: DiskConfiguration, n: int) -> complex:
     """e_nn via the absolute-square identity (-1)^n/N^(n+1) sum_m |sum_k E_n|^2."""
-    if n < 2:
-        raise DomainError(f"order must be >= 2, got {n}")
     mat = kernel_matrix(config, n)
     row_sums = mat.sum(axis=1)
     val = ((-1) ** n) * np.sum(np.abs(row_sums) ** 2)

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DomainError, GenerationError
-from .lattice import Cell, make_cell
+from .lattice import Cell, is_integer, make_cell
 
 #: RSA concentrations above this guard are rejected up front (hard-disk RSA
 #: jams near 0.547; acceptance probability collapses well before that).
@@ -40,19 +39,16 @@ _OVERLAP_TOL = 1e-12
 class DiskConfiguration:
     """N equal disks of radius r centered at `centers` inside `cell`.
 
-    Centers are stored read-only, reduced to the fundamental parallelogram.
-    The minimal-image separations a_j - a_k of the pairs j < k, in
-    np.triu_indices(N, 1) order, are computed once on construction and kept
-    read-only; the overlap check and the kernel build both read them.  The
-    Eisenstein kernels E_2..E_n attach lazily as one read-only (n-1, N, N)
-    array, which esums.kernel_matrix owns and grows.
+    Centers are stored read-only, reduced to the fundamental parallelogram;
+    construction refuses a pair closer than one diameter in any periodic
+    image (Cell.distance).  The Eisenstein kernels E_2..E_n attach lazily as
+    one read-only (n-1, N, N) array, which esums.kernel_matrix owns and grows.
     """
 
     cell: Cell
     centers: np.ndarray
     radius: float
     meta: dict = field(default_factory=dict, repr=False)
-    separations: np.ndarray = field(init=False, repr=False)
     _kernels: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -60,12 +56,8 @@ class DiskConfiguration:
         if not np.isfinite(centers).all():
             raise DomainError("disk centers must be finite")
         centers = self.cell.reduce(centers)[0]
-        j, k = np.triu_indices(len(centers), 1)
-        separations = self.cell.min_image(centers[j] - centers[k])
         centers.setflags(write=False)
-        separations.setflags(write=False)
         object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "separations", separations)
         self.validate()
 
     @property
@@ -83,7 +75,9 @@ class DiskConfiguration:
             raise DomainError(f"concentration nu = {self.nu:g} outside (0, 1)")
         _refuse_own_image(self.cell, self.radius)
         if self.n_disks > 1:
-            dmin = float(np.abs(self.separations).min())
+            j, k = np.triu_indices(self.n_disks, 1)
+            dmin = float(self.cell.distance(self.centers[j] - self.centers[k],
+                                            2.0 * self.radius).min())
             if dmin < 2.0 * self.radius - _OVERLAP_TOL:
                 raise DomainError(
                     f"overlapping disks: min periodic distance {dmin:.17g} "
@@ -107,7 +101,7 @@ class EnsembleDescriptor:
     def __post_init__(self):
         for name in ("n", "trials", "seed", "attempt_budget"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_integer(value):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise DomainError(f"need at least one disk, got n = {self.n}")
@@ -188,10 +182,6 @@ def _rsa_centers(desc: EnsembleDescriptor, cell: Cell, rng) -> tuple:
     length = _CHUNK
     w1, w2 = cell.omega1, cell.omega2
 
-    # survivors' mutual test: an image of the folded d shifted by s is at least
-    # |s| - |d| long, so only a pair with |d| beyond reach can overlap in it
-    reach = cell.shortest_shift - min_dist - 1e-9
-
     # cell list: the placed centers sit in m1 x m2 bins of lattice
     # coordinates (at most about 4n), each at least width >= min_dist wide at
     # right angles to its sides, else one bin to that side.  Tiled over the
@@ -238,11 +228,7 @@ def _rsa_centers(desc: EnsembleDescriptor, cell: Cell, rng) -> tuple:
         # survivors in draw order, each tested against those accepted before
         # it: clear[j, i] is the test of survivor j against survivor i
         z = chunk[survivors]
-        d = cell.fold(z[None, :] - z[:, None])
-        dist = np.abs(d)
-        clear = dist >= min_dist
-        far = np.nonzero(dist > reach)
-        clear[far] = (np.abs(d[far][:, None] + cell.stencil) >= min_dist).all(axis=1)
+        clear = cell.distance(z[None, :] - z[:, None], min_dist) >= min_dist
         free = np.ones(len(z), dtype=bool)
         keep, slots = [], []
         for i, (k, b) in enumerate(zip(survivors.tolist(), bins[survivors].tolist())):

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -207,22 +208,26 @@ class Cell:
         alpha = ((z - beta * b) * a.conjugate()).real / abs(a) ** 2
         return z - np.floor(alpha + 0.5) * a - np.floor(beta + 0.5) * b
 
-    def min_image(self, z) -> np.ndarray:
-        """The lattice translate of z nearest to the origin.
+    def distance(self, z, within: float) -> np.ndarray:
+        """The distance from z to its nearest lattice point where that is
+        below `within`, elsewhere some value >= within; any shape of z.
 
         fold() maps into the centred parallelogram of the image basis, whose
-        nearest lattice point may still be a corner; one stencil step folds
-        onto it.  A folded point shorter than half of every nonzero stencil
-        shift, less a rounding margin, is already nearest and skips the
-        stencil.
+        nearest lattice point may still be a corner.  An image of the folded
+        d shifted by s is at least |s| - |d| long, so only a d longer than
+        shortest_shift - within, less a rounding margin, takes the minimum
+        over the stencil; within = inf gives the nearest distance everywhere.
         """
-        zr = self.fold(z)
-        flat = zr.ravel()
-        out = flat + self.stencil[4]  # the shift-0 image, signed zeros as in the stencil
-        far = np.flatnonzero(np.abs(flat) >= 0.5 * self.shortest_shift * (1.0 - 1e-9))
-        cand = flat[far, None] + self.stencil
-        out[far] = cand[np.arange(len(far)), np.abs(cand).argmin(axis=1)]
-        return out.reshape(zr.shape)
+        d = self.fold(z).ravel()
+        dist = np.abs(d)
+        far = np.flatnonzero(dist > self.shortest_shift - within - 1e-9)
+        dist[far] = np.abs(d[far, None] + self.stencil).min(axis=1)
+        return dist.reshape(np.shape(z))
+
+
+def is_integer(n) -> bool:
+    """Whether n is an integer, numpy's included, and not a bool."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
 def make_cell(omega1: float, omega2: complex) -> Cell:
@@ -327,8 +332,9 @@ def eisenstein_stack(cell: Cell, n_lo: int, n_hi: int, z) -> np.ndarray:
     NEAR_SINGULARITY_RADIUS of a lattice point and orders above
     MAX_KERNEL_ORDER are refused.
     """
-    if not 1 <= n_lo <= n_hi <= MAX_KERNEL_ORDER:
-        raise DomainError(f"kernel order must be in 1..{MAX_KERNEL_ORDER}, got {n_lo}..{n_hi}")
+    if not (is_integer(n_lo) and is_integer(n_hi) and 1 <= n_lo <= n_hi <= MAX_KERNEL_ORDER):
+        raise DomainError(f"kernel order must be an integer in 1..{MAX_KERNEL_ORDER}, "
+                          f"got {n_lo!r}..{n_hi!r}")
     flat = np.ravel(np.asarray(z, dtype=complex))
     k, a, sub = cell.cosets
     points = [sub.reduce(flat - j * a)[0] for j in range(k)]
@@ -368,8 +374,8 @@ def lattice_sum(cell: Cell, n: int) -> complex:
     The only writer of the cache: even orders are filled in ascending order,
     so every order the recurrence reads is already there.
     """
-    if n < 2:
-        raise DomainError(f"lattice sum order must be >= 2, got {n}")
+    if not (is_integer(n) and n >= 2):
+        raise DomainError(f"lattice sum order must be an integer >= 2, got {n!r}")
     if n % 2 == 1:
         return 0.0 + 0.0j
     sums = cell._sums

@@ -20,9 +20,13 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _encode(obj, parts, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+#: Spaces per nesting level of the JSON text.
+_INDENT = 2
+
+
+def _encode(obj, parts, level):
+    pad = " " * (_INDENT * level)
+    pad_in = " " * (_INDENT * (level + 1))
     if isinstance(obj, dict):
         if not obj:
             parts.append("{}")
@@ -32,7 +36,7 @@ def _encode(obj, parts, indent, level):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, got {key!r}")
             parts.append(f'{pad_in}"{key}": ')
-            _encode(val, parts, indent, level + 1)
+            _encode(val, parts, level + 1)
             parts.append(",\n" if i < len(obj) - 1 else "\n")
         parts.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -46,7 +50,7 @@ def _encode(obj, parts, indent, level):
         if flat:
             parts.append("[")
             for i, val in enumerate(obj):
-                _encode(val, parts, indent, level)
+                _encode(val, parts, level)
                 if i < len(obj) - 1:
                     parts.append(", ")
             parts.append("]")
@@ -54,7 +58,7 @@ def _encode(obj, parts, indent, level):
             parts.append("[\n")
             for i, val in enumerate(obj):
                 parts.append(pad_in)
-                _encode(val, parts, indent, level + 1)
+                _encode(val, parts, level + 1)
                 parts.append(",\n" if i < len(obj) - 1 else "\n")
             parts.append(pad + "]")
     elif isinstance(obj, bool):
@@ -74,10 +78,10 @@ def _encode(obj, parts, indent, level):
         raise TypeError(f"cannot serialize {type(obj).__name__}: {obj!r}")
 
 
-def dump_json(obj, indent: int = 2) -> str:
+def dump_json(obj) -> str:
     """Serialize to JSON text with .17g floats; trailing newline included."""
     parts = []
-    _encode(obj, parts, indent, 0)
+    _encode(obj, parts, 0)
     parts.append("\n")
     return "".join(parts)
 

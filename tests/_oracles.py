@@ -17,10 +17,11 @@ n >= 2), and the operator iterates W^p(1) split by r^2 grade, with the
 exact low-order fields they must reproduce.  The RSA reference is the
 placement rule tested one candidate at a time, which the chunked production
 loop must reproduce draw for draw, and the minimal-image reference takes
-the 9-image stencil argmin of every point, which the production shortcut
-must reproduce bit for bit; both take the stencil of the basis as given,
-exact only where it holds the Gauss-reduced basis, and the nearest image
-on any basis is checked against every lattice point within reach.  The
+the 9-image stencil argmin of every point, whose length the production
+distance must reproduce bit for bit wherever it is below the distance
+asked about; both take the stencil of the basis as given, exact only where
+it holds the Gauss-reduced basis, and the nearest image on any basis is
+checked against every lattice point within reach.  The
 Krylov reference is GMRES with modified Gram-Schmidt on the production W, a
 different method from the solver's Lanczos recurrence: the solver's lambda
 must lie within its error bound of the reference's, in fewer W applies;
@@ -102,7 +103,7 @@ def eisenstein_regularized(cell, n: int, z):
         raise DomainError(f"regularized kernel order must be >= 2, got {n}")
     scalar = np.isscalar(z) or np.asarray(z).ndim == 0
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    zn = cell.min_image(z)  # z relative to its nearest lattice point
+    zn = nearest_image_brute(cell, z)  # z relative to its nearest lattice point
 
     out = np.empty(zn.shape, dtype=complex)
     # inside the series region the Taylor expansion in lattice sums is both
@@ -552,7 +553,7 @@ def rsa_one_at_a_time(desc: EnsembleDescriptor, seed: int, brute=False) -> DiskC
 
 
 def min_image_stencil(cell, z) -> np.ndarray:
-    """Cell.min_image with the 9-image argmin taken for every point.
+    """The nearest image of z, any shape, as the 9-image argmin of every point.
 
     The images are those of own_stencil around reduce(z), so this is a
     reference only on cells where that stencil is exact.
@@ -563,8 +564,8 @@ def min_image_stencil(cell, z) -> np.ndarray:
     return np.take_along_axis(cand, idx[..., None], axis=-1)[..., 0]
 
 
-def nearest_distance_brute(cell, z) -> np.ndarray:
-    """min over lattice points P of |z + P|, for a 1-d array z.
+def nearest_image_brute(cell, z) -> np.ndarray:
+    """z + P for the lattice point P that makes it shortest, for a 1-d array z.
 
     Every lattice point within 2 max|z| of the origin is listed row by row
     along omega2, so the nearest one (no farther from z than the origin) is
@@ -572,11 +573,17 @@ def nearest_distance_brute(cell, z) -> np.ndarray:
     """
     radius = 2.0 * np.abs(z).max() + 1.0
     tall = math.ceil(radius / cell.omega2.imag)
-    best = np.full(len(z), np.inf)
+    best = np.full(len(z), np.inf, dtype=complex)
     for m2 in range(-tall, tall + 1):
         centre = -m2 * cell.omega2.real / cell.omega1
         m1 = np.arange(math.floor(centre - radius / cell.omega1),
                        math.ceil(centre + radius / cell.omega1) + 1)
-        row = m1 * cell.omega1 + m2 * cell.omega2
-        best = np.minimum(best, np.abs(z[:, None] + row).min(axis=1))
+        cand = z[:, None] + (m1 * cell.omega1 + m2 * cell.omega2)
+        cand = cand[np.arange(len(z)), np.abs(cand).argmin(axis=1)]
+        best = np.where(np.abs(cand) < np.abs(best), cand, best)
     return best
+
+
+def nearest_distance_brute(cell, z) -> np.ndarray:
+    """min over lattice points P of |z + P|, for a 1-d array z."""
+    return np.abs(nearest_image_brute(cell, z))

@@ -41,16 +41,16 @@ def kernel_passes(monkeypatch):
 
 
 @pytest.fixture()
-def min_image_points(monkeypatch):
-    """Sizes of the point arrays passed to Cell.min_image, in call order."""
+def distance_shapes(monkeypatch):
+    """Shapes of the point arrays passed to Cell.distance, in call order."""
     from effcond.lattice import Cell
 
-    sizes = []
-    min_image = Cell.min_image
+    shapes = []
+    distance = Cell.distance
 
-    def counting(cell, z):
-        sizes.append(int(np.size(z)))
-        return min_image(cell, z)
+    def counting(cell, z, within):
+        shapes.append(np.shape(z))
+        return distance(cell, z, within)
 
-    monkeypatch.setattr(Cell, "min_image", counting)
-    return sizes
+    monkeypatch.setattr(Cell, "distance", counting)
+    return shapes

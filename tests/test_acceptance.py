@@ -85,7 +85,7 @@ def test_3_kernel_periodicity():
         while count < 100:
             a, b = rng.uniform(-0.45, 0.45, 2)
             z = a * cell.omega1 + b * cell.omega2
-            if np.abs(cell.min_image(z)) < 0.2:
+            if cell.distance(z, math.inf) < 0.2:
                 continue
             count += 1
             e1 = eisenstein(cell, 1, z)
@@ -100,7 +100,7 @@ def test_3_kernel_periodicity():
             while count < 15:
                 a, b = rng.uniform(-0.45, 0.45, 2)
                 z = a * cell.omega1 + b * cell.omega2
-                if np.abs(cell.min_image(z)) < 0.3:
+                if cell.distance(z, math.inf) < 0.3:
                     continue
                 count += 1
                 base = eisenstein(cell, n, z)
@@ -196,7 +196,9 @@ def test_5_solver_reproduces_exact_low_orders_and_series():
 def test_6_full_contrast_convergence():
     desc = EnsembleDescriptor(n=16, nu=0.25, trials=1, seed=77, exclusion_factor=1.1)
     config = rsa_generate(desc)
-    gap = np.abs(config.separations).min() - 2 * config.radius
+    j, k = np.triu_indices(config.n_disks, 1)
+    dmin = config.cell.distance(config.centers[j] - config.centers[k], math.inf).min()
+    gap = dmin - 2 * config.radius
     assert gap >= 0.2 * config.radius
 
     all_ok = True

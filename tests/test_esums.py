@@ -17,6 +17,7 @@ from effcond import (
 )
 from effcond.esums import _matvec, check_index, esums_csv, kernel_stack
 from effcond.lattice import Cell, eisenstein_stack
+from effcond.pipeline import QuantitySpec
 
 from _oracles import eisenstein_mpmath, esum_reference, required_indices
 
@@ -39,6 +40,24 @@ class TestMultiIndex:
         assert check_index(2) == (2,)
         assert check_index([2.0, 3]) == (2, 3)
         assert all(type(m) is int for m in check_index([2.0, 3]))
+
+    @pytest.mark.parametrize("index", [(2.9,), (2, 2.5), 2.5, (True,), (3, False),
+                                       ("2",), (math.nan,)])
+    def test_non_integral_entries_rejected(self, index):
+        # refused, never truncated to an int
+        with pytest.raises(DomainError, match="must be integers"):
+            check_index(index)
+
+    def test_numpy_integers_accepted(self):
+        assert check_index(np.int64(3)) == (3,)
+        assert check_index((np.int32(2), np.uint8(5))) == (2, 5)
+        assert all(type(m) is int for m in check_index(np.int64(3)))
+
+    def test_fractional_index_refused_by_esum_and_quantity(self, rsa16):
+        with pytest.raises(DomainError, match="must be integers"):
+            esum(rsa16, (2.9,))
+        with pytest.raises(DomainError, match="must be integers"):
+            QuantitySpec("x", "esum", index=(2.5,))
 
 
 class TestSingleDiskValues:
@@ -136,6 +155,21 @@ class TestKernelMatrix:
         assert config._kernels.shape == (8, 16, 16)
         assert kernel_stack(config, 4).tobytes() == low.tobytes()
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, np.float64(4.0), True])
+    def test_non_integer_order_refused(self, n):
+        config = rsa_generate(EnsembleDescriptor(n=16, nu=0.25, trials=1, seed=21))
+        for cached in (False, True):  # before and after E_2..E_30 are cached
+            if cached:
+                kernel_matrix(config, 30)
+            with pytest.raises(DomainError, match="kernel order must be an integer"):
+                kernel_matrix(config, n)
+            with pytest.raises(DomainError, match="kernel order must be an integer"):
+                esum_nn(config, n)
+
+    def test_numpy_integer_orders(self, rsa16):
+        assert np.array_equal(kernel_matrix(rsa16, np.int64(3)), kernel_matrix(rsa16, 3))
+        assert esum_nn(rsa16, np.int32(4)) == esum_nn(rsa16, 4)
+
     def test_read_only(self, rsa16):
         mat = kernel_matrix(rsa16, 2)
         with pytest.raises(ValueError):
@@ -216,11 +250,11 @@ class TestKernelOracle:
                     cell=cell, centers=np.array([0j, s]), radius=self.RADIUS
                 )
                 mat = kernel_matrix(config, n)
-                (sep,) = config.separations  # a_0 - a_1
+                sep = config.centers[0] - config.centers[1]
                 ref = eisenstein_mpmath(cell, n, sep)
                 # E_n(-z) = (-1)^n E_n(z): one reference serves both entries
                 for j, k, z, want in ((0, 1, sep, ref), (1, 0, -sep, (-1) ** n * ref)):
-                    scale = np.abs(cell.min_image(z)) ** n
+                    scale = cell.distance(z, math.inf) ** n
                     worst[kind] = max(worst[kind], abs(mat[j, k] - want) * scale)
         return worst
 
@@ -281,7 +315,7 @@ class TestKernelOracle:
             vals = eisenstein_stack(cell, n, n, points)[0]
             for z, val in zip(points, vals):
                 ref = eisenstein_mpmath(cell, n, z, dps=30)
-                err = abs(val - ref) * np.abs(cell.min_image(z)) ** n
+                err = abs(val - ref) * cell.distance(z, math.inf) ** n
                 assert err <= self.WEAK_POINT_BOUNDS[name][n]
 
     # 4x the worst pole-scaled error |E_1 - ref|*|z| of the q-series over the
@@ -300,7 +334,7 @@ class TestKernelOracle:
         a, b = np.random.default_rng(3).uniform(-0.75, 0.75, (2, 20))
         points = np.concatenate([self.weak_points(cell), a * cell.omega1 + b * cell.omega2])
         for z, val in zip(points, eisenstein(cell, 1, points)):
-            err = abs(val - eisenstein_mpmath(cell, 1, z)) * np.abs(cell.min_image(z))
+            err = abs(val - eisenstein_mpmath(cell, 1, z)) * cell.distance(z, math.inf)
             assert err <= self.E1_BOUNDS[name]
 
 
@@ -327,14 +361,16 @@ class TestKernelStack:
 
     def test_upper_triangle_is_eisenstein(self):
         config = self.fresh()
-        sep = config.separations
+        j, k = np.triu_indices(config.n_disks, 1)
+        sep = config.centers[j] - config.centers[k]
         for n in self.ORDERS:
             upper = kernel_matrix(config, n)[np.triu_indices(config.n_disks, 1)]
             assert np.array_equal(upper, eisenstein(config.cell, n, sep))
 
     def test_batch_matches_scalar_calls(self, sheared_cell, hex_cell, thin_cell):
         config = self.fresh()
-        sep = config.separations
+        j, k = np.triu_indices(config.n_disks, 1)
+        sep = config.centers[j] - config.centers[k]
         assert sep.size == 2016
         for n in (2, 31):
             batch = eisenstein(config.cell, n, sep)

@@ -44,20 +44,20 @@ class TestPeriodicReduce:
 
 class TestPeriodicDistance:
     def test_wrap_across_omega2(self, square_cell):
-        assert np.abs(square_cell.min_image(0.45j - (-0.45j))) == pytest.approx(0.1)
+        assert square_cell.distance(0.45j - (-0.45j), math.inf) == pytest.approx(0.1)
 
     def test_identical_points(self, square_cell):
-        assert np.abs(square_cell.min_image((0.1 + 0.1j) - (0.1 + 0.1j))) == 0.0
+        assert square_cell.distance((0.1 + 0.1j) - (0.1 + 0.1j), math.inf) == 0.0
 
     def test_wrap_across_omega1(self, square_cell):
-        assert np.abs(square_cell.min_image(-0.45 - 0.45)) == pytest.approx(0.1)
+        assert square_cell.distance(-0.45 - 0.45, math.inf) == pytest.approx(0.1)
 
     def test_symmetry(self, sheared_cell):
         rng = np.random.default_rng(1)
         for _ in range(20):
             z1, z2 = rng.normal(size=2) + 1j * rng.normal(size=2)
-            d12 = np.abs(sheared_cell.min_image(z1 - z2))
-            d21 = np.abs(sheared_cell.min_image(z2 - z1))
+            d12 = sheared_cell.distance(z1 - z2, math.inf)
+            d21 = sheared_cell.distance(z2 - z1, math.inf)
             assert d12 == pytest.approx(d21, abs=1e-15)
 
     def test_triangle_inequality(self, square_cell, sheared_cell, hex_cell):
@@ -65,32 +65,41 @@ class TestPeriodicDistance:
         for cell in (square_cell, sheared_cell, hex_cell):
             for _ in range(50):
                 a, b, c = rng.normal(size=3) + 1j * rng.normal(size=3)
-                dab = np.abs(cell.min_image(a - b))
-                dbc = np.abs(cell.min_image(b - c))
-                dac = np.abs(cell.min_image(a - c))
+                dab = cell.distance(a - b, math.inf)
+                dbc = cell.distance(b - c, math.inf)
+                dac = cell.distance(a - c, math.inf)
                 assert dac <= dab + dbc + 1e-12
 
 
-def _bits(z):
-    """The bit patterns of a complex array, so that -0.0 differs from 0.0."""
-    return np.atleast_1d(z).view(np.uint64)
-
-
 class TestMinImageAgainstStencil:
-    """Cell.min_image equals the full 9-image argmin, signed zeros included."""
+    """Cell.distance(z, within) is the length of the full 9-image argmin,
+    bit for bit, wherever that is below within, and at least within elsewhere."""
+
+    WITHIN = (math.inf, 0.3, 0.05)
 
     @pytest.fixture(params=["square_cell", "sheared_cell", "hex_cell", "thin_cell"])
     def cell(self, request):
         return request.getfixturevalue(request.param)
 
-    def assert_same(self, cell, z):
-        got, want = cell.min_image(z), min_image_stencil(cell, z)
-        assert type(got) is type(want) and got.shape == want.shape
-        assert np.array_equal(_bits(got), _bits(want))
+    def assert_same(self, cell, z, within=WITHIN):
+        want = np.abs(min_image_stencil(cell, z))
+        for w in within:
+            got = cell.distance(z, w)
+            assert type(got) is np.ndarray and got.shape == np.shape(z)
+            below = want < w
+            assert np.array_equal(got[below], want[below])
+            assert np.all(got[~below] >= w)
 
     def test_on_and_inside_shortcut_radius(self, cell):
-        half = 0.5 * cell.shortest_shift
         angles = np.exp(2j * np.pi * np.arange(720) / 720)
+        # a folded point at most shortest_shift - within long, less the
+        # margin, skips the stencil; points one ulp either side of that
+        for within in (0.3, 0.5 * cell.shortest_shift, 0.05):
+            edge = cell.shortest_shift - within - 1e-9
+            radii = [np.nextafter(edge, 0), edge, np.nextafter(edge, 1),
+                     edge - 1e-9, edge + 1e-9]
+            self.assert_same(cell, np.concatenate([r * angles for r in radii]), (within,))
+        half = 0.5 * cell.shortest_shift
         radii = [half * (1 - 1e-9), half * (1 - 2e-9), half * (1 - 1e-12),
                  np.nextafter(half, 0), half, np.nextafter(half, 1), half * (1 + 1e-9)]
         self.assert_same(cell, np.concatenate([r * angles for r in radii]))
@@ -115,6 +124,7 @@ class TestMinImageAgainstStencil:
         self.assert_same(cell, np.array(zeros + parts))
         for z in zeros + parts:
             self.assert_same(cell, z)
+        assert not cell.distance(np.array(zeros), math.inf).any()
 
     @pytest.mark.parametrize("z", [0.9j, 0.3, -0.45 + 0.45j, 1.7 - 2.2j])
     def test_scalar(self, cell, z):
@@ -132,12 +142,13 @@ class TestMinImageAgainstStencil:
         desc = EnsembleDescriptor(n=64, nu=nu, trials=1, seed=4, cell_omega2=omega2)
         config = rsa_generate(desc)
         j, k = np.triu_indices(64, 1)
-        want = min_image_stencil(config.cell, config.centers[j] - config.centers[k])
-        assert np.array_equal(_bits(config.separations), _bits(want))
+        pairs = config.centers[j] - config.centers[k]
+        self.assert_same(config.cell, pairs, self.WITHIN + (2 * config.radius,))
 
 
 class TestMinImageBruteForce:
-    """Cell.min_image is the nearest image on every basis, sheared or not.
+    """Cell.distance is the distance to the nearest lattice point on every
+    basis, sheared or not, wherever that is below within.
 
     The unit-area cells are built with Cell(...) directly: make_cell would fold
     the shears of 1 or more (2.4, 3.0, 4.9, -2.4) below 1."""
@@ -150,9 +161,13 @@ class TestMinImageBruteForce:
         cell = Cell(scale, omega2 * scale)
         rng = np.random.default_rng(5)
         z = (rng.random(2000) - 0.5) * 6 + 1j * (rng.random(2000) - 0.5) * 6
-        got = cell.min_image(z)
-        assert np.all(np.abs(got) <= nearest_distance_brute(cell, z) * (1 + 1e-12))
-        assert np.abs(cell.reduce(got - z)[0]).max() < 1e-12  # a translate of z
+        want = nearest_distance_brute(cell, z)
+        for within in (0.05, 0.3, math.inf):
+            got = cell.distance(z, within)
+            below = want < within
+            assert np.allclose(got[below], want[below], rtol=1e-12, atol=0)
+            assert np.all(got[~below] >= within)
+            assert np.all(got >= want * (1 - 1e-12))  # the length of a translate of z
 
     def test_rsa_places_no_overlapping_pair(self):
         """N = 4 disks at nu = 0.45 on the sheared basis 2.4+0.3i, which
@@ -176,7 +191,7 @@ class TestRsaGenerate:
         desc = EnsembleDescriptor(n=64, nu=0.3, trials=1, seed=42)
         config = rsa_generate(desc)
         assert config.n_disks == 64
-        dist = np.abs(config.cell.min_image(config.centers[:, None] - config.centers))
+        dist = config.cell.distance(config.centers[:, None] - config.centers, math.inf)
         dist[np.diag_indices(64)] = np.inf
         assert dist.min() >= 2 * config.radius - 1e-12
 
@@ -472,6 +487,26 @@ class TestConfigurationValidation:
                 radius=0.04,
             )
 
+    # a pair a period apart, less 0.05, overlaps across an edge of the cell;
+    # 0.998 (omega1 + omega2)/2 apart on the hexagonal and 0.3+1.1i cells, a
+    # pair overlaps only in an image one stencil shift from its folded difference
+    @pytest.mark.parametrize("omega2", [np.exp(1j * np.pi / 3), 0.3 + 1.1j, 0.2j])
+    def test_wraparound_overlap_rejected_on_other_cells(self, omega2):
+        cell = make_cell(1.0, omega2)
+        w1, w2 = cell.omega1, cell.omega2
+        pairs = [period - 0.05 for period in (w1, w2, w1 + w2, w1 - w2)]
+        if omega2 != 0.2j:
+            pairs.append(0.998 * (w1 + w2) / 2)
+            assert cell.distance(pairs[-1], math.inf) < 0.99 * abs(cell.fold(pairs[-1]))
+        for d in pairs:
+            gap = nearest_distance_brute(cell, np.array([d]))[0]
+            assert gap < 0.99 * abs(d)
+            centers = np.array([d / 2, -d / 2])
+            with pytest.raises(DomainError, match="overlapping disks") as err:
+                DiskConfiguration(cell=cell, centers=centers, radius=0.51 * gap)
+            assert float(str(err.value).split()[5]) == pytest.approx(gap, rel=1e-12)
+            DiskConfiguration(cell=cell, centers=centers, radius=0.49 * gap)
+
     def test_nu_bounds(self, square_cell):
         with pytest.raises(DomainError):
             DiskConfiguration(
@@ -492,14 +527,14 @@ class TestConfigurationValidation:
             )
 
     def test_centers_and_separations_read_only(self, square_cell):
-        # the separations and kernels are derived from the centers once
+        # the kernels are derived from the centers, which stay as given;
+        # no pair separations are stored
         config = DiskConfiguration(
             cell=square_cell, centers=np.array([0j, 0.3 + 0j]), radius=0.05
         )
-        assert config.separations.shape == (1,)
-        for array in (config.centers, config.separations):
-            with pytest.raises(ValueError):
-                array[0] = 0.06
+        assert not hasattr(config, "separations")
+        with pytest.raises(ValueError):
+            config.centers[0] = 0.06
 
 
 class TestSerialization:

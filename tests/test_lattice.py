@@ -109,6 +109,15 @@ class TestLatticeSums:
         with pytest.raises(DomainError):
             lattice_sum(square_cell, 1)
 
+    @pytest.mark.parametrize("n", [4.0, 3.5, np.float64(6.0), True])
+    def test_non_integer_order_rejected(self, square_cell, n):
+        with pytest.raises(DomainError, match="lattice sum order must be an integer"):
+            lattice_sum(square_cell, n)
+
+    def test_numpy_integer_orders(self, hex_cell):
+        for n in (2, 5, 12):
+            assert lattice_sum(hex_cell, np.int64(n)) == lattice_sum(hex_cell, n)
+
     def test_square_s2_is_pi(self, square_cell):
         assert lattice_sum(square_cell, 2) == pytest.approx(math.pi, abs=1e-13)
 
@@ -155,6 +164,19 @@ class TestEisenstein:
     def test_order_below_one_rejected(self, square_cell):
         with pytest.raises(DomainError):
             eisenstein(square_cell, 0, 0.3)
+
+    @pytest.mark.parametrize("n", [2.0, 2.5, np.float64(3.0), True])
+    def test_non_integer_order_rejected(self, square_cell, n):
+        with pytest.raises(DomainError, match="kernel order must be an integer"):
+            eisenstein(square_cell, n, 0.3)
+        with pytest.raises(DomainError, match="kernel order must be an integer"):
+            eisenstein_stack(square_cell, 2, n, 0.3)
+
+    def test_numpy_integer_orders(self, square_cell):
+        z = np.array([0.3, 0.2 + 0.1j])
+        for n in (1, 2, 7):
+            assert np.array_equal(eisenstein(square_cell, np.int64(n), z),
+                                  eisenstein(square_cell, n, z))
 
     def test_empty_order_range_rejected(self, square_cell):
         with pytest.raises(DomainError, match="kernel order"):
@@ -228,7 +250,7 @@ class TestEisenstein:
                 while done < 10:
                     a, b = rng.uniform(-0.45, 0.45, 2)
                     z = a * cell.omega1 + b * cell.omega2
-                    if np.abs(cell.min_image(z)) < 0.3:
+                    if cell.distance(z, math.inf) < 0.3:
                         continue
                     done += 1
                     base = eisenstein(cell, n, z)

@@ -184,12 +184,13 @@ class TestRunEnsemble:
         run_ensemble(desc, ["e2", "lambda-solver:1.0"])  # degree 14 reads E_2..E_30
         assert kernel_passes == [(2, 30)] * desc.trials
 
-    def test_one_min_image_pass_per_trial(self, min_image_points):
-        # N(N-1)/2 pair separations on construction; the kernel build's
-        # near-singularity guard reads their moduli
+    def test_one_min_image_pass_per_trial(self, distance_shapes):
+        # the N(N-1)/2 pairs once, on construction; RSA's survivors take
+        # square (s, s) blocks, and the kernel build takes no distance
         desc = EnsembleDescriptor(n=8, nu=0.2, trials=3, seed=5)
         run_ensemble(desc, ["e2"])
-        assert min_image_points == [28] * desc.trials
+        assert [s for s in distance_shapes if len(s) == 1] == [(28,)] * desc.trials
+        assert all(len(s) == 2 and s[0] == s[1] for s in distance_shapes if len(s) != 1)
 
     def test_zeta1_quantity(self):
         desc = EnsembleDescriptor(n=8, nu=0.2, trials=12, seed=6)

@@ -358,7 +358,7 @@ class TestSolveContrast:
             tracemalloc.stop()
         esum(config, (2, 5, 3))
         arrays = {k for k, v in vars(config).items() if isinstance(v, np.ndarray)}
-        assert arrays == {"centers", "separations", "_kernels"}
+        assert arrays == {"centers", "_kernels"}
         assert config._kernels.shape == (29, 64, 64)
         assert views and all(v.base is config._kernels for v in views)
         assert np.shares_memory(views[-1], kernel_matrix(config, 5))
