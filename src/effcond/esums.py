@@ -132,7 +132,9 @@ MAX_SERIES_ORDER = 12
 
 
 def check_series_order(order: int):
-    """Raise DomainError unless 1 <= order <= MAX_SERIES_ORDER."""
+    """Raise DomainError unless order is an integer in 1..MAX_SERIES_ORDER."""
+    if not is_integer(order):
+        raise DomainError(f"series order must be an integer, got {order!r}")
     if not 1 <= order <= MAX_SERIES_ORDER:
         raise DomainError(
             f"series order must be in 1..{MAX_SERIES_ORDER}, got {order}"

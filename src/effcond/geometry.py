@@ -3,11 +3,11 @@
 Random sequential addition (RSA) realizes the uniform non-overlapping
 ensemble: candidates are drawn uniformly in the cell and accepted iff their
 periodic distance to every accepted center is at least one diameter.  They
-are tested a chunk at a time, each against the centers in the tiles of bins
-around its own, with the same result as testing them one by one in draw
-order against every center.  Generation is a pure function of the seed;
-per-trial seeds for ensembles derive from a master seed through splitmix64
-(trial i uses master XOR splitmix64(i)), so trials may run concurrently.
+are tested a chunk at a time through a cell list, with the same result as
+testing them one by one in draw order against every center; the same cell
+list is the overlap check of every configuration.  Generation is a pure
+function of the seed; trial i of an ensemble uses master seed XOR
+splitmix64(i), so trials may run concurrently.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,10 +40,11 @@ _OVERLAP_TOL = 1e-12
 class DiskConfiguration:
     """N equal disks of radius r centered at `centers` inside `cell`.
 
-    Centers are stored read-only, reduced to the fundamental parallelogram;
-    construction refuses a pair closer than one diameter in any periodic
-    image (Cell.distance).  The Eisenstein kernels E_2..E_n attach lazily as
-    one read-only (n-1, N, N) array, which esums.kernel_matrix owns and grows.
+    The cell has unit area.  Centers are stored read-only, reduced to the
+    fundamental parallelogram; construction refuses a pair closer than one
+    diameter in any periodic image (_CellList.close_pairs).  The Eisenstein
+    kernels E_2..E_n attach lazily as one read-only (n-1, N, N) array, which
+    esums.kernel_matrix owns and grows.
     """
 
     cell: Cell
@@ -69,20 +71,20 @@ class DiskConfiguration:
         return self.n_disks * math.pi * self.radius ** 2
 
     def validate(self):
+        if abs(self.cell.area - 1.0) > 1e-12:
+            raise DomainError(f"cell area {self.cell.area:.17g} != 1")
         if self.radius <= 0.0:
             raise DomainError(f"radius must be positive, got {self.radius}")
         if not 0.0 < self.nu < 1.0:
             raise DomainError(f"concentration nu = {self.nu:g} outside (0, 1)")
         _refuse_own_image(self.cell, self.radius)
-        if self.n_disks > 1:
-            j, k = np.triu_indices(self.n_disks, 1)
-            dmin = float(self.cell.distance(self.centers[j] - self.centers[k],
-                                            2.0 * self.radius).min())
-            if dmin < 2.0 * self.radius - _OVERLAP_TOL:
-                raise DomainError(
-                    f"overlapping disks: min periodic distance {dmin:.17g} "
-                    f"< diameter {2 * self.radius:.17g}"
-                )
+        grid = _cell_list(self.cell, self.n_disks, 2.0 * self.radius)
+        alpha, beta = self.cell.coordinates(self.centers)
+        j, i, dist = grid.close_pairs(self.centers, grid.home(alpha + 0.5, beta + 0.5))
+        dmin = float(dist[i != j].min(initial=math.inf))
+        if dmin < 2.0 * self.radius - _OVERLAP_TOL:
+            raise DomainError(f"overlapping disks: min periodic distance {dmin:.17g} "
+                              f"< diameter {2 * self.radius:.17g}")
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,67 @@ def _refuse_own_image(cell: Cell, radius: float):
                           "period: a disk would overlap its own periodic image")
 
 
+class _CellList:
+    """RSA's cell list (Allen & Tildesley 1987): bins of a unit-area cell
+    in which every periodic image within `reach` of a point is found, exact
+    on every cell shape.
+
+    Points sit in m1 x m2 bins of lattice coordinates (at most about 4n),
+    each at least width >= reach wide at right angles to its sides, else one
+    bin to that side.  Tiled over the plane, a bin's points moved to each
+    tile by tile_shift, they put every image within reach of a point in the
+    tiles up to q = ceil(width / bin width) from its own: around[b] lists
+    their bins, tile_shift[b] their translations.  _cell_list builds one per
+    (cell, n, reach), shared read-only by RSA and the overlap check.
+    """
+
+    def __init__(self, cell: Cell, n: int, reach: float):
+        self.reach = reach
+        width = max(reach * (1.0 + 1e-6), 0.5 / math.sqrt(n))
+        w1, w2 = cell.omega1, cell.omega2
+        sides = (1.0 / abs(w2), w2.imag)
+        (m1, q1), (m2, q2) = ((max(int(s / width), 1), math.ceil(width / s)) for s in sides)
+        self.shape = m1, m2
+        b1, b2 = np.divmod(np.arange(m1 * m2), m2)
+        t1 = b1[:, None, None] + np.arange(-q1, q1 + 1)[:, None]
+        t2 = b2[:, None, None] + np.arange(-q2, q2 + 1)
+        self.around = (t1 % m1 * m2 + t2 % m2).reshape(m1 * m2, -1)
+        self.tile_shift = (t1 // m1 * w1 + t2 // m2 * w2).reshape(m1 * m2, -1)
+        for table in (self.around, self.tile_shift):
+            table.setflags(write=False)
+
+    def home(self, u1, u2) -> np.ndarray:
+        """The bins of the points at lattice coordinates (u1, u2) in [0, 1)^2."""
+        m1, m2 = self.shape
+        return (np.minimum((u1 * m1).astype(int), m1 - 1) * m2
+                + np.minimum((u2 * m2).astype(int), m2 - 1))
+
+    def images(self, table, z, bins) -> np.ndarray:
+        """near[j, t, s]: the point in slot s of the t-th bin around bins[j],
+        moved to its tile, less z[j].  Each bin's row of the table holds its
+        points, NaN in the empty slots (a NaN distance is within no reach)."""
+        near = table.take(self.around.take(bins, axis=0), axis=0)
+        near += (self.tile_shift.take(bins, axis=0) - z[:, None])[:, :, None]
+        return near
+
+    def close_pairs(self, z, bins) -> tuple:
+        """(j, i, distance) of every image of z[i] within reach of z[j] in bin
+        bins[j], its own at 0 included, from runs of the points sorted by bin."""
+        order = bins.argsort(kind="stable")
+        counts = np.bincount(bins, minlength=len(self.around))
+        around = self.around.take(bins, axis=0).ravel()
+        first, count = (counts.cumsum() - counts)[around], counts[around]
+        k = np.arange(len(around)).repeat(count)  # (j, t) flat, per pair
+        i = order[np.arange(len(k)) + (first - (count.cumsum() - count)).repeat(count)]
+        j = k // self.around.shape[1]
+        dist = np.abs(z[i] + (self.tile_shift.take(bins, axis=0).ravel()[k] - z[j]))
+        close = dist < self.reach
+        return j[close], i[close], dist[close]
+
+
+_cell_list = lru_cache(maxsize=8)(_CellList)
+
+
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
@@ -148,8 +211,7 @@ def rsa_generate(desc: EnsembleDescriptor, seed: int | None = None) -> DiskConfi
     all accepted centers is >= exclusion_factor * 2r.  Candidates are tested
     in chunks, sized from the last chunk's survivors for about _CHUNK more:
     one array pass against the centers placed before the chunk in the bins
-    around each candidate (a cell list, Allen & Tildesley 1987), each bin
-    moved to its tile by a lattice translation, then the survivors in draw
+    around each candidate (_CellList.images), then the survivors in draw
     order against those accepted within the chunk.  Centers and
     candidates_drawn equal those of testing every candidate on its own
     against every center.  Raises GenerationError (carrying the count
@@ -180,25 +242,9 @@ def _rsa_centers(desc: EnsembleDescriptor, cell: Cell, rng) -> tuple:
     block = np.empty(0, dtype=complex)
     cursor = 0
     length = _CHUNK
-    w1, w2 = cell.omega1, cell.omega2
-
-    # cell list: the placed centers sit in m1 x m2 bins of lattice
-    # coordinates (at most about 4n), each at least width >= min_dist wide at
-    # right angles to its sides, else one bin to that side.  Tiled over the
-    # plane, a bin's centers moved to each tile by tile_shift, they put every
-    # image within min_dist of a candidate in the tiles up to q = ceil(width /
-    # bin width) from its own.  Each bin's row of the table holds its centers,
-    # NaN in the empty slots (a NaN distance overlaps nothing).
-    width = max(min_dist * (1.0 + 1e-6), 0.5 / math.sqrt(desc.n))
-    sides = (1.0 / abs(w2), w2.imag)
-    (m1, q1), (m2, q2) = ((max(int(s / width), 1), math.ceil(width / s)) for s in sides)
-    b1, b2 = np.divmod(np.arange(m1 * m2), m2)
-    t1 = b1[:, None, None] + np.arange(-q1, q1 + 1)[:, None]
-    t2 = b2[:, None, None] + np.arange(-q2, q2 + 1)
-    around = (t1 % m1 * m2 + t2 % m2).reshape(m1 * m2, -1)
-    tile_shift = (t1 // m1 * w1 + t2 // m2 * w2).reshape(m1 * m2, -1)
-    table = np.full((m1 * m2, 1), np.nan, dtype=complex)
-    counts = [0] * (m1 * m2)
+    grid = _cell_list(cell, desc.n, min_dist)
+    table = np.full((len(grid.around), 1), np.nan, dtype=complex)  # placed centers by bin
+    counts = [0] * len(grid.around)
 
     while placed < desc.n:
         if cursor >= len(block):
@@ -209,17 +255,14 @@ def _rsa_centers(desc: EnsembleDescriptor, cell: Cell, rng) -> tuple:
                     placed=placed,
                 )
             u = rng.random((_BLOCK, 2))[: desc.attempt_budget - drawn]
-            block = (u[:, 0] - 0.5) * w1 + (u[:, 1] - 0.5) * w2
-            # each candidate's bin, from its draw
-            home = (np.minimum((u[:, 0] * m1).astype(int), m1 - 1) * m2
-                    + np.minimum((u[:, 1] * m2).astype(int), m2 - 1))
+            block = (u[:, 0] - 0.5) * cell.omega1 + (u[:, 1] - 0.5) * cell.omega2
+            home = grid.home(u[:, 0], u[:, 1])  # each candidate's bin, from its draw
             cursor = 0
         chunk = block[cursor : cursor + length]
         bins = home[cursor : cursor + length]
         cursor += len(chunk)
         drawn += len(chunk)
-        near = table.take(around.take(bins, axis=0), axis=0)
-        near += (tile_shift.take(bins, axis=0) - chunk[:, None])[:, :, None]
+        near = grid.images(table, chunk, bins)
         survivors = np.flatnonzero(~(np.abs(near) < min_dist).any(axis=(1, 2)))
         # next, about _CHUNK survivors (or the disks left) at this yield, in
         # whole _CHUNKs: numpy keeps freed buffers under 1 KB for reuse by size
@@ -228,7 +271,9 @@ def _rsa_centers(desc: EnsembleDescriptor, cell: Cell, rng) -> tuple:
         # survivors in draw order, each tested against those accepted before
         # it: clear[j, i] is the test of survivor j against survivor i
         z = chunk[survivors]
-        clear = cell.distance(z[None, :] - z[:, None], min_dist) >= min_dist
+        clear = np.ones((len(z), len(z)), dtype=bool)
+        if len(z) > 1:  # near jamming, most chunks leave at most one
+            clear[grid.close_pairs(z, bins[survivors])[:2]] = False
         free = np.ones(len(z), dtype=bool)
         keep, slots = [], []
         for i, (k, b) in enumerate(zip(survivors.tolist(), bins[survivors].tolist())):

@@ -104,6 +104,11 @@ class Cell:
             powers.append(powers[-1] * q)
         return tuple(powers)
 
+    def coordinates(self, z):
+        """Lattice coordinates (alpha, beta) of z = alpha*omega1 + beta*omega2."""
+        beta = np.imag(z) / self.omega2.imag
+        return (np.real(z) - beta * self.omega2.real) / self.omega1, beta
+
     def reduce(self, z):
         """Representative of z in the fundamental parallelogram.
 
@@ -112,12 +117,8 @@ class Cell:
         integer-valued floats, NaN where z is.
         """
         z = np.asarray(z, dtype=complex)
-        beta = z.imag / self.omega2.imag
-        alpha = (z.real - beta * self.omega2.real) / self.omega1
-        k1 = np.floor(alpha + 0.5)
-        k2 = np.floor(beta + 0.5)
-        zr = z - k1 * self.omega1 - k2 * self.omega2
-        return zr, k1, k2
+        k1, k2 = (np.floor(c + 0.5) for c in self.coordinates(z))
+        return z - k1 * self.omega1 - k2 * self.omega2, k1, k2
 
     @cached_property
     def _gauss_basis(self) -> tuple:
@@ -137,30 +138,6 @@ class Cell:
         if (b * a.conjugate()).real < 0:
             b = -b
         return a, b
-
-    @cached_property
-    def _image_basis(self):
-        """None where the stencil of (omega1, omega2) holds a, b and b - a of
-        the Gauss-reduced basis, else (a, b): the basis whose 9-shift stencil
-        holds the nearest image of every point of its centred parallelogram."""
-        a, b = self._gauss_basis
-        _, k1, k2 = self.reduce(np.array([a, b, b - a]))
-        return None if max(np.abs(k1).max(), np.abs(k2).max()) <= 1 else (a, b)
-
-    @cached_property
-    def stencil(self) -> np.ndarray:
-        """The 9 translates m1*a + m2*b with |m1|, |m2| <= 1, (a, b) the image
-        basis: (omega1, omega2) where its own stencil holds the nearest image."""
-        a, b = self._image_basis or (self.omega1, self.omega2)
-        m = np.arange(-1, 2)
-        shifts = (m[:, None] * a + m[None, :] * b).ravel()
-        shifts.setflags(write=False)
-        return shifts
-
-    @cached_property
-    def shortest_shift(self) -> float:
-        """Length of the shortest nonzero translate in the stencil."""
-        return float(np.abs(np.delete(self.stencil, 4)).min())
 
     @cached_property
     def compact(self) -> bool:
@@ -196,33 +173,6 @@ class Cell:
                 a, sub = w1, Cell(k * w1, w2)
             if sub.compact:
                 return k, a, sub
-
-    def fold(self, z) -> np.ndarray:
-        """z less the lattice point of its rounded coordinates in the image
-        basis: reduce(z)[0] where that basis is (omega1, omega2)."""
-        if self._image_basis is None:
-            return self.reduce(z)[0]
-        a, b = self._image_basis
-        z = np.asarray(z, dtype=complex)
-        beta = (z * a.conjugate()).imag / (b * a.conjugate()).imag
-        alpha = ((z - beta * b) * a.conjugate()).real / abs(a) ** 2
-        return z - np.floor(alpha + 0.5) * a - np.floor(beta + 0.5) * b
-
-    def distance(self, z, within: float) -> np.ndarray:
-        """The distance from z to its nearest lattice point where that is
-        below `within`, elsewhere some value >= within; any shape of z.
-
-        fold() maps into the centred parallelogram of the image basis, whose
-        nearest lattice point may still be a corner.  An image of the folded
-        d shifted by s is at least |s| - |d| long, so only a d longer than
-        shortest_shift - within, less a rounding margin, takes the minimum
-        over the stencil; within = inf gives the nearest distance everywhere.
-        """
-        d = self.fold(z).ravel()
-        dist = np.abs(d)
-        far = np.flatnonzero(dist > self.shortest_shift - within - 1e-9)
-        dist[far] = np.abs(d[far, None] + self.stencil).min(axis=1)
-        return dist.reshape(np.shape(z))
 
 
 def is_integer(n) -> bool:

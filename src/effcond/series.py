@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError
 from .esums import _matvec, check_series_order, kernel_stack, step_weight
 from .geometry import DiskConfiguration
-from .lattice import MAX_KERNEL_ORDER
+from .lattice import MAX_KERNEL_ORDER, is_integer
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,10 @@ def lambda_cluster(nu: float, coeffs: ClusterCoefficients) -> EffectiveResult:
 
 
 def check_cutoff(n_max: int):
-    """Raise DomainError unless 2 <= n_max <= MAX_KERNEL_ORDER: the e_nn tail
-    starts at e_22, and e_nn reads the kernels up to E_n."""
+    """Raise DomainError unless n_max is an integer in 2..MAX_KERNEL_ORDER:
+    the e_nn tail starts at e_22, and e_nn reads the kernels up to E_n."""
+    if not is_integer(n_max):
+        raise DomainError(f"e_nn cutoff n_max must be an integer, got {n_max!r}")
     if not 2 <= n_max <= MAX_KERNEL_ORDER:
         raise DomainError(f"e_nn cutoff n_max must be >= 2 and <= {MAX_KERNEL_ORDER} "
                           f"(the highest kernel order), got {n_max}")

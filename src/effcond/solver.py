@@ -27,7 +27,6 @@ may run concurrently.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,6 +35,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .esums import kernel_stack, step_weight
 from .geometry import DiskConfiguration
+from .lattice import is_integer
 from .series import EffectiveResult, check_contrast
 
 DEFAULT_DEGREE = 14
@@ -212,9 +212,9 @@ def solve_contrast(
     check_contrast(rho)
     if not (tolerance > 0.0 and math.isfinite(tolerance)):
         raise DomainError(f"tolerance must be positive and finite, got {tolerance!r}")
-    if not (isinstance(degree, numbers.Integral) and degree >= 0):
+    if not (is_integer(degree) and degree >= 0):
         raise DomainError(f"Taylor degree must be an integer >= 0, got {degree!r}")
-    if not (isinstance(max_iterations, numbers.Integral) and max_iterations >= 1):
+    if not (is_integer(max_iterations) and max_iterations >= 1):
         raise DomainError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
     # unit external flux: the additive normalization constant of the field
     # problem is exactly one

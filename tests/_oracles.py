@@ -18,10 +18,12 @@ exact low-order fields they must reproduce.  The RSA reference is the
 placement rule tested one candidate at a time, which the chunked production
 loop must reproduce draw for draw, and the minimal-image reference takes
 the 9-image stencil argmin of every point, whose length the production
-distance must reproduce bit for bit wherever it is below the distance
-asked about; both take the stencil of the basis as given, exact only where
-it holds the Gauss-reduced basis, and the nearest image on any basis is
-checked against every lattice point within reach.  The
+cell list must reproduce bit for bit wherever it is below its reach; both
+take the stencil of the basis as given, exact only where it holds the
+Gauss-reduced basis.  The pairs the cell list finds on any basis are
+checked against every lattice point within reach, and over a
+configuration against every image within reach, in the cell list's own
+arithmetic bit for bit.  The
 Krylov reference is GMRES with modified Gram-Schmidt on the production W, a
 different method from the solver's Lanczos recurrence: the solver's lambda
 must lie within its error bound of the reference's, in fewer W applies;
@@ -108,7 +110,7 @@ def eisenstein_regularized(cell, n: int, z):
     out = np.empty(zn.shape, dtype=complex)
     # inside the series region the Taylor expansion in lattice sums is both
     # fast and free of the pole-subtraction cancellation of the direct path
-    near = np.abs(zn) <= 0.35 * cell.shortest_shift
+    near = np.abs(zn) <= 0.35 * abs(cell._gauss_basis[0])
     if np.any(near):
         zs = zn[near]
         acc = np.zeros(zs.shape, dtype=complex)
@@ -494,8 +496,7 @@ def schwarz_sums(config: DiskConfiguration, rho: float, order: int, degree: int 
 def own_stencil(cell) -> np.ndarray:
     """The 9 translates m1*omega1 + m2*omega2, |m1|, |m2| <= 1, of the basis
     as given.  After reduce() it holds the nearest image of every point only
-    where it holds the Gauss-reduced a, b and b - a; Cell.stencil is then
-    the same array."""
+    where it holds the Gauss-reduced a, b and b - a."""
     m = np.arange(-1, 2)
     return (m[:, None] * cell.omega1 + m[None, :] * cell.omega2).ravel()
 
@@ -587,3 +588,27 @@ def nearest_image_brute(cell, z) -> np.ndarray:
 def nearest_distance_brute(cell, z) -> np.ndarray:
     """min over lattice points P of |z + P|, for a 1-d array z."""
     return np.abs(nearest_image_brute(cell, z))
+
+
+def images_within_brute(cell, z, reach) -> tuple:
+    """(j, i, |z[i] + (P - z[j])|) for every pair of points of z, each in the
+    cell, and every lattice point P = m1*omega1 + m2*omega2 that puts the
+    image of z[i] within reach of z[j], sorted by j, i and distance.
+
+    A difference of two points in the cell has lattice coordinates in
+    (-1, 1), so |m2| < reach / Im(omega2) + 1 and |m1| < reach * |omega2| /
+    area + 1 cover every such image.  P is formed from integer arrays as the
+    cell list forms its tile translations, so the distances are comparable
+    bit for bit.
+    """
+    area = cell.omega1 * cell.omega2.imag
+    k1 = math.ceil(reach * abs(cell.omega2) / area) + 1
+    k2 = math.ceil(reach / cell.omega2.imag) + 1
+    m1, m2 = np.meshgrid(np.arange(-k1, k1 + 1), np.arange(-k2, k2 + 1), indexing="ij")
+    shifts = (m1 * cell.omega1 + m2 * cell.omega2).ravel()
+    j, i = np.divmod(np.arange(len(z) ** 2), len(z))
+    dist = np.abs(z[i][:, None] + (shifts - z[j][:, None]))
+    pair, _ = np.nonzero(dist < reach)
+    j, i, dist = j[pair], i[pair], dist[dist < reach]
+    order = np.lexsort((dist, i, j))
+    return j[order], i[order], dist[order]

@@ -42,15 +42,24 @@ def kernel_passes(monkeypatch):
 
 @pytest.fixture()
 def distance_shapes(monkeypatch):
-    """Shapes of the point arrays passed to Cell.distance, in call order."""
-    from effcond.lattice import Cell
+    """Shapes of the point arrays passed to the cell lists' close_pairs, in
+    call order, and "grid" for each cell list built; the cache of cell
+    lists starts empty."""
+    from effcond.geometry import _cell_list, _CellList
 
     shapes = []
-    distance = Cell.distance
+    init, close_pairs = _CellList.__init__, _CellList.close_pairs
 
-    def counting(cell, z, within):
+    def counting_init(grid, *args):
+        shapes.append("grid")
+        init(grid, *args)
+
+    def counting(grid, z, bins):
         shapes.append(np.shape(z))
-        return distance(cell, z, within)
+        return close_pairs(grid, z, bins)
 
-    monkeypatch.setattr(Cell, "distance", counting)
-    return shapes
+    _cell_list.cache_clear()
+    monkeypatch.setattr(_CellList, "__init__", counting_init)
+    monkeypatch.setattr(_CellList, "close_pairs", counting)
+    yield shapes
+    _cell_list.cache_clear()

@@ -19,7 +19,7 @@ from effcond.esums import _matvec, check_index, esums_csv, kernel_stack
 from effcond.lattice import Cell, eisenstein_stack
 from effcond.pipeline import QuantitySpec
 
-from _oracles import eisenstein_mpmath, esum_reference, required_indices
+from _oracles import eisenstein_mpmath, esum_reference, nearest_distance_brute, required_indices
 
 
 @pytest.fixture(scope="module")
@@ -254,7 +254,7 @@ class TestKernelOracle:
                 ref = eisenstein_mpmath(cell, n, sep)
                 # E_n(-z) = (-1)^n E_n(z): one reference serves both entries
                 for j, k, z, want in ((0, 1, sep, ref), (1, 0, -sep, (-1) ** n * ref)):
-                    scale = cell.distance(z, math.inf) ** n
+                    scale = nearest_distance_brute(cell, np.array([z]))[0] ** n
                     worst[kind] = max(worst[kind], abs(mat[j, k] - want) * scale)
         return worst
 
@@ -315,7 +315,7 @@ class TestKernelOracle:
             vals = eisenstein_stack(cell, n, n, points)[0]
             for z, val in zip(points, vals):
                 ref = eisenstein_mpmath(cell, n, z, dps=30)
-                err = abs(val - ref) * cell.distance(z, math.inf) ** n
+                err = abs(val - ref) * nearest_distance_brute(cell, np.array([z]))[0] ** n
                 assert err <= self.WEAK_POINT_BOUNDS[name][n]
 
     # 4x the worst pole-scaled error |E_1 - ref|*|z| of the q-series over the
@@ -334,7 +334,7 @@ class TestKernelOracle:
         a, b = np.random.default_rng(3).uniform(-0.75, 0.75, (2, 20))
         points = np.concatenate([self.weak_points(cell), a * cell.omega1 + b * cell.omega2])
         for z, val in zip(points, eisenstein(cell, 1, points)):
-            err = abs(val - eisenstein_mpmath(cell, 1, z)) * cell.distance(z, math.inf)
+            err = abs(val - eisenstein_mpmath(cell, 1, z)) * nearest_distance_brute(cell, np.array([z]))[0]
             assert err <= self.E1_BOUNDS[name]
 
 

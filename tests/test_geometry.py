@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -17,10 +18,16 @@ from effcond import (
     save_configuration,
     trial_seed,
 )
-from effcond.geometry import configuration_from_dict
+from effcond.geometry import _cell_list, configuration_from_dict
 from effcond.lattice import Cell
 
-from _oracles import min_image_stencil, nearest_distance_brute, rsa_one_at_a_time
+from _oracles import (
+    images_within_brute,
+    min_image_stencil,
+    nearest_distance_brute,
+    own_stencil,
+    rsa_one_at_a_time,
+)
 
 
 class TestPeriodicReduce:
@@ -42,22 +49,60 @@ class TestPeriodicReduce:
         assert np.array_equal(once, twice)
 
 
+def grid_distance(cell, z, reach):
+    """The distance from each z, any shape, to its nearest lattice point where
+    that is below reach, inf elsewhere, as RSA's cell list finds it: the
+    images of one point at 0 around the reduced z, binned for z.size + 1
+    centers."""
+    grid = _cell_list(cell, np.size(z) + 1, reach)
+    zr = np.ravel(cell.reduce(z)[0])
+    table = np.full((len(grid.around), 1), np.nan, dtype=complex)
+    table[grid.home(np.array(0.5), np.array(0.5))] = 0.0
+    alpha, beta = cell.coordinates(zr)
+    dist = np.abs(grid.images(table, zr, grid.home(alpha + 0.5, beta + 0.5)))
+    dist[~(dist < reach)] = np.inf
+    return dist.min(axis=(1, 2), initial=np.inf).reshape(np.shape(z))
+
+
+def close_pairs(cell, z, reach):
+    """close_pairs over points z in the cell, binned as validate bins them."""
+    grid = _cell_list(cell, len(z), reach)
+    alpha, beta = cell.coordinates(z)
+    return grid.close_pairs(z, grid.home(alpha + 0.5, beta + 0.5))
+
+
+def pair_distances(cell, z, reach):
+    """found[j, i]: the least distance close_pairs reports from z[j] to an
+    image of z[i], inf where it reports none."""
+    j, i, dist = close_pairs(cell, z, reach)
+    assert np.all(dist < reach)
+    found = np.full((len(z), len(z)), np.inf)
+    np.minimum.at(found, (j, i), dist)
+    return found
+
+
 class TestPeriodicDistance:
+    """The distance of a pair of points as close_pairs reports it."""
+
+    @staticmethod
+    def distance(cell, a, b, reach=1.5):
+        return pair_distances(cell, cell.reduce(np.array([a, b]))[0], reach)[1, 0]
+
     def test_wrap_across_omega2(self, square_cell):
-        assert square_cell.distance(0.45j - (-0.45j), math.inf) == pytest.approx(0.1)
+        assert self.distance(square_cell, 0.45j, -0.45j) == pytest.approx(0.1)
 
     def test_identical_points(self, square_cell):
-        assert square_cell.distance((0.1 + 0.1j) - (0.1 + 0.1j), math.inf) == 0.0
+        assert self.distance(square_cell, 0.1 + 0.1j, 0.1 + 0.1j) == 0.0
 
     def test_wrap_across_omega1(self, square_cell):
-        assert square_cell.distance(-0.45 - 0.45, math.inf) == pytest.approx(0.1)
+        assert self.distance(square_cell, -0.45, 0.45) == pytest.approx(0.1)
 
     def test_symmetry(self, sheared_cell):
         rng = np.random.default_rng(1)
         for _ in range(20):
             z1, z2 = rng.normal(size=2) + 1j * rng.normal(size=2)
-            d12 = sheared_cell.distance(z1 - z2, math.inf)
-            d21 = sheared_cell.distance(z2 - z1, math.inf)
+            d12 = self.distance(sheared_cell, z1, z2)
+            d21 = self.distance(sheared_cell, z2, z1)
             assert d12 == pytest.approx(d21, abs=1e-15)
 
     def test_triangle_inequality(self, square_cell, sheared_cell, hex_cell):
@@ -65,46 +110,51 @@ class TestPeriodicDistance:
         for cell in (square_cell, sheared_cell, hex_cell):
             for _ in range(50):
                 a, b, c = rng.normal(size=3) + 1j * rng.normal(size=3)
-                dab = cell.distance(a - b, math.inf)
-                dbc = cell.distance(b - c, math.inf)
-                dac = cell.distance(a - c, math.inf)
+                dab = self.distance(cell, a, b)
+                dbc = self.distance(cell, b, c)
+                dac = self.distance(cell, a, c)
                 assert dac <= dab + dbc + 1e-12
 
 
 class TestMinImageAgainstStencil:
-    """Cell.distance(z, within) is the length of the full 9-image argmin,
-    bit for bit, wherever that is below within, and at least within elsewhere."""
+    """RSA's cell list finds the nearest image of a point, the length of the
+    full 9-image argmin bit for bit, wherever that is below its reach, and
+    no image elsewhere.  Over a configuration close_pairs lists every image
+    within reach as |z[i] + (P - z[j])|, bit for bit; that length may differ
+    from the stencil's, taken from the reduced z[i] - z[j], in the last bits."""
 
-    WITHIN = (math.inf, 0.3, 0.05)
+    # 1.5 is beyond the covering radius of every cell here: every nearest image
+    REACH = (1.5, 0.3, 0.05)
 
     @pytest.fixture(params=["square_cell", "sheared_cell", "hex_cell", "thin_cell"])
     def cell(self, request):
         return request.getfixturevalue(request.param)
 
-    def assert_same(self, cell, z, within=WITHIN):
+    def assert_same(self, cell, z, reach=REACH):
         want = np.abs(min_image_stencil(cell, z))
-        for w in within:
-            got = cell.distance(z, w)
+        for w in reach:
+            got = grid_distance(cell, z, w)
             assert type(got) is np.ndarray and got.shape == np.shape(z)
             below = want < w
             assert np.array_equal(got[below], want[below])
-            assert np.all(got[~below] >= w)
+            assert np.all(np.isinf(got[~below]))
 
     def test_on_and_inside_shortcut_radius(self, cell):
         angles = np.exp(2j * np.pi * np.arange(720) / 720)
-        # a folded point at most shortest_shift - within long, less the
-        # margin, skips the stencil; points one ulp either side of that
-        for within in (0.3, 0.5 * cell.shortest_shift, 0.05):
-            edge = cell.shortest_shift - within - 1e-9
+        shortest = abs(cell._gauss_basis[0])  # the shortest period
+        # radii about shortest - reach, where a former fold-and-stencil
+        # distance switched to the stencil: kept as edge cases
+        for within in (0.3, 0.5 * shortest, 0.05):
+            edge = shortest - within - 1e-9
             radii = [np.nextafter(edge, 0), edge, np.nextafter(edge, 1),
                      edge - 1e-9, edge + 1e-9]
             self.assert_same(cell, np.concatenate([r * angles for r in radii]), (within,))
-        half = 0.5 * cell.shortest_shift
+        half = 0.5 * shortest
         radii = [half * (1 - 1e-9), half * (1 - 2e-9), half * (1 - 1e-12),
                  np.nextafter(half, 0), half, np.nextafter(half, 1), half * (1 + 1e-9)]
         self.assert_same(cell, np.concatenate([r * angles for r in radii]))
         # half of each stencil shift: a tie between two images
-        self.assert_same(cell, np.delete(cell.stencil, 4) / 2)
+        self.assert_same(cell, np.delete(own_stencil(cell), 4) / 2)
 
     def test_edges_and_corners(self, cell):
         w1, w2 = cell.omega1, cell.omega2
@@ -124,7 +174,7 @@ class TestMinImageAgainstStencil:
         self.assert_same(cell, np.array(zeros + parts))
         for z in zeros + parts:
             self.assert_same(cell, z)
-        assert not cell.distance(np.array(zeros), math.inf).any()
+        assert not grid_distance(cell, np.array(zeros), self.REACH[0]).any()
 
     @pytest.mark.parametrize("z", [0.9j, 0.3, -0.45 + 0.45j, 1.7 - 2.2j])
     def test_scalar(self, cell, z):
@@ -141,14 +191,18 @@ class TestMinImageAgainstStencil:
     def test_rsa_separations(self, omega2, nu):
         desc = EnsembleDescriptor(n=64, nu=nu, trials=1, seed=4, cell_omega2=omega2)
         config = rsa_generate(desc)
-        j, k = np.triu_indices(64, 1)
-        pairs = config.centers[j] - config.centers[k]
-        self.assert_same(config.cell, pairs, self.WITHIN + (2 * config.radius,))
+        z = config.centers
+        for reach in self.REACH + (2 * config.radius,):
+            j, i, dist = close_pairs(config.cell, z, reach)
+            order = np.lexsort((dist, i, j))
+            want = images_within_brute(config.cell, z, reach)
+            for got, expected in zip((j[order], i[order], dist[order]), want):
+                assert np.array_equal(got, expected)
 
 
 class TestMinImageBruteForce:
-    """Cell.distance is the distance to the nearest lattice point on every
-    basis, sheared or not, wherever that is below within.
+    """close_pairs finds every pair within its reach on every basis, sheared
+    or not, at the distance to the nearest lattice point, and no other pair.
 
     The unit-area cells are built with Cell(...) directly: make_cell would fold
     the shears of 1 or more (2.4, 3.0, 4.9, -2.4) below 1."""
@@ -160,14 +214,17 @@ class TestMinImageBruteForce:
         scale = 1.0 / math.sqrt(omega2.imag)
         cell = Cell(scale, omega2 * scale)
         rng = np.random.default_rng(5)
-        z = (rng.random(2000) - 0.5) * 6 + 1j * (rng.random(2000) - 0.5) * 6
-        want = nearest_distance_brute(cell, z)
-        for within in (0.05, 0.3, math.inf):
-            got = cell.distance(z, within)
-            below = want < within
-            assert np.allclose(got[below], want[below], rtol=1e-12, atol=0)
-            assert np.all(got[~below] >= within)
-            assert np.all(got >= want * (1 - 1e-12))  # the length of a translate of z
+        z = cell.reduce((rng.random(80) - 0.5) * 6 + 1j * (rng.random(80) - 0.5) * 6)[0]
+        j, i = np.divmod(np.arange(len(z) ** 2), len(z))
+        want = nearest_distance_brute(cell, cell.reduce(z[i] - z[j])[0]).reshape(len(z), -1)
+        for reach in (0.05, 0.3):
+            found = pair_distances(cell, z, reach)
+            below = want < reach
+            assert below.sum() > len(z)  # pairs besides each point's own image
+            assert np.allclose(found[below], want[below], rtol=1e-12, atol=0)
+            assert np.all(np.isinf(found[~below]))
+            pj, pi, dist = close_pairs(cell, z, reach)
+            assert np.all(dist >= want[pj, pi] * (1 - 1e-12))  # lengths of translates
 
     def test_rsa_places_no_overlapping_pair(self):
         """N = 4 disks at nu = 0.45 on the sheared basis 2.4+0.3i, which
@@ -191,8 +248,8 @@ class TestRsaGenerate:
         desc = EnsembleDescriptor(n=64, nu=0.3, trials=1, seed=42)
         config = rsa_generate(desc)
         assert config.n_disks == 64
-        dist = config.cell.distance(config.centers[:, None] - config.centers, math.inf)
-        dist[np.diag_indices(64)] = np.inf
+        j, k = np.triu_indices(64, 1)
+        dist = nearest_distance_brute(config.cell, config.centers[j] - config.centers[k])
         assert dist.min() >= 2 * config.radius - 1e-12
 
     def test_reproducible_bit_for_bit(self):
@@ -487,6 +544,20 @@ class TestConfigurationValidation:
                 radius=0.04,
             )
 
+    def test_crowded_bin_refused_in_pair_memory(self, square_cell):
+        # a malformed file may stack many centers in one bin of the cell
+        # list: the check's memory goes with the n^2 pairs found there
+        n = 600
+        centers = np.full(n, 0.1 + 0.1j)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="min periodic distance 0 <"):
+                DiskConfiguration(cell=square_cell, centers=centers, radius=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 120 * n * n
+
     # a pair a period apart, less 0.05, overlaps across an edge of the cell;
     # 0.998 (omega1 + omega2)/2 apart on the hexagonal and 0.3+1.1i cells, a
     # pair overlaps only in an image one stencil shift from its folded difference
@@ -497,7 +568,8 @@ class TestConfigurationValidation:
         pairs = [period - 0.05 for period in (w1, w2, w1 + w2, w1 - w2)]
         if omega2 != 0.2j:
             pairs.append(0.998 * (w1 + w2) / 2)
-            assert cell.distance(pairs[-1], math.inf) < 0.99 * abs(cell.fold(pairs[-1]))
+            gap = nearest_distance_brute(cell, np.array(pairs[-1:]))[0]
+            assert gap < 0.99 * abs(cell.reduce(pairs[-1])[0])
         for d in pairs:
             gap = nearest_distance_brute(cell, np.array([d]))[0]
             assert gap < 0.99 * abs(d)
@@ -506,6 +578,16 @@ class TestConfigurationValidation:
                 DiskConfiguration(cell=cell, centers=centers, radius=0.51 * gap)
             assert float(str(err.value).split()[5]) == pytest.approx(gap, rel=1e-12)
             DiskConfiguration(cell=cell, centers=centers, radius=0.49 * gap)
+
+    def test_cell_of_other_area_refused(self):
+        # nu = N pi r^2 holds on a unit cell only: on this cell of area 4 one
+        # disk of radius 0.1 fills 0.0079 of it, not 0.0314
+        cell = Cell(2.0, 2j)
+        with pytest.raises(DomainError, match="cell area 4 != 1"):
+            DiskConfiguration(cell=cell, centers=np.array([0j]), radius=0.1)
+        unit = Cell(1.0, 1j)
+        assert DiskConfiguration(cell=unit, centers=np.array([0j]), radius=0.1).nu == \
+            pytest.approx(0.0314159, rel=1e-5)
 
     def test_nu_bounds(self, square_cell):
         with pytest.raises(DomainError):

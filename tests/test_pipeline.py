@@ -94,6 +94,22 @@ class TestParseQuantity:
         with pytest.raises(DomainError):
             QuantitySpec("q", kind, **fields)
 
+    # refused when made, not at the first kernel build after an RSA placement
+    @pytest.mark.parametrize("kind, fields, message", [
+        ("lambda_series", {"rho": 0.5, "order": 6.5}, "series order must be an integer"),
+        ("lambda_series", {"rho": 0.5, "order": True}, "series order must be an integer"),
+        ("lambda_contrast", {"rho": 0.5, "n_max": 9.0}, "cutoff n_max must be an integer"),
+        ("zeta1", {"n_max": 12.5}, "cutoff n_max must be an integer"),
+        ("zeta1", {"n_max": True}, "cutoff n_max must be an integer"),
+    ])
+    def test_non_integer_order_or_cutoff_refused(self, kind, fields, message):
+        with pytest.raises(DomainError, match=message):
+            QuantitySpec("q", kind, **fields)
+
+    def test_numpy_integer_order_and_cutoff_accepted(self):
+        assert QuantitySpec("q", "lambda_series", rho=0.5, order=np.int64(6)).order == 6
+        assert QuantitySpec("q", "zeta1", n_max=np.int32(12)).n_max == 12
+
 
 class TestRunEnsemble:
     def test_single_trial_passthrough(self):
@@ -185,12 +201,13 @@ class TestRunEnsemble:
         assert kernel_passes == [(2, 30)] * desc.trials
 
     def test_one_min_image_pass_per_trial(self, distance_shapes):
-        # the N(N-1)/2 pairs once, on construction; RSA's survivors take
-        # square (s, s) blocks, and the kernel build takes no distance
+        # one cell list per ensemble, shared by RSA and construction; per
+        # trial, RSA's first chunk of 64 draws all survive and place the 8
+        # disks, construction takes the N centers once, and the kernel build
+        # takes no distance
         desc = EnsembleDescriptor(n=8, nu=0.2, trials=3, seed=5)
         run_ensemble(desc, ["e2"])
-        assert [s for s in distance_shapes if len(s) == 1] == [(28,)] * desc.trials
-        assert all(len(s) == 2 and s[0] == s[1] for s in distance_shapes if len(s) != 1)
+        assert distance_shapes == ["grid"] + [(64,), (8,)] * desc.trials
 
     def test_zeta1_quantity(self):
         desc = EnsembleDescriptor(n=8, nu=0.2, trials=12, seed=6)

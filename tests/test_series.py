@@ -71,6 +71,12 @@ class TestClusterCoeffs:
         assert coeffs.values[0] == pytest.approx(1.0, abs=1e-12)
         assert coeffs.values[1] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("order", [True, 6.5, 6.0])
+    def test_non_integer_order_refused(self, rsa8_table, order):
+        config, _, _ = rsa8_table
+        with pytest.raises(DomainError, match="series order must be an integer"):
+            cluster_coeffs(config, 0.5, order)
+
     def test_zero_contrast_zeroes_all(self, rsa8_table):
         config, _, _ = rsa8_table
         coeffs = cluster_coeffs(config, rho=0.0, order=6)

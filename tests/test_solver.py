@@ -176,6 +176,13 @@ class TestSolverControls:
         with pytest.raises(DomainError):
             solve_contrast(rsa6, 0.5, **controls)
 
+    # a bool is no count: True would solve at degree 1 or stop after one step
+    @pytest.mark.parametrize("controls", [{"degree": True}, {"degree": False},
+                                          {"max_iterations": True}])
+    def test_bool_controls_refused(self, rsa6, controls):
+        with pytest.raises(DomainError, match="must be an integer"):
+            solve_contrast(rsa6, 0.5, **controls)
+
     def test_order_zero_is_exactly_dilute(self, rsa6):
         rho = 0.5
         res = schwarz_sums(rsa6, rho, 0)
