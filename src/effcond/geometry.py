@@ -269,15 +269,17 @@ def _rsa_centers(desc: EnsembleDescriptor, cell: Cell, rng) -> tuple:
         wanted = min(_CHUNK, desc.n - placed) * len(chunk) // max(len(survivors), 1)
         length = min(_BLOCK, max(_CHUNK, wanted // _CHUNK * _CHUNK))
         # survivors in draw order, each tested against those accepted before
-        # it: clear[j, i] is the test of survivor j against survivor i
+        # it: reached[i] lists the survivors j with z[i] within reach of z[j]
         z = chunk[survivors]
-        clear = np.ones((len(z), len(z)), dtype=bool)
+        reached = [[] for _ in range(len(z))]
         if len(z) > 1:  # near jamming, most chunks leave at most one
-            clear[grid.close_pairs(z, bins[survivors])[:2]] = False
-        free = np.ones(len(z), dtype=bool)
+            j, i = grid.close_pairs(z, bins[survivors])[:2]
+            for a, b in zip(i.tolist(), j.tolist()):
+                reached[a].append(b)
+        blocked = set()
         keep, slots = [], []
         for i, (k, b) in enumerate(zip(survivors.tolist(), bins[survivors].tolist())):
-            if not free[i]:
+            if i in blocked:
                 continue
             keep.append(i)
             slots.append(counts[b])
@@ -285,7 +287,7 @@ def _rsa_centers(desc: EnsembleDescriptor, cell: Cell, rng) -> tuple:
             if placed + len(keep) == desc.n:
                 drawn -= len(chunk) - k - 1  # the draws after the last disk
                 break
-            free &= clear[:, i]
+            blocked.update(reached[i])
         grow = max(slots, default=-1) + 1 - table.shape[1]
         if grow > 0:
             table = np.hstack((table, np.full((len(table), grow), np.nan, dtype=complex)))
@@ -333,7 +335,7 @@ def configuration_to_dict(config: DiskConfiguration) -> dict:
             "omega2": [config.cell.omega2.real, config.cell.omega2.imag],
         },
         "radius": config.radius,
-        "centers": [[z.real, z.imag] for z in config.centers],
+        "centers": np.stack((config.centers.real, config.centers.imag), 1).tolist(),
         "meta": dict(config.meta),
     }
 
@@ -345,7 +347,7 @@ def configuration_from_dict(data: dict) -> DiskConfiguration:
         centers = np.array([complex(re, im) for re, im in data["centers"]])
         radius = float(data["radius"])
         meta = dict(data.get("meta", {}))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed configuration: {exc!r}") from exc
     if abs(omega1 * omega2.imag - 1.0) > 1e-12:
         raise DomainError(

@@ -2,12 +2,18 @@
 
 The stdlib json module prints shortest-roundtrip floats; output files here
 are part of the reproducibility contract, so floats are always written with
-17 significant digits and keys keep insertion order.
+17 significant digits and keys keep insertion order.  A table of floats
+(equal-length rows, such as a configuration's centers) is checked finite and
+has -0.0 made 0 once for the whole table, then each row is formatted with
+one "%.17g" template: the text of encoding each entry with format_float.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
+
+import numpy as np
 
 
 def format_float(x: float) -> str:
@@ -22,6 +28,18 @@ def format_float(x: float) -> str:
 
 #: Spaces per nesting level of the JSON text.
 _INDENT = 2
+
+
+def _float_rows(obj) -> list | None:
+    """obj's rows as Python floats, -0.0 made 0, if obj is a finite table of
+    floats (numpy float64 too, never bool); else None."""
+    if (not set(map(type, obj)) <= {list, tuple} or len(set(map(len, obj))) != 1
+            or not all(issubclass(t, float) for t in set(map(type, chain.from_iterable(obj))))):
+        return None
+    table = np.fromiter(chain.from_iterable(obj), float, len(obj) * len(obj[0]))
+    if not np.isfinite(table).all():
+        return None
+    return (table + 0.0).reshape(len(obj), len(obj[0])).tolist()
 
 
 def _encode(obj, parts, level):
@@ -54,6 +72,10 @@ def _encode(obj, parts, level):
                 if i < len(obj) - 1:
                     parts.append(", ")
             parts.append("]")
+        elif (rows := _float_rows(obj)) is not None:
+            row = "[" + ", ".join(["%.17g"] * len(rows[0])) + "]"
+            parts.append("[\n" + pad_in + f",\n{pad_in}".join([row % tuple(r) for r in rows])
+                         + "\n" + pad + "]")
         else:
             parts.append("[\n")
             for i, val in enumerate(obj):

@@ -660,6 +660,10 @@ class TestSerialization:
         {"cell": {"omega1": 1.0}},
         {"centers": [0.1, 0.2]},
         {"cell": {"omega1": 1.0, "omega2": 1.0}},
+        {"centers": [[0.1, 0.2, 0.3]]},
+        {"centers": [[0.1]]},
+        {"radius": "abc"},
+        {"cell": {"omega1": "x", "omega2": [0.0, 1.0]}},
     ])
     def test_malformed_dict_is_domain_error(self, change):
         data = {

@@ -12,11 +12,12 @@ from effcond import (
     parse_quantity,
     run_ensemble,
     rsa_generate,
+    save_configuration,
     trial_seed,
     write_run,
 )
 from effcond.esums import esum_nn
-from effcond.serialize import dump_json
+from effcond.serialize import dump_json, format_float
 from effcond.pipeline import (
     QuantitySpec, compare_csv, compare_methods, evaluate, iter_trials,
 )
@@ -305,24 +306,38 @@ class TestWriteRun:
 
 
 class TestDumpJson:
-    """Lists of plain floats take one join; the text is that of encoding each
-    entry on its own."""
+    """Lists of plain floats take one join, tables of them one template per
+    row; the text is that of encoding each entry on its own."""
 
     OBJ = {"pairs": [[0.1, -2.5], [np.float64(1 / 3), -0.0]],
+           "ragged": [[1.0], [2.0, -0.0]], "flags": [[0.5, True], [1.5, 2.0]],
+           "nulls": [[None, 2.0]],
            "mixed": [1, 2.5, True, None, "x"], "empty": [],
            "nested": {"floats": (1e-300, 12345678.9), "bools": [True, False], "none": {}}}
     TEXT = ('{\n  "pairs": [\n    [0.10000000000000001, -2.5],\n'
-            '    [0.33333333333333331, 0]\n  ],\n  "mixed": [1, 2.5, true, null, "x"],\n'
+            '    [0.33333333333333331, 0]\n  ],\n  "ragged": [\n    [1],\n    [2, 0]\n  ],\n'
+            '  "flags": [\n    [0.5, true],\n    [1.5, 2]\n  ],\n  "nulls": [\n    [null, 2]\n  ],\n'
+            '  "mixed": [1, 2.5, true, null, "x"],\n'
             '  "empty": [],\n  "nested": {\n    "floats": [1e-300, 12345678.9],\n'
             '    "bools": [true, false],\n    "none": {}\n  }\n}\n')
 
     def test_text(self):
         assert dump_json(self.OBJ) == self.TEXT
 
-    @pytest.mark.parametrize("bad", [[0.5, math.nan], [math.inf], [1.0, np.float64(-math.inf)]])
+    @pytest.mark.parametrize("bad", [[0.5, math.nan], [math.inf], [1.0, np.float64(-math.inf)],
+                                     [[0.5, math.nan], [1.0, 2.0]]])
     def test_non_finite_float_raises(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             dump_json({"x": bad})
+
+    def test_configuration_centers_match_format_float(self, tmp_path):
+        config = rsa_generate(EnsembleDescriptor(n=256, nu=0.45, trials=1, seed=3))
+        save_configuration(config, tmp_path / "c.json")
+        rows = ",\n".join(f"    [{format_float(z.real)}, {format_float(z.imag)}]"
+                          for z in config.centers)
+        text = (tmp_path / "c.json").read_text()
+        assert f'  "centers": [\n{rows}\n  ],\n  "meta": ' in text
+        assert text.count("\n") == 256 + 16
 
 
 class TestCompareMethods:
